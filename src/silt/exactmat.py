@@ -5,8 +5,11 @@ Pivoting is deterministic (first nonzero entry scanning left to right), so
 bases, solutions and kernels are reproducible across runs and platforms;
 everything downstream relies on that for canonical output.
 
-With the default prime 32003 all intermediate products stay far below the
-``int64`` overflow threshold, so no arbitrary-precision arithmetic is needed.
+A product of two reduced matrices with inner dimension ``k`` sums ``k``
+terms below ``(p - 1)**2``, so ``int64`` arithmetic is exact while
+``k * (p - 1)**2 < 2**63``.  ``check_field_prime`` therefore admits only
+primes below ``2**26``, which keeps every product with inner dimension up
+to 2048 exact; no arbitrary-precision arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_PRIME = 32003
+MAX_PRIME_EXCLUSIVE = 2**26   # int64 products stay exact for inner dimension <= 2048
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -43,9 +47,14 @@ def is_prime(n: int) -> bool:
 
 
 def check_field_prime(p: int) -> int:
-    """Validate a field characteristic: an odd prime."""
+    """Validate a field characteristic: an odd prime below ``2**26``."""
     if not isinstance(p, int) or p < 3 or not is_prime(p):
         raise ValueError(f"field characteristic must be an odd prime, got {p!r}")
+    if p >= MAX_PRIME_EXCLUSIVE:
+        raise ValueError(
+            f"field prime must be below 2**26 = {MAX_PRIME_EXCLUSIVE}, got {p}: "
+            "int64 matrix products are exact only up to inner dimension 2048 "
+            "under that bound")
     return p
 
 

@@ -107,7 +107,8 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    stats = {"nodes": len(nodes), "edges": len(edges), "max_depth": depth}
+    stats = {"nodes": len(nodes), "edges": len(edges), "max_depth": depth,
+             "cache_entries": ws.cache_sizes()}
     return ExchangeQuiver(ws, nodes, edges, complete, stats)
 
 
@@ -119,30 +120,39 @@ def poset_relations(eq: ExchangeQuiver) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             leq[i, j] = ws.pair_leq(eq.nodes[i], eq.nodes[j])
-    assert all(leq[i, i] for i in range(n)), "order is not reflexive"
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i, j] and leq[j, i]:
-                raise AssertionError(f"order is not antisymmetric at {i}, {j}")
-            if leq[i, j]:
-                for k in range(n):
-                    if leq[j, k] and not leq[i, k]:
-                        raise AssertionError("order is not transitive")
+    if not leq.diagonal().all():
+        raise AssertionError("order is not reflexive")
+    both = leq & leq.T
+    np.fill_diagonal(both, False)
+    if both.any():
+        i, j = np.argwhere(both)[0].tolist()
+        raise AssertionError(f"order is not antisymmetric at {i}, {j}")
+    packed, two = _two_steps(leq)
+    if (two & ~packed).any():
+        raise AssertionError("order is not transitive")
     return leq
 
 
 def cover_relations(leq: np.ndarray) -> set[tuple[int, int]]:
     """Edges (u, v) with node_v strictly below node_u and nothing between."""
-    n = leq.shape[0]
-    covers = set()
-    for u in range(n):
-        for v in range(n):
-            if u == v or not leq[v, u]:
-                continue
-            if any(k not in (u, v) and leq[v, k] and leq[k, u] for k in range(n)):
-                continue
-            covers.add((u, v))
-    return covers
+    strict = np.asarray(leq, dtype=bool) & ~np.eye(leq.shape[0], dtype=bool)
+    packed, two = _two_steps(strict)
+    covers = np.unpackbits(packed & ~two, axis=1, count=leq.shape[0])
+    return {(u, v) for v, u in np.argwhere(covers).tolist()}
+
+
+def _two_steps(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row bitsets of ``rel`` and of ``rel`` composed with itself.
+
+    Bit ``k`` of row ``i`` in the second is set when some ``j`` has
+    ``rel[i, j]`` and ``rel[j, k]``: it is the OR of the rows that row ``i``
+    selects, one vectorised reduction per row.
+    """
+    packed = np.packbits(rel, axis=1)
+    two = np.zeros_like(packed)
+    for i in range(rel.shape[0]):
+        two[i] = np.bitwise_or.reduce(packed[rel[i]], axis=0)
+    return packed, two
 
 
 def hasse_check(eq: ExchangeQuiver) -> bool:

@@ -6,10 +6,21 @@ part.  The summands live in a shared registry which hands out stable ids,
 keyed by (dimension vector, g-vector) with isomorphism confirmation, so
 deduplication never trusts the numeric key alone.
 
-The rigidity pairing ``rigid(i, j)`` (surjectivity of Hom against the
-minimal presentation differential) is cached per ordered id pair; the
-whole partial order on discovered pairs reduces to lookups in that table
-plus a support condition.
+A ``SiltingWorkspace`` keeps four caches.  Each fills on first use, is
+never invalidated, and is keyed by registry ids, which are stable because
+the registry only grows:
+
+- ``hom(i, j)``: the Hom-space basis, per ordered id pair.
+- ``rigid(i, j)``: the rigidity pairing (surjectivity of Hom against the
+  minimal presentation differential), per ordered id pair.  The whole
+  partial order on discovered pairs reduces to lookups in this table plus
+  a support condition.
+- ``composition(x, k, t)``: the coordinates of every composite
+  ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple;
+  the approximation test reads it instead of composing maps.
+- ``validate_silting_pair(pair)``: the verdict with its reason, per
+  ``SiltingPair``.  Validation never registers a module, so the same pair
+  always gets the same verdict.
 """
 
 from __future__ import annotations
@@ -138,6 +149,8 @@ class SiltingWorkspace:
         self._lock = threading.RLock()
         self._hom: dict[tuple[int, int], list[rm.RepMap]] = {}
         self._rigid: dict[tuple[int, int], bool] = {}
+        self._comp: dict[tuple[int, int, int], np.ndarray] = {}
+        self._valid: dict[SiltingPair, Validation] = {}
 
     # ---- cached primitives -----------------------------------------------
 
@@ -158,27 +171,50 @@ class SiltingWorkspace:
         key = (i, j)
         got = self._rigid.get(key)
         if got is None:
-            got = self._rigid_compute(i, j)
+            got = _hom_onto(self.registry.presentation(i), self.registry.rep(j))
             with self._lock:
                 self._rigid.setdefault(key, got)
         return self._rigid[key]
 
-    def _rigid_compute(self, i: int, j: int) -> bool:
-        pres = self.registry.presentation(i)
-        m = self.registry.rep(j)
+    def composition(self, x: int, k: int, t: int) -> np.ndarray:
+        """Coordinates of the composites ``psi . h`` in the basis of ``Hom(x, t)``.
+
+        Entry ``[c, b, e]`` is the ``c``-th coordinate of the ``e``-th basis
+        map of ``Hom(k, t)`` after the ``b``-th basis map of ``Hom(x, k)``.
+        """
+        key = (x, k, t)
+        got = self._comp.get(key)
+        if got is None:
+            got = self._composition_compute(x, k, t)
+            with self._lock:
+                self._comp.setdefault(key, got)
+        return self._comp[key]
+
+    def _composition_compute(self, x: int, k: int, t: int) -> np.ndarray:
+        hxk, hkt, hxt = self.hom(x, k), self.hom(k, t), self.hom(x, t)
+        if not hxk or not hkt:
+            return np.zeros((len(hxt), len(hxk), len(hkt)), dtype=np.int64)
         p = self.algebra.p
-        dom = sum(m.dims[v] for v in pres.rows)
-        cod = sum(m.dims[v] for v in pres.cols)
-        if cod == 0:
-            return True
-        mat = em.zeros(cod, dom)
-        roff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.rows])]).astype(int)
-        coff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.cols])]).astype(int)
-        for r in range(len(pres.rows)):
-            for c in range(len(pres.cols)):
-                block = rm.elem_matrix(m, pres.d[r][c])
-                mat[coff[c]:coff[c + 1], roff[r]:roff[r + 1]] = block
-        return em.rank(mat, p) == cod
+        blocks = []
+        for v in range(self.algebra.quiver.n_vertices):
+            h = np.stack([f.comps[v] for f in hxk])[:, None]
+            psi = np.stack([g.comps[v] for g in hkt])[None]
+            blocks.append((psi @ h).reshape(len(hxk) * len(hkt), -1))
+        composites = np.concatenate(blocks, axis=1).T % p
+        basis = np.array([_vec_map(f) for f in hxt], dtype=np.int64)
+        basis = basis.reshape(len(hxt), composites.shape[0]).T
+        # A solution proves that each composite is a homomorphism x -> t, so
+        # this check stands in for RepMap's commuting squares and must not
+        # vanish under ``python -O``.
+        coords = em.solve_right(basis, composites, p)
+        if coords is None:
+            raise AssertionError("composite escaped the Hom space")
+        return coords.reshape(len(hxt), len(hxk), len(hkt))
+
+    def cache_sizes(self) -> dict[str, int]:
+        """Entry counts of the four caches."""
+        return {"hom": len(self._hom), "rigid": len(self._rigid),
+                "composition": len(self._comp), "validation": len(self._valid)}
 
     # ---- pair plumbing ------------------------------------------------------
 
@@ -219,20 +255,7 @@ class SiltingWorkspace:
 
     def is_presilting_module(self, m: rm.Rep) -> bool:
         """Rigidity of a raw module, without touching the registry."""
-        pres = rm.min_projective_presentation(m)
-        p = self.algebra.p
-        dom = sum(m.dims[v] for v in pres.rows)
-        cod = sum(m.dims[v] for v in pres.cols)
-        if cod == 0:
-            return True
-        mat = em.zeros(cod, dom)
-        roff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.rows])]).astype(int)
-        coff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.cols])]).astype(int)
-        for r in range(len(pres.rows)):
-            for c in range(len(pres.cols)):
-                mat[coff[c]:coff[c + 1], roff[r]:roff[r + 1]] = \
-                    rm.elem_matrix(m, pres.d[r][c])
-        return em.rank(mat, p) == cod
+        return _hom_onto(rm.min_projective_presentation(m), m)
 
     def is_presilting_ids(self, ids) -> bool:
         ids = list(ids)
@@ -240,6 +263,14 @@ class SiltingWorkspace:
 
     def validate_silting_pair(self, pair: SiltingPair) -> Validation:
         """Count, exact support, rigidity, and the approximation sequence."""
+        got = self._valid.get(pair)
+        if got is None:
+            got = self._validate_compute(pair)
+            with self._lock:
+                self._valid.setdefault(pair, got)
+        return self._valid[pair]
+
+    def _validate_compute(self, pair: SiltingPair) -> Validation:
         nv = self.algebra.quiver.n_vertices
         if len(pair.summands) + len(pair.proj_part) != nv:
             return Validation(False, "count")
@@ -301,22 +332,12 @@ class SiltingWorkspace:
     def _is_approximation(self, x: int, targets, copies) -> bool:
         p = self.algebra.p
         for t in targets:
-            xbasis = self.hom(x, t)
-            if not xbasis:
+            dim = len(self.hom(x, t))
+            if not dim:
                 continue
-            bmat = np.concatenate(
-                [_vec_map(h).reshape(-1, 1) for h in xbasis], axis=1)
-            cols = []
-            for (tk, b) in copies:
-                hk = self.hom(x, tk)[b]
-                for psi in self.hom(tk, t):
-                    cols.append(_vec_map(rm.compose(psi, hk)).reshape(-1, 1))
-            if not cols:
-                return False
-            cmat = np.concatenate(cols, axis=1)
-            coords = em.solve_right(bmat, cmat, p)
-            assert coords is not None, "composite escaped the Hom space"
-            if em.rank(coords, p) < len(xbasis):
+            blocks = [self.composition(x, tk, t)[:, b] for (tk, b) in copies]
+            coords = np.concatenate([em.zeros(dim, 0)] + blocks, axis=1)
+            if em.rank(coords, p) < dim:
                 return False
         return True
 
@@ -401,3 +422,21 @@ def _vec_map(h: rm.RepMap) -> np.ndarray:
     if not h.comps:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate([c.reshape(-1) for c in h.comps])
+
+
+def _hom_onto(pres: tt.TwoTermComplex, m: rm.Rep) -> bool:
+    """Whether ``Hom(d, m)`` is onto, for the differential ``d`` of ``pres``.
+
+    The matrix has one block per entry of ``d``, acting on ``m``.
+    """
+    dom = sum(m.dims[v] for v in pres.rows)
+    cod = sum(m.dims[v] for v in pres.cols)
+    if cod == 0:
+        return True
+    mat = em.zeros(cod, dom)
+    roff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.rows])]).astype(int)
+    coff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.cols])]).astype(int)
+    for r in range(len(pres.rows)):
+        for c in range(len(pres.cols)):
+            mat[coff[c]:coff[c + 1], roff[r]:roff[r + 1]] = rm.elem_matrix(m, pres.d[r][c])
+    return em.rank(mat, m.algebra.p) == cod

@@ -203,6 +203,13 @@ def test_bad_prime(capsys):
     assert "prime" in err
 
 
+def test_prime_above_bound_exits_3(capsys):
+    code, _, err = run(capsys, "explore", "--builtin", "triangular_a2",
+                       "--prime", "2147483647")
+    assert code == 3
+    assert "2**26" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import silt.cli as cli
     monkeypatch.setattr(cli.orders, "poset_isomorphic", lambda a, b: False)

@@ -13,6 +13,13 @@ def test_prime_validation():
             em.check_field_prime(bad)
 
 
+def test_prime_bound():
+    # the primes on either side of 2**26: int64 products stay exact below it
+    assert em.check_field_prime(67108859) == 67108859
+    with pytest.raises(ValueError, match="inner dimension 2048"):
+        em.check_field_prime(67108879)
+
+
 def test_rref_empty_and_identity():
     r, piv = em.rref(em.zeros(0, 0), 5)
     assert r.shape == (0, 0) and piv == []

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from silt import explorer as ex
 from silt import orders
@@ -87,6 +90,55 @@ def test_hasse_check_rejects_transitive_edge(a2_eq):
 def test_poset_relations_a2(a2_eq):
     leq = ex.poset_relations(a2_eq)
     assert int(leq.sum()) == 13  # 5 reflexive + 8 strict
+
+
+def _order(n, pairs):
+    """Reflexive relation on range(n) plus the given (below, above) pairs."""
+    leq = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        leq[a, b] = True
+    return leq
+
+
+@pytest.mark.parametrize("rel, message", [
+    (np.zeros((3, 3), dtype=bool), "not reflexive"),
+    (_order(3, [(0, 1), (1, 0)]), "not antisymmetric at 0, 1"),
+    (_order(3, [(0, 1), (1, 2)]), "not transitive"),
+])
+def test_poset_relations_rejects_broken_orders(a2_eq, monkeypatch, rel, message):
+    eq = ex.ExchangeQuiver(a2_eq.workspace, [0, 1, 2], [], True)
+    monkeypatch.setattr(eq.workspace, "pair_leq", lambda a, b: rel[a, b])
+    with pytest.raises(AssertionError, match=message):
+        ex.poset_relations(eq)
+
+
+def test_cover_relations_chain_and_diamond():
+    chain = np.triu(np.ones((4, 4), dtype=bool))   # leq[i, j] iff i <= j
+    assert ex.cover_relations(chain) == {(1, 0), (2, 1), (3, 2)}
+    diamond = _order(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    assert ex.cover_relations(diamond) == {(1, 0), (2, 0), (3, 1), (3, 2)}
+    assert ex.cover_relations(np.zeros((0, 0), dtype=bool)) == set()
+
+
+def _covers_by_loops(leq):
+    """The cover relation straight from its definition, as a reference."""
+    n = leq.shape[0]
+    return {(u, v) for u in range(n) for v in range(n)
+            if u != v and leq[v, u]
+            and not any(k not in (u, v) and leq[v, k] and leq[k, u] for k in range(n))}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 12).flatmap(lambda n: arrays(bool, (n, n))))
+def test_cover_relations_matches_loops(leq):
+    assert ex.cover_relations(leq) == _covers_by_loops(leq)
+
+
+def test_stats_count_cache_entries(a2_eq):
+    sizes = a2_eq.stats["cache_entries"]
+    assert set(sizes) == {"hom", "rigid", "composition", "validation"}
+    assert all(n > 0 for n in sizes.values())
+    assert "cache_entries" not in ex.to_json(a2_eq)
 
 
 def test_unique_source_and_sink(a2_eq, bass_eq):

@@ -135,3 +135,28 @@ def test_mixed_coefficient_relation():
     alg = build_algebra(presentation(q, [[(1, ("a",)), (-1, ("b",))]], 2))
     assert alg.dimension == 3
     assert alg.projective(0).dims == (1, 1)
+
+
+@pytest.fixture(scope="module")
+def explored_ws():
+    # 4 registered modules with Hom spaces of dimension up to 3
+    from silt.explorer import explore
+    return explore(cyclic_nakayama(2, 6)).workspace
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_composition_rebuilds_composites(explored_ws, data):
+    ws = explored_ws
+    ids = st.integers(0, len(ws.registry) - 1)
+    x, k, t = data.draw(ids), data.draw(ids), data.draw(ids)
+    coords = ws.composition(x, k, t)
+    basis = ws.hom(x, t)
+    assert coords.shape == (len(basis), len(ws.hom(x, k)), len(ws.hom(k, t)))
+    for b, h in enumerate(ws.hom(x, k)):
+        for e, psi in enumerate(ws.hom(k, t)):
+            want = rm.compose(psi, h)
+            for v, want_v in enumerate(want.comps):
+                got = sum((int(coords[c, b, e]) * f.comps[v] for c, f in enumerate(basis)),
+                          np.zeros_like(want_v)) % ws.algebra.p
+                assert np.array_equal(got, want_v)

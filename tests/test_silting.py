@@ -85,6 +85,14 @@ def test_validate_a2_examples(a2):
     assert not v and v.reason == "support"
 
 
+def test_rejection_reason_is_stable():
+    # S2 + S1 over A2 has the right count and support but is not rigid
+    ws = SiltingWorkspace(a2_algebra())
+    first = ws.validate_silting_pair(ws.make_pair((1, s1_id(ws)), ()))
+    again = ws.validate_silting_pair(ws.make_pair((s1_id(ws), 1), ()))
+    assert not first and first.reason == again.reason == "rigidity"
+
+
 def test_left_minimal_approximation(a2):
     s1 = s1_id(a2)
     copies, h, tgt = a2.left_minimal_approximation(0, [])
