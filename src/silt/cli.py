@@ -165,9 +165,25 @@ def _run_exploration(alg, args) -> tuple[str, ex.ExchangeQuiver | None]:
     eq = ex.explore(alg, limits, workers=args.workers)
     text = ex.to_json(eq)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_atomic(path, text)
     return text, eq
+
+
+def _write_atomic(path: str, text: str):
+    """Write through a temporary file in the same directory, then rename.
+
+    A crash mid-write leaves at most the temporary file, never a truncated
+    ``path`` that a later run would read as a cache hit.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _emit(args, text_payload: str):
@@ -197,10 +213,7 @@ def cmd_silt_explore(args) -> int:
     if args.format == "json":
         _emit(args, json_text)
     elif args.format == "dot":
-        if eq is None:
-            eq = ex.explore(alg, ex.ExploreLimits(args.max_nodes, args.max_depth),
-                            workers=args.workers)
-        _emit(args, ex.to_dot(eq))
+        _emit(args, ex.doc_to_dot(doc))
     return EXIT_OK
 
 

@@ -179,34 +179,45 @@ def node_payload(eq: ExchangeQuiver, i: int) -> dict:
     }
 
 
-def to_json(eq: ExchangeQuiver) -> str:
-    doc = {
+def json_doc(eq: ExchangeQuiver) -> dict:
+    """The exploration as a JSON-ready document; ``to_json`` serialises it."""
+    return {
         "algebra": eq.algebra.to_json_dict(),
         "complete": eq.complete,
         "nodes": [node_payload(eq, i) for i in range(len(eq.nodes))],
         "edges": [{"from": u, "to": v, "at": at} for (u, v, at) in eq.edges],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def node_label(eq: ExchangeQuiver, i: int) -> str:
-    ws = eq.workspace
-    pair = eq.nodes[i]
-    if not pair.summands and not pair.proj_part:
+def to_json(eq: ExchangeQuiver) -> str:
+    return json.dumps(json_doc(eq), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def payload_label(payload: dict) -> str:
+    """Summand dimension vectors, then the shifted-projective vertex names."""
+    if not payload["summands"] and not payload["proj_part"]:
         return "0"
-    dims = "+".join(str(list(ws.registry.dims(s))) for s in pair.summands) or "0"
-    if pair.proj_part:
-        verts = ",".join(eq.algebra.quiver.vertices[v] for v in pair.proj_part)
-        return f"{dims} | {{{verts}}}"
+    dims = "+".join(str(s["dims"]) for s in payload["summands"]) or "0"
+    if payload["proj_part"]:
+        return f"{dims} | {{{','.join(payload['proj_part'])}}}"
     return dims
 
 
-def to_dot(eq: ExchangeQuiver) -> str:
+def node_label(eq: ExchangeQuiver, i: int) -> str:
+    return payload_label(node_payload(eq, i))
+
+
+def doc_to_dot(doc: dict) -> str:
+    """DOT of an exploration document, as built by ``json_doc`` or read back."""
     lines = ["digraph exchange {"]
-    for i in range(len(eq.nodes)):
-        label = node_label(eq, i).replace('"', "'")
-        lines.append(f'  n{i} [label="{label}" tooltip="{label}"];')
-    for (u, v, at) in eq.edges:
-        lines.append(f'  n{u} -> n{v} [label="{at}"];')
+    for nd in doc["nodes"]:
+        label = payload_label(nd).replace('"', "'")
+        lines.append(f'  n{nd["id"]} [label="{label}" tooltip="{label}"];')
+    for e in doc["edges"]:
+        lines.append(f'  n{e["from"]} -> n{e["to"]} [label="{e["at"]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_dot(eq: ExchangeQuiver) -> str:
+    return doc_to_dot(json_doc(eq))

@@ -21,6 +21,12 @@ the registry only grows:
 - ``validate_silting_pair(pair)``: the verdict with its reason, per
   ``SiltingPair``.  Validation never registers a module, so the same pair
   always gets the same verdict.
+
+The ``Registry`` keeps one more, ``decompose(t)``: the shifted-projective
+vertices and the H^0 summand ids of a two-term complex, keyed by
+``minimality_reduce(t)``.  Only successful decompositions are stored; a
+complex whose H^0 holds an unregistered module is computed afresh on the
+next call, when the registry may have grown.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ class Registry:
         self._pres: list[tt.TwoTermComplex] = []
         self._gvec: list[tuple[int, ...]] = []
         self._by_key: dict[tuple, list[int]] = {}
+        self._decomp: dict[tt.TwoTermComplex,
+                           tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for v in range(algebra.quiver.n_vertices):
             self.get_or_insert(algebra.projective(v))
 
@@ -113,31 +121,56 @@ class Registry:
               register_remainder: bool = False) -> list[int] | None:
         """Peel registered indecomposables off ``rep``; ids with multiplicity.
 
-        Candidates are tried in ascending id order and the scan restarts
-        after every successful split, so the result is deterministic.  When
-        nothing known splits off a nonzero remainder, either the remainder
-        is registered as a new indecomposable (``register_remainder``) or
-        the split fails with ``None``.
+        One ascending pass over the candidate ids: each id is peeled off for
+        as long as it splits, then the scan moves to the next id.  Every peel
+        replaces the module by ``kernel(rho)``, a complement of the peeled
+        summand, and ``direct_summand_split`` is exhaustive, so an id that
+        fails on a module fails on each of its summands (Krull-Schmidt).
+        The pieces therefore come out sorted, and equal to what a scan that
+        restarts at the lowest id after every peel would find.  When nothing
+        known splits off a nonzero remainder, either the remainder is
+        registered as a new indecomposable (``register_remainder``) or the
+        split fails with ``None``.
         """
+        with self._lock:
+            ids = sorted(candidate_ids) if candidate_ids is not None \
+                else list(range(len(self._reps)))
         pieces: list[int] = []
         current = rep
-        while not current.is_zero():
-            with self._lock:
-                ids = sorted(candidate_ids) if candidate_ids is not None \
-                    else list(range(len(self._reps)))
-            for i in ids:
+        for i in ids:
+            while not current.is_zero():
                 got = rm.direct_summand_split(current, self._reps[i])
-                if got is not None:
-                    rho, _ = got
-                    pieces.append(i)
-                    current, _ = rm.kernel(rho)
+                if got is None:
                     break
-            else:
-                if not register_remainder:
-                    return None
-                pieces.append(self.get_or_insert(current))
-                break
+                pieces.append(i)
+                current, _ = rm.kernel(got[0])
+        if current.is_zero():
+            return pieces
+        if not register_remainder:
+            return None
+        pieces.append(self.get_or_insert(current))
         return pieces
+
+    def decompose(self, t: tt.TwoTermComplex, register_remainder: bool = False
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Shifted-projective vertices and H^0 summand ids of ``t``, or ``None``.
+
+        The vertices are those of the zero columns of the reduced complex;
+        the ids, with multiplicity, come from splitting its zeroth cohomology
+        over the whole registry (see ``split``).  Memoised per reduced
+        complex; a failure is not stored, since a later registration can
+        make the same complex split.
+        """
+        red = tt.minimality_reduce(t)
+        got = self._decomp.get(red)
+        if got is None:
+            pieces = self.split(tt.h0(red), register_remainder=register_remainder)
+            if pieces is None:
+                return None
+            got = (tt.shifted_vertices(red), tuple(pieces))
+            with self._lock:
+                self._decomp.setdefault(red, got)
+        return self._decomp[red]
 
 
 class SiltingWorkspace:
@@ -405,16 +438,10 @@ class SiltingWorkspace:
 
     def pair_of(self, t: tt.TwoTermComplex) -> SiltingPair:
         """The pair of the additive equivalence class: summands deduplicated."""
-        red = tt.minimality_reduce(t)
-        shift_verts = []
-        for c, v in enumerate(red.cols):
-            if all(red.d[r][c].is_zero() for r in range(len(red.rows))):
-                shift_verts.append(v)
-        _, _, dmap = tt.complex_repmap(red)
-        cok, _ = rm.cokernel(dmap)
-        pieces = self.registry.split(cok)
-        if pieces is None:
+        got = self.registry.decompose(t)
+        if got is None:
             raise ValueError("zeroth cohomology does not split over the registry")
+        shift_verts, pieces = got
         return self.make_pair(sorted(set(pieces)), shift_verts)
 
 

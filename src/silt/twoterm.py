@@ -248,14 +248,18 @@ def minimality_reduce(t: TwoTermComplex) -> TwoTermComplex:
     return TwoTermComplex(alg, tuple(rows), tuple(cols), tuple(tuple(r) for r in d))
 
 
+def shifted_vertices(red: TwoTermComplex) -> tuple[int, ...]:
+    """Vertices of the zero columns of a reduced complex, with multiplicity.
+
+    In a minimal complex each zero column is a ``P_v -> 0`` stalk summand.
+    """
+    return tuple(v for c, v in enumerate(red.cols)
+                 if all(red.d[r][c].is_zero() for r in range(len(red.rows))))
+
+
 def rho1(t: TwoTermComplex) -> tuple[int, ...]:
     """Multiplicities of shifted-projective stalk summands, per vertex."""
-    red = minimality_reduce(t)
-    out = [0] * t.algebra.quiver.n_vertices
-    for c, v in enumerate(red.cols):
-        if all(red.d[r][c].is_zero() for r in range(len(red.rows))):
-            out[v] += 1
-    return tuple(out)
+    return _mult_vector(t.algebra, shifted_vertices(minimality_reduce(t)))
 
 
 def h0(t: TwoTermComplex) -> rm.Rep:
@@ -381,16 +385,8 @@ def summand_descriptors(t: TwoTermComplex, registry) -> set:
     silting complex, so its zeroth cohomology splits into modules the
     registry can recognise (new pieces are registered on sight).
     """
-    red = minimality_reduce(t)
-    descs = set()
-    for c, v in enumerate(red.cols):
-        if all(red.d[r][c].is_zero() for r in range(len(red.rows))):
-            descs.add(("shift", v))
-    _, _, dmap = complex_repmap(red)
-    cok, _ = rm.cokernel(dmap)
-    for mid in registry.split(cok, register_remainder=True):
-        descs.add(("mod", mid))
-    return descs
+    shift, mods = registry.decompose(t, register_remainder=True)
+    return {("shift", v) for v in shift} | {("mod", i) for i in mods}
 
 
 def is_silting(t: TwoTermComplex, registry) -> bool:

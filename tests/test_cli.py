@@ -121,6 +121,39 @@ def test_cache_hit_reproduces_bytes(tmp_path, capsys):
     assert len(list(cache.glob("*.json"))) == 1
 
 
+def test_cache_write_failure_leaves_nothing(tmp_path, capsys, monkeypatch):
+    import silt.cli as cli
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    cache = tmp_path / "cache"
+    with pytest.raises(OSError, match="disk full"):
+        main(["explore", "--builtin", "hereditary", "--n", "1",
+              "--cache", str(cache), "--workers", "1"])
+    assert list(cache.iterdir()) == []
+
+
+def test_dot_cache_hit_skips_exploration(tmp_path, capsys, monkeypatch):
+    import silt.cli as cli
+    cache = tmp_path / "cache"
+    cold, hit = tmp_path / "cold.dot", tmp_path / "hit.dot"
+    args = ("explore", "--builtin", "auslander_bass_v", "--n", "1",
+            "--format", "dot", "--cache", str(cache), "--workers", "1")
+    code, _, _ = run(capsys, *args, "--out", str(cold))
+    assert code == 0
+
+    def refuse(*a, **k):
+        raise AssertionError("explore ran on a cache hit")
+
+    monkeypatch.setattr(cli.ex, "explore", refuse)
+    code, _, _ = run(capsys, *args, "--out", str(hit))
+    assert code == 0
+    assert hit.read_bytes() == cold.read_bytes()
+    assert cold.read_text().startswith("digraph")
+
+
 def test_cache_env_override(tmp_path, capsys, monkeypatch):
     env_cache = tmp_path / "envcache"
     monkeypatch.setenv("SILT_CACHE", str(env_cache))

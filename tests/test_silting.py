@@ -1,5 +1,13 @@
-import pytest
+import sys
+import threading
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from silt import exactmat as em
+from silt import explorer as ex
+from silt import orders
 from silt import repmod as rm
 from silt import twoterm as tt
 from silt.algebra import Quiver, build_algebra, presentation
@@ -195,3 +203,124 @@ def test_pair_leq_iff_complex_rigidity(a2):
             lhs = a2.pair_leq(x, y)
             rhs = tt.hom_shift_vanishes(a2.complex_of(y), a2.complex_of(x))
             assert lhs == rhs
+
+
+# ---- H^0 decomposition ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def her3_registry():
+    """The nine modules that exploring the hereditary n=3 reduction registers."""
+    return ex.explore(orders.hereditary_reduction(3)).workspace.registry
+
+
+def _split_by_restarts(registry, rep, candidate_ids=None):
+    """The scan that restarts at the lowest id after every peel, as a reference."""
+    pieces = []
+    current = rep
+    while not current.is_zero():
+        ids = sorted(candidate_ids) if candidate_ids is not None \
+            else range(len(registry))
+        for i in ids:
+            got = rm.direct_summand_split(current, registry.rep(i))
+            if got is not None:
+                pieces.append(i)
+                current, _ = rm.kernel(got[0])
+                break
+        else:
+            return None
+    return pieces
+
+
+def _change_basis(rep, seed):
+    """``rep`` under a random change of basis at every vertex."""
+    alg = rep.algebra
+    p, q = alg.p, alg.quiver
+    rng = np.random.default_rng(seed)
+    bases = []
+    for d in rep.dims:
+        b = rng.integers(0, p, (d, d))
+        while not em.is_invertible(b, p):
+            b = rng.integers(0, p, (d, d))
+        bases.append(b)
+    maps = [em.matmul(em.matmul(bases[q.arrow_target(k)], rep.arrow_maps[k], p),
+                      em.invert(bases[q.arrow_source(k)], p), p)
+            for k in range(q.n_arrows)]
+    return rm.Rep(alg, rep.dims, maps)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_split_matches_restart_scan(her3_registry, data):
+    reg = her3_registry
+    n = len(reg)
+    mults = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    parts = data.draw(st.permutations([reg.rep(i) for i, m in enumerate(mults)
+                                       for _ in range(m)]))
+    candidates = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
+    if parts:
+        rep, _ = rm.rep_direct_sum(reg.algebra, parts)
+        rep = _change_basis(rep, data.draw(st.integers(0, 2**32 - 1)))
+    else:
+        rep = rm.zero_rep(reg.algebra)
+    got = reg.split(rep, candidate_ids=candidates)
+    assert got == _split_by_restarts(reg, rep, candidates)
+    if candidates is None:
+        assert got == [i for i, m in enumerate(mults) for _ in range(m)]
+
+
+def test_pair_of_refuses_unregistered_h0():
+    ws = SiltingWorkspace(a2_algebra())
+    pres = rm.min_projective_presentation(ws.algebra.simple(0))
+    with pytest.raises(ValueError, match="does not split over the registry"):
+        ws.pair_of(pres)
+    # the failure was not memoised: once S1 is registered the same call succeeds
+    s1 = s1_id(ws)
+    assert ws.pair_of(pres) == ws.make_pair((s1,), ())
+
+
+def test_decompose_memo_hit_equals_fresh():
+    ws = SiltingWorkspace(a2_algebra())
+    alg, reg = ws.algebra, ws.registry
+    s1 = s1_id(ws)
+    pairs = [ws.lambda_pair(), ws.zero_pair(), ws.make_pair((0, s1), ()),
+             ws.make_pair((1,), (0,)), ws.make_pair((s1,), (1,))]
+    complexes = [ws.complex_of(pair) for pair in pairs]
+    # a contractible summand P_1 -> P_1 cancels, so the reduced key is shared
+    cone = tt.TwoTermComplex(alg, (0,), (0,), ((alg.unit_elem(0),),))
+    complexes.append(tt.direct_sum(complexes[2], cone, complexes[2]))
+    first = [reg.decompose(t) for t in complexes]
+    hits = [reg.decompose(t) for t in complexes]
+    assert all(a is b for a, b in zip(first, hits))
+    assert reg.decompose(tt.direct_sum(complexes[2], cone)) is first[2]
+    reg._decomp.clear()
+    assert [reg.decompose(t) for t in complexes] == hits
+    assert hits[2] == ((), (0, s1))
+    assert hits[-1] == ((), (0, 0, s1, s1))
+
+
+def test_decompose_memo_under_threads():
+    ws = SiltingWorkspace(a2_algebra())
+    s1 = s1_id(ws)
+    pairs = [ws.lambda_pair(), ws.make_pair((0, s1), ()), ws.make_pair((s1,), (1,))]
+    complexes = [ws.complex_of(pair) for pair in pairs] * 4
+    results = [None] * 6
+
+    def work(k):
+        results[k] = [ws.registry.decompose(t) for t in complexes]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    # every call returns the one stored decomposition of its complex
+    for j in range(len(pairs)):
+        got = {id(r[j + len(pairs) * c]) for r in results for c in range(4)}
+        assert len(got) == 1
