@@ -240,9 +240,9 @@ class BasisPath:
 class FiniteDimAlgebra:
     """``kQ/I`` with a chosen path basis and structure constants.
 
-    Instances are immutable after construction and safe to share between
-    threads; the lazy product/projective caches only ever grow with values
-    that are functions of their keys.
+    Instances are immutable after construction; the lazy product/projective
+    caches only ever grow with values that are functions of their keys, so
+    any number of registries and workspaces may share one algebra.
     """
 
     def __init__(self, presentation: AlgebraPresentation, p: int,

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 
+from . import __version__
 from . import explorer as ex
 from . import orders
 from .algebra import AlgebraBuildError, algebra_from_dict, FiniteDimAlgebra
@@ -27,6 +28,9 @@ from .exactmat import DEFAULT_PRIME, check_field_prime
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
 EXIT_INPUT_ERROR = 3
+
+# Part of every cache key: bump it when the cached document changes shape.
+CACHE_FORMAT = 1
 
 
 class InputError(Exception):
@@ -49,9 +53,6 @@ def _add_run_args(sub):
     sub.add_argument("--format", choices=("text", "dot", "json"), default="text")
     sub.add_argument("--out", help="write dot/json output to this path")
     sub.add_argument("--cache", help="cache directory for exploration JSON")
-    sub.add_argument("--workers", type=int,
-                     default=max(1, os.cpu_count() or 1),
-                     help="parallel mutation workers (default: available cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +143,8 @@ def cmd_algebra_show(args) -> int:
 def _cache_key(alg: FiniteDimAlgebra, limits: ex.ExploreLimits) -> str:
     payload = json.dumps({"algebra": alg.to_json_dict(), "p": alg.p,
                           "max_nodes": limits.max_nodes,
-                          "max_depth": limits.max_depth},
+                          "max_depth": limits.max_depth,
+                          "version": __version__, "format": CACHE_FORMAT},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -159,14 +161,33 @@ def _run_exploration(alg, args) -> tuple[str, ex.ExchangeQuiver | None]:
     if cache:
         os.makedirs(cache, exist_ok=True)
         path = os.path.join(cache, _cache_key(alg, limits) + ".json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                return fh.read(), None
-    eq = ex.explore(alg, limits, workers=args.workers)
+        text = _read_cached(path, alg)
+        if text is not None:
+            return text, None
+    eq = ex.explore(alg, limits)
     text = ex.to_json(eq)
     if path:
         _write_atomic(path, text)
     return text, eq
+
+
+def _read_cached(path: str, alg: FiniteDimAlgebra) -> str | None:
+    """The cached exploration JSON of ``alg``, or ``None`` on a miss.
+
+    A missing file, one that does not parse (a truncated write, say), one
+    that lacks a top-level field and one that describes another algebra
+    are all misses, which the caller explores again and overwrites.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        doc = json.loads(text)   # ValueError covers bad JSON and bad UTF-8
+    except (FileNotFoundError, ValueError):
+        return None
+    if (isinstance(doc, dict) and {"complete", "nodes", "edges"} <= doc.keys()
+            and doc.get("algebra") == alg.to_json_dict()):
+        return text
+    return None
 
 
 def _write_atomic(path: str, text: str):
@@ -227,8 +248,7 @@ def cmd_tors_assemble(args) -> int:
             "it needs the finite-length = non-sincere dictionary and a "
             "Morita-local generic fibre, which other families do not guarantee")
     alg = _resolve_algebra(args)
-    eq = ex.explore(alg, ex.ExploreLimits(args.max_nodes, args.max_depth),
-                    workers=args.workers)
+    eq = ex.explore(alg, ex.ExploreLimits(args.max_nodes, args.max_depth))
     if not eq.complete:
         raise InputError("exploration hit its limits; raise --max-nodes/--max-depth")
     sincere = orders.classify_sincere(eq)
@@ -292,22 +312,30 @@ def _verify_figures(p: int, rows: list):
     rows.append(("bass_v: exchange = Hasse", True, ex.hasse_check(eq)))
 
 
+def _bounded(value: int | None, default: int | None, minimum: int,
+             option: str) -> int | None:
+    """``value``, or ``default`` when the option was not given."""
+    if value is not None and value < minimum:
+        raise InputError(f"{option} must be at least {minimum}, got {value}")
+    return default if value is None else value
+
+
 def cmd_verify(args) -> int:
     p = args.prime if args.prime is not None else DEFAULT_PRIME
     check_field_prime(p)
     rows: list[tuple[str, object, object]] = []
     if args.family == "hereditary":
-        _verify_hereditary(args.max_n or 4, p, rows)
+        _verify_hereditary(_bounded(args.max_n, 4, 1, "--max-n"), p, rows)
     elif args.family == "weak-order":
-        _verify_weak_order(args.max_n if args.max_n is not None else 2, p, rows)
+        _verify_weak_order(_bounded(args.max_n, 2, 0, "--max-n"), p, rows)
     elif args.family == "reduction":
-        ns = [args.n] if args.n else [1, 2, 3]
-        _verify_reduction(ns, p, rows)
+        n = _bounded(args.n, None, 1, "--n")
+        _verify_reduction([n] if n is not None else [1, 2, 3], p, rows)
     elif args.family == "figures":
         _verify_figures(p, rows)
     else:
         _verify_figures(p, rows)
-        _verify_hereditary(args.max_n or 4, p, rows)
+        _verify_hereditary(_bounded(args.max_n, 4, 1, "--max-n"), p, rows)
         _verify_weak_order(2, p, rows)
         _verify_reduction([1, 2, 3], p, rows)
     width = max(len(r[0]) for r in rows)

@@ -3,9 +3,9 @@
 The walk starts at the projective pair and mutates every module summand of
 every frontier node; shifted-projective summands are never mutated, since a
 left mutation there would leave the two-term range — every downward edge is
-realised at a module summand.  Wave results are merged in a fixed order
-(source index, then canonical summand position), so node and edge numbering
-is independent of the worker count and of registry id assignment.
+realised at a module summand.  Each wave mutates in a fixed order (source
+index, then canonical summand position), so node and edge numbering is
+independent of registry id assignment.
 
 Running out of the node or depth budget is a value, not an error: the
 quiver comes back with ``complete = False`` and downstream consumers that
@@ -15,13 +15,12 @@ need completeness check the flag.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import FiniteDimAlgebra
-from .silting import Registry, SiltingPair, SiltingWorkspace  # noqa: F401  Registry re-exported here
+from .silting import SiltingPair, SiltingWorkspace
 
 DEFAULT_MAX_NODES = 1_000_000
 DEFAULT_MAX_DEPTH = 1_000_000
@@ -56,7 +55,7 @@ class ExchangeQuiver:
 
 
 def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
-            workers: int = 1, workspace: SiltingWorkspace | None = None) -> ExchangeQuiver:
+            workspace: SiltingWorkspace | None = None) -> ExchangeQuiver:
     limits = limits or ExploreLimits()
     ws = workspace if workspace is not None else SiltingWorkspace(algebra)
     start = ws.lambda_pair()
@@ -66,27 +65,15 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
     frontier = [0]
     complete = True
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if depth >= limits.max_depth:
-                complete = False
-                break
-            tasks = [(src, at) for src in frontier
-                     for at in range(len(nodes[src].summands))]
-
-            def run(task):
-                src, at = task
-                return src, at, ws.mutate_left(nodes[src], at)
-
-            if pool is not None:
-                results = list(pool.map(run, tasks))
-            else:
-                results = [run(t) for t in tasks]
-
-            new_frontier = []
-            overflowed = False
-            for src, at, cand in results:   # already in (src, at) order
+    while frontier:
+        if depth >= limits.max_depth:
+            complete = False
+            break
+        new_frontier = []
+        overflowed = False
+        for src in frontier:
+            for at in range(len(nodes[src].summands)):
+                cand = ws.mutate_left(nodes[src], at)
                 if cand is None:
                     continue
                 tgt = index.get(cand)
@@ -99,14 +86,11 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
                     index[cand] = tgt
                     new_frontier.append(tgt)
                 edges.append((src, tgt, at))
-            if overflowed:
-                complete = False
-                break
-            frontier = new_frontier
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        if overflowed:
+            complete = False
+            break
+        frontier = new_frontier
+        depth += 1
     stats = {"nodes": len(nodes), "edges": len(edges), "max_depth": depth,
              "cache_entries": ws.cache_sizes()}
     return ExchangeQuiver(ws, nodes, edges, complete, stats)

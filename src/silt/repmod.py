@@ -4,7 +4,7 @@ Everything here reduces to exact eliminations over the prime field: Hom
 spaces are kernels of commuting-square systems, tops and cokernels are
 quotient projections, projective covers lift bases of the top.  All values
 are immutable after construction and all operations are pure, so any number
-of workers may share them.
+of registries and workspaces may share them.
 
 The zero module (all dimensions zero) is a first-class citizen; every
 operation accepts it.

@@ -6,9 +6,10 @@ part.  The summands live in a shared registry which hands out stable ids,
 keyed by (dimension vector, g-vector) with isomorphism confirmation, so
 deduplication never trusts the numeric key alone.
 
-A ``SiltingWorkspace`` keeps four caches.  Each fills on first use, is
-never invalidated, and is keyed by registry ids, which are stable because
-the registry only grows:
+A ``SiltingWorkspace`` keeps four caches, plain dicts filled without locks,
+so a workspace belongs to one thread.  Each fills on first use, is never
+invalidated, and is keyed by registry ids, which are stable because the
+registry only grows:
 
 - ``hom(i, j)``: the Hom-space basis, per ordered id pair.
 - ``rigid(i, j)``: the rigidity pairing (surjectivity of Hom against the
@@ -31,7 +32,6 @@ next call, when the registry may have grown.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +66,13 @@ class Registry:
     """Shared store of discovered indecomposable modules with stable ids.
 
     Projectives are registered first, in vertex order, so the ids
-    ``0..n_vertices-1`` always denote them.  Insertion is atomic; two
-    threads racing on isomorphic modules receive the same id.
+    ``0..n_vertices-1`` always denote them.  Isomorphic modules receive
+    the same id.  A registry, like the ``SiltingWorkspace`` over it, is not
+    safe to share between threads.
     """
 
     def __init__(self, algebra: FiniteDimAlgebra):
         self.algebra = algebra
-        self._lock = threading.RLock()
         self._reps: list[rm.Rep] = []
         self._pres: list[tt.TwoTermComplex] = []
         self._gvec: list[tuple[int, ...]] = []
@@ -106,16 +106,15 @@ class Registry:
         pres = rm.min_projective_presentation(rep)
         gvec = tt.g_vector(pres)
         key = (rep.dims, gvec)
-        with self._lock:
-            for i in self._by_key.get(key, []):
-                if rm.is_isomorphic(self._reps[i], rep):
-                    return i
-            i = len(self._reps)
-            self._reps.append(rep)
-            self._pres.append(pres)
-            self._gvec.append(gvec)
-            self._by_key.setdefault(key, []).append(i)
-            return i
+        for i in self._by_key.get(key, []):
+            if rm.is_isomorphic(self._reps[i], rep):
+                return i
+        i = len(self._reps)
+        self._reps.append(rep)
+        self._pres.append(pres)
+        self._gvec.append(gvec)
+        self._by_key.setdefault(key, []).append(i)
+        return i
 
     def split(self, rep: rm.Rep, candidate_ids=None,
               register_remainder: bool = False) -> list[int] | None:
@@ -132,9 +131,8 @@ class Registry:
         registered as a new indecomposable (``register_remainder``) or the
         split fails with ``None``.
         """
-        with self._lock:
-            ids = sorted(candidate_ids) if candidate_ids is not None \
-                else list(range(len(self._reps)))
+        ids = sorted(candidate_ids) if candidate_ids is not None \
+            else list(range(len(self._reps)))
         pieces: list[int] = []
         current = rep
         for i in ids:
@@ -167,10 +165,8 @@ class Registry:
             pieces = self.split(tt.h0(red), register_remainder=register_remainder)
             if pieces is None:
                 return None
-            got = (tt.shifted_vertices(red), tuple(pieces))
-            with self._lock:
-                self._decomp.setdefault(red, got)
-        return self._decomp[red]
+            got = self._decomp[red] = (tt.shifted_vertices(red), tuple(pieces))
+        return got
 
 
 class SiltingWorkspace:
@@ -179,7 +175,6 @@ class SiltingWorkspace:
     def __init__(self, algebra: FiniteDimAlgebra, registry: Registry | None = None):
         self.algebra = algebra
         self.registry = registry if registry is not None else Registry(algebra)
-        self._lock = threading.RLock()
         self._hom: dict[tuple[int, int], list[rm.RepMap]] = {}
         self._rigid: dict[tuple[int, int], bool] = {}
         self._comp: dict[tuple[int, int, int], np.ndarray] = {}
@@ -191,23 +186,18 @@ class SiltingWorkspace:
         return self.registry.rep(i)
 
     def hom(self, i: int, j: int) -> list[rm.RepMap]:
-        key = (i, j)
-        got = self._hom.get(key)
+        got = self._hom.get((i, j))
         if got is None:
-            got = rm.hom_basis(self.registry.rep(i), self.registry.rep(j))
-            with self._lock:
-                self._hom.setdefault(key, got)
-        return self._hom[key]
+            got = self._hom[i, j] = rm.hom_basis(self.module(i), self.module(j))
+        return got
 
     def rigid(self, i: int, j: int) -> bool:
         """Surjectivity of Hom(d_i, m_j); the two-term shifted-Hom vanishing."""
-        key = (i, j)
-        got = self._rigid.get(key)
+        got = self._rigid.get((i, j))
         if got is None:
-            got = _hom_onto(self.registry.presentation(i), self.registry.rep(j))
-            with self._lock:
-                self._rigid.setdefault(key, got)
-        return self._rigid[key]
+            got = self._rigid[i, j] = _hom_onto(self.registry.presentation(i),
+                                                self.module(j))
+        return got
 
     def composition(self, x: int, k: int, t: int) -> np.ndarray:
         """Coordinates of the composites ``psi . h`` in the basis of ``Hom(x, t)``.
@@ -215,13 +205,10 @@ class SiltingWorkspace:
         Entry ``[c, b, e]`` is the ``c``-th coordinate of the ``e``-th basis
         map of ``Hom(k, t)`` after the ``b``-th basis map of ``Hom(x, k)``.
         """
-        key = (x, k, t)
-        got = self._comp.get(key)
+        got = self._comp.get((x, k, t))
         if got is None:
-            got = self._composition_compute(x, k, t)
-            with self._lock:
-                self._comp.setdefault(key, got)
-        return self._comp[key]
+            got = self._comp[x, k, t] = self._composition_compute(x, k, t)
+        return got
 
     def _composition_compute(self, x: int, k: int, t: int) -> np.ndarray:
         hxk, hkt, hxt = self.hom(x, k), self.hom(k, t), self.hom(x, t)
@@ -298,10 +285,8 @@ class SiltingWorkspace:
         """Count, exact support, rigidity, and the approximation sequence."""
         got = self._valid.get(pair)
         if got is None:
-            got = self._validate_compute(pair)
-            with self._lock:
-                self._valid.setdefault(pair, got)
-        return self._valid[pair]
+            got = self._valid[pair] = self._validate_compute(pair)
+        return got
 
     def _validate_compute(self, pair: SiltingPair) -> Validation:
         nv = self.algebra.quiver.n_vertices

@@ -5,6 +5,7 @@ failure).  Shared explorations are computed once per session.
 """
 
 import math
+import random
 from contextlib import contextmanager
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from silt import explorer as ex
 from silt import orders
 from silt import twoterm as tt
+from silt.silting import Registry, SiltingWorkspace
 
 
 @contextmanager
@@ -209,11 +211,22 @@ def test_criterion_9_unimodular_g_vectors(runs):
 
 
 def test_criterion_10_determinism(runs):
-    with criterion(10, "serial and 8-worker runs emit identical JSON"):
-        algebras = [orders.triangular_example_reduction(), orders.bass_v_reduction()]
-        algebras += [orders.hereditary_reduction(n) for n in (1, 2, 3, 4)]
-        algebras += [orders.auslander_bass_v_reduction(n) for n in (0, 1, 2)]
-        for alg in algebras:
-            serial = ex.to_json(ex.explore(alg, workers=1))
-            parallel = ex.to_json(ex.explore(alg, workers=8))
-            assert serial == parallel
+    with criterion(10, "JSON is the same when the registry holds the modules "
+                       "in reversed or shuffled id order"):
+        eqs = list(runs.values())
+        eqs += [ex.explore(orders.cyclic_nakayama(3, ell)) for ell in (3, 4, 5)]
+        rng = random.Random(10)
+        for eq in eqs:
+            alg, reg = eq.algebra, eq.workspace.registry
+            nv = alg.quiver.n_vertices
+            found = list(range(nv, len(reg)))
+            shuffled = rng.sample(found, len(found))
+            for order in (found[::-1], shuffled):
+                fresh = Registry(alg)
+                for k, i in enumerate(order):
+                    assert fresh.get_or_insert(reg.rep(i)) == nv + k
+                again = ex.explore(alg, workspace=SiltingWorkspace(alg, fresh))
+                if order != found:
+                    # the ids really moved, so the JSON cannot be reading them
+                    assert again.nodes != eq.nodes
+                assert ex.to_json(again) == ex.to_json(eq)

@@ -68,25 +68,23 @@ def test_missing_source(capsys):
 
 
 def test_explore_counts(capsys):
-    code, out, _ = run(capsys, "explore", "--builtin", "hereditary", "--n", "3",
-                       "--workers", "1")
+    code, out, _ = run(capsys, "explore", "--builtin", "hereditary", "--n", "3")
     assert code == 0
     assert "20 silting modules" in out
     assert "COMPLETE" in out
     assert "hasse check: OK" in out
-    code, out, _ = run(capsys, "explore", "--builtin", "triangular_a2",
-                       "--workers", "1")
+    code, out, _ = run(capsys, "explore", "--builtin", "triangular_a2")
     assert code == 0
     assert "5 silting modules" in out
     code, out, _ = run(capsys, "explore", "--builtin", "auslander_bass_v",
-                       "--n", "2", "--workers", "1")
+                       "--n", "2")
     assert code == 0
     assert "24 silting modules" in out
 
 
 def test_explore_incomplete_banner_exit_zero(capsys):
     code, out, _ = run(capsys, "explore", "--builtin", "hereditary", "--n", "3",
-                       "--max-nodes", "4", "--workers", "1")
+                       "--max-nodes", "4")
     assert code == 0
     assert "INCOMPLETE" in out
 
@@ -94,7 +92,7 @@ def test_explore_incomplete_banner_exit_zero(capsys):
 def test_explore_json_out(tmp_path, capsys):
     out_path = tmp_path / "eq.json"
     code, _, _ = run(capsys, "explore", "--builtin", "triangular_a2",
-                     "--format", "json", "--out", str(out_path), "--workers", "1")
+                     "--format", "json", "--out", str(out_path))
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["complete"] is True
@@ -103,7 +101,7 @@ def test_explore_json_out(tmp_path, capsys):
 
 def test_explore_dot_stdout(capsys):
     code, out, _ = run(capsys, "explore", "--builtin", "triangular_a2",
-                       "--format", "dot", "--workers", "1")
+                       "--format", "dot")
     assert code == 0
     assert "digraph" in out
 
@@ -115,7 +113,7 @@ def test_cache_hit_reproduces_bytes(tmp_path, capsys):
     for f in (f1, f2):
         code, _, _ = run(capsys, "explore", "--builtin", "hereditary", "--n", "2",
                          "--format", "json", "--out", str(f),
-                         "--cache", str(cache), "--workers", "1")
+                         "--cache", str(cache))
         assert code == 0
     assert f1.read_bytes() == f2.read_bytes()
     assert len(list(cache.glob("*.json"))) == 1
@@ -131,7 +129,7 @@ def test_cache_write_failure_leaves_nothing(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     with pytest.raises(OSError, match="disk full"):
         main(["explore", "--builtin", "hereditary", "--n", "1",
-              "--cache", str(cache), "--workers", "1"])
+              "--cache", str(cache)])
     assert list(cache.iterdir()) == []
 
 
@@ -140,7 +138,7 @@ def test_dot_cache_hit_skips_exploration(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     cold, hit = tmp_path / "cold.dot", tmp_path / "hit.dot"
     args = ("explore", "--builtin", "auslander_bass_v", "--n", "1",
-            "--format", "dot", "--cache", str(cache), "--workers", "1")
+            "--format", "dot", "--cache", str(cache))
     code, _, _ = run(capsys, *args, "--out", str(cold))
     assert code == 0
 
@@ -154,29 +152,77 @@ def test_dot_cache_hit_skips_exploration(tmp_path, capsys, monkeypatch):
     assert cold.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("corrupt", [
+    '{"algebra": {"field": {"p": 320',     # cut off mid-write
+    '{"nodes": []}',                       # lacks algebra, complete, edges
+    None,                                  # a valid document of another algebra
+])
+def test_corrupt_cache_file_is_a_miss(tmp_path, capsys, corrupt):
+    cache = tmp_path / "cache"
+    cold = tmp_path / "cold.json"
+    args = ("explore", "--builtin", "hereditary", "--n", "2", "--format", "json",
+            "--cache", str(cache))
+    code, _, _ = run(capsys, *args, "--out", str(cold))
+    assert code == 0
+    [entry] = cache.glob("*.json")
+    if corrupt is None:
+        doc = json.loads(cold.read_text())
+        doc["algebra"]["field"]["p"] = 3
+        corrupt = json.dumps(doc)
+    entry.write_text(corrupt)
+    again = tmp_path / "again.json"
+    code, out, _ = run(capsys, *args, "--out", str(again))
+    assert code == 0
+    assert "6 silting modules" in out and "hasse check: OK" in out
+    assert again.read_bytes() == cold.read_bytes()
+    assert entry.read_bytes() == cold.read_bytes()
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def test_cache_key_covers_version_and_format(monkeypatch):
+    import silt
+    import silt.cli as cli
+    from silt import orders
+    alg = orders.hereditary_reduction(2)
+    limits = cli.ex.ExploreLimits()
+    keys = {cli._cache_key(alg, limits)}
+    assert cli.__version__ == silt.__version__
+    monkeypatch.setattr(cli, "CACHE_FORMAT", cli.CACHE_FORMAT + 1)
+    keys.add(cli._cache_key(alg, limits))
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
+    keys.add(cli._cache_key(alg, limits))
+    assert len(keys) == 3
+
+
+def test_workers_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--builtin", "triangular_a2", "--workers", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments: --workers" in err
+
+
 def test_cache_env_override(tmp_path, capsys, monkeypatch):
     env_cache = tmp_path / "envcache"
     monkeypatch.setenv("SILT_CACHE", str(env_cache))
     code, _, _ = run(capsys, "explore", "--builtin", "hereditary", "--n", "1",
-                     "--cache", str(tmp_path / "ignored"), "--workers", "1")
+                     "--cache", str(tmp_path / "ignored"))
     assert code == 0
     assert env_cache.exists()
     assert not (tmp_path / "ignored").exists()
 
 
 def test_tors_counts(capsys):
-    code, out, _ = run(capsys, "tors", "--builtin", "hereditary", "--n", "2",
-                       "--workers", "1")
+    code, out, _ = run(capsys, "tors", "--builtin", "hereditary", "--n", "2")
     assert code == 0
     assert "9 torsion classes" in out
-    code, out, _ = run(capsys, "tors", "--builtin", "hereditary", "--n", "1",
-                       "--workers", "1")
+    code, out, _ = run(capsys, "tors", "--builtin", "hereditary", "--n", "1")
     assert code == 0
     assert "3 torsion classes" in out
 
 
 def test_tors_refuses_unsupported_family(capsys):
-    code, _, err = run(capsys, "tors", "--builtin", "bass_v", "--workers", "1")
+    code, _, err = run(capsys, "tors", "--builtin", "bass_v")
     assert code == 3
     assert "hereditary" in err
 
@@ -184,7 +230,7 @@ def test_tors_refuses_unsupported_family(capsys):
 def test_tors_dot_output(tmp_path, capsys):
     out_path = tmp_path / "tors.dot"
     code, _, _ = run(capsys, "tors", "--builtin", "hereditary", "--n", "1",
-                     "--format", "dot", "--out", str(out_path), "--workers", "1")
+                     "--format", "dot", "--out", str(out_path))
     assert code == 0
     text = out_path.read_text()
     assert text.startswith("digraph") and text.count("->") == 2
@@ -200,7 +246,7 @@ def test_explore_from_file(tmp_path, capsys):
     }
     path = tmp_path / "nakayama.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "explore", "--file", str(path), "--workers", "1")
+    code, out, _ = run(capsys, "explore", "--file", str(path))
     assert code == 0
     assert "6 silting modules" in out
 
@@ -223,6 +269,28 @@ def test_verify_reduction(capsys):
     assert "PASS" in out
 
 
+def test_verify_weak_order_zero(capsys):
+    code, out, _ = run(capsys, "verify", "weak-order", "--max-n", "0")
+    assert code == 0
+    assert "auslander n=0" in out and "auslander n=1" not in out
+    assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv, option, minimum", [
+    (("reduction", "--n", "0"), "--n", 1),
+    (("reduction", "--n", "-2"), "--n", 1),
+    (("hereditary", "--max-n", "0"), "--max-n", 1),
+    (("hereditary", "--max-n", "-1"), "--max-n", 1),
+    (("weak-order", "--max-n", "-1"), "--max-n", 0),
+    (("all", "--max-n", "0"), "--max-n", 1),
+])
+def test_verify_rejects_values_below_minimum(capsys, argv, option, minimum):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 3
+    assert f"error: {option} must be at least {minimum}" in err
+    assert "PASS" not in out
+
+
 def test_verify_figures(capsys):
     code, out, _ = run(capsys, "verify", "figures")
     assert code == 0
@@ -231,7 +299,7 @@ def test_verify_figures(capsys):
 
 def test_bad_prime(capsys):
     code, _, err = run(capsys, "explore", "--builtin", "triangular_a2",
-                       "--prime", "10", "--workers", "1")
+                       "--prime", "10")
     assert code == 3
     assert "prime" in err
 

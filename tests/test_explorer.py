@@ -183,12 +183,6 @@ def test_to_dot(a2_eq):
     assert "n0" in dot
 
 
-def test_workers_agree():
-    seq = ex.to_json(ex.explore(orders.hereditary_reduction(2), workers=1))
-    par = ex.to_json(ex.explore(orders.hereditary_reduction(2), workers=8))
-    assert seq == par
-
-
 def test_hereditary_2_counts():
     eq = ex.explore(orders.hereditary_reduction(2))
     assert eq.complete

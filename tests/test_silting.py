@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,30 +294,3 @@ def test_decompose_memo_hit_equals_fresh():
     assert [reg.decompose(t) for t in complexes] == hits
     assert hits[2] == ((), (0, s1))
     assert hits[-1] == ((), (0, 0, s1, s1))
-
-
-def test_decompose_memo_under_threads():
-    ws = SiltingWorkspace(a2_algebra())
-    s1 = s1_id(ws)
-    pairs = [ws.lambda_pair(), ws.make_pair((0, s1), ()), ws.make_pair((s1,), (1,))]
-    complexes = [ws.complex_of(pair) for pair in pairs] * 4
-    results = [None] * 6
-
-    def work(k):
-        results[k] = [ws.registry.decompose(t) for t in complexes]
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    # every call returns the one stored decomposition of its complex
-    for j in range(len(pairs)):
-        got = {id(r[j + len(pairs) * c]) for r in results for c in range(4)}
-        assert len(got) == 1
