@@ -323,6 +323,10 @@ def _bounded(value: int | None, default: int | None, minimum: int,
 def cmd_verify(args) -> int:
     p = args.prime if args.prime is not None else DEFAULT_PRIME
     check_field_prime(p)
+    if args.n is not None and args.family != "reduction":
+        raise InputError(f"--n applies to the reduction family only, not {args.family}")
+    if args.max_n is not None and args.family in ("reduction", "figures"):
+        raise InputError(f"--max-n does not apply to the {args.family} family")
     rows: list[tuple[str, object, object]] = []
     if args.family == "hereditary":
         _verify_hereditary(_bounded(args.max_n, 4, 1, "--max-n"), p, rows)

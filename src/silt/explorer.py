@@ -50,9 +50,6 @@ class ExchangeQuiver:
     def algebra(self) -> FiniteDimAlgebra:
         return self.workspace.algebra
 
-    def node_index(self, pair: SiltingPair) -> int:
-        return self.nodes.index(pair)
-
 
 def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
             workspace: SiltingWorkspace | None = None) -> ExchangeQuiver:

@@ -266,10 +266,6 @@ def as_cover_graph(x) -> tuple[int, list[tuple[int, int]]]:
     return int(n), [(int(u), int(v)) for (u, v) in edges]
 
 
-def _validate_cover_graph(n: int, edges: list[tuple[int, int]]):
-    _check_unique_ends(n, edges)
-
-
 def _refine_colors(n: int, succ, pred) -> list[int]:
     colors = [(len(succ[i]), len(pred[i])) for i in range(n)]
     canon = {c: k for k, c in enumerate(sorted(set(colors)))}
@@ -291,8 +287,8 @@ def poset_isomorphic(a, b) -> bool:
     """Digraph isomorphism of two Hasse diagrams, by refinement + backtracking."""
     na, ea = as_cover_graph(a)
     nb, eb = as_cover_graph(b)
-    _validate_cover_graph(na, ea)
-    _validate_cover_graph(nb, eb)
+    _check_unique_ends(na, ea)
+    _check_unique_ends(nb, eb)
     if na != nb or len(ea) != len(eb):
         return False
     n = na

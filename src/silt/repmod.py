@@ -369,18 +369,14 @@ def _copy_offsets(alg: FiniteDimAlgebra, verts: tuple[int, ...]) -> list[tuple[i
 
 def fac_contains(generators: Rep, x: Rep) -> bool:
     """Whether ``x`` is a factor of a finite direct sum of the generators."""
-    if generators.algebra is not x.algebra:
-        raise ValueError("modules live over different algebras")
-    if x.total_dim == 0:
-        return True
-    alg = x.algebra
-    basis = hom_basis(generators, x)
-    for v in range(alg.quiver.n_vertices):
-        if x.dims[v] == 0:
-            continue
-        stacked = (np.concatenate([h.comps[v] for h in basis], axis=1)
-                   if basis else em.zeros(x.dims[v], 0))
-        if em.rank(stacked, alg.p) < x.dims[v]:
+    return images_span(hom_basis(generators, x), x)
+
+
+def images_span(maps: list[RepMap], x: Rep) -> bool:
+    """Whether the images of ``maps``, all into ``x``, together span ``x``."""
+    for v, d in enumerate(x.dims):
+        stacked = np.concatenate([em.zeros(d, 0)] + [h.comps[v] for h in maps], axis=1)
+        if d and em.rank(stacked, x.algebra.p) < d:
             return False
     return True
 

@@ -4,7 +4,9 @@ A silting pair is a basic set of indecomposable module summands plus a set
 of vertices whose shifted projectives make up the complex's degree -1 stalk
 part.  The summands live in a shared registry which hands out stable ids,
 keyed by (dimension vector, g-vector) with isomorphism confirmation, so
-deduplication never trusts the numeric key alone.
+deduplication never trusts the numeric key alone.  ``mutate_left`` registers
+a module only when a mutation exists, so a registry that ``explore`` filled
+holds only summands of the pairs it produced.
 
 A ``SiltingWorkspace`` keeps four caches, plain dicts filled without locks,
 so a workspace belongs to one thread.  Each fills on first use, is never
@@ -256,10 +258,10 @@ class SiltingWorkspace:
     def zero_pair(self) -> SiltingPair:
         return self.make_pair((), range(self.algebra.quiver.n_vertices))
 
-    def summand_dims(self, pair: SiltingPair) -> tuple[int, ...]:
+    def summand_dims(self, ids) -> tuple[int, ...]:
         nv = self.algebra.quiver.n_vertices
         out = [0] * nv
-        for i in pair.summands:
+        for i in ids:
             for v, d in enumerate(self.registry.dims(i)):
                 out[v] += d
         return tuple(out)
@@ -292,7 +294,7 @@ class SiltingWorkspace:
         nv = self.algebra.quiver.n_vertices
         if len(pair.summands) + len(pair.proj_part) != nv:
             return Validation(False, "count")
-        dims = self.summand_dims(pair)
+        dims = self.summand_dims(pair.summands)
         proj = set(pair.proj_part)
         for v in range(nv):
             if (dims[v] == 0) != (v in proj):
@@ -336,13 +338,18 @@ class SiltingWorkspace:
         return h, target
 
     def _strip_copies(self, x: int, targets, copies):
+        """Drop, in one pass, each copy the approximation property can spare.
+
+        Adding copies only strengthens the property, so a copy that has to
+        stay once stays for good: after a removal the pass goes on from the
+        same position, and keeps what a scan restarting at 0 would keep.
+        """
         copies = list(copies)
         i = 0
         while i < len(copies):
             trial = copies[:i] + copies[i + 1:]
             if self._is_approximation(x, targets, trial):
                 copies = trial
-                i = 0
             else:
                 i += 1
         return copies
@@ -362,44 +369,40 @@ class SiltingWorkspace:
     # ---- mutation ---------------------------------------------------------------
 
     def mutate_left(self, pair: SiltingPair, at: int) -> SiltingPair | None:
-        """Irreducible left mutation at the ``at``-th module summand.
+        """Irreducible left mutation at the ``at``-th module summand, or ``None``.
 
-        Follows the cokernel formula; when the approximation is onto, the
-        summand moves to the shifted-projective part at the unique newly
-        unsupported vertex.  Candidates are accepted only if they validate
-        and sit strictly below the input, which keeps the operation total
-        when the input happens to be the minimal completion already.
+        With ``X`` that summand and ``U`` the rest, the mutation exists iff
+        ``X`` is not in ``Fac U`` (Adachi-Iyama-Reiten, arXiv:1210.1036,
+        Def.-Prop. 2.28); the images of the cached ``Hom(U, X)`` decide this
+        before anything is built, and ``None`` means it fails.  Otherwise
+        the cokernel formula applies; when the approximation is onto, ``X``
+        moves to the shifted-projective part at the newly unsupported vertex.
+        An invalid input raises: the result must validate and lie below it.
         """
         if not 0 <= at < len(pair.summands):
             raise IndexError(f"summand index {at} out of range")
         x = pair.summands[at]
         rest = tuple(i for k, i in enumerate(pair.summands) if k != at)
+        if rm.images_span([f for i in rest for f in self.hom(i, x)], self.module(x)):
+            return None
         _, h, _ = self.left_minimal_approximation(x, rest)
         cok, _ = rm.cokernel(h)
         if not cok.is_zero():
-            cid = self.registry.get_or_insert(cok)
-            if cid in rest:
-                return None
-            candidate = self.make_pair(rest + (cid,), pair.proj_part)
+            candidate = self.make_pair(rest + (self.registry.get_or_insert(cok),),
+                                       pair.proj_part)
         else:
-            nv = self.algebra.quiver.n_vertices
-            rest_dims = [0] * nv
-            for i in rest:
-                for v, d in enumerate(self.registry.dims(i)):
-                    rest_dims[v] += d
-            vacant = [v for v in range(nv)
-                      if v not in pair.proj_part and rest_dims[v] == 0]
-            if not vacant:
-                return None
-            if len(vacant) > 1:
-                raise RuntimeError(
-                    f"multiple support vertices {vacant} qualify after removing "
-                    "one summand; the input cannot be a valid silting pair")
+            vacant = [v for v, d in enumerate(self.summand_dims(rest))
+                      if d == 0 and v not in pair.proj_part]
+            if len(vacant) != 1:
+                raise RuntimeError(f"vertices {vacant}, not exactly one, lose support; "
+                                   "the input is not a silting pair")
             candidate = self.make_pair(rest, pair.proj_part + (vacant[0],))
-        if not self.validate_silting_pair(candidate):
-            return None
+        valid = self.validate_silting_pair(candidate)
+        if not valid:
+            raise RuntimeError(f"left mutation of {pair} at {at} failed "
+                               f"validation: {valid.reason}")
         if not (self.pair_leq(candidate, pair) and not self.pair_leq(pair, candidate)):
-            return None
+            raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
         return candidate
 
     # ---- order --------------------------------------------------------------------

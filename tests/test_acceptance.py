@@ -226,6 +226,8 @@ def test_criterion_10_determinism(runs):
                 for k, i in enumerate(order):
                     assert fresh.get_or_insert(reg.rep(i)) == nv + k
                 again = ex.explore(alg, workspace=SiltingWorkspace(alg, fresh))
+                # nothing beyond the summands of the nodes gets registered
+                assert len(fresh) == len(reg)
                 if order != found:
                     # the ids really moved, so the JSON cannot be reading them
                     assert again.nodes != eq.nodes

@@ -291,6 +291,21 @@ def test_verify_rejects_values_below_minimum(capsys, argv, option, minimum):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("hereditary", "--n", "1"), "--n"),
+    (("weak-order", "--n", "1"), "--n"),
+    (("figures", "--max-n", "7", "--n", "9"), "--n"),
+    (("all", "--n", "2"), "--n"),
+    (("reduction", "--max-n", "1"), "--max-n"),
+    (("figures", "--max-n", "7"), "--max-n"),
+])
+def test_verify_rejects_option_of_other_family(capsys, argv, option):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 3
+    assert err.startswith(f"error: {option} ")
+    assert "PASS" not in out
+
+
 def test_verify_figures(capsys):
     code, out, _ = run(capsys, "verify", "figures")
     assert code == 0

@@ -8,7 +8,7 @@ from silt import orders
 from silt import repmod as rm
 from silt import twoterm as tt
 from silt.algebra import Quiver, build_algebra, presentation
-from silt.silting import SiltingWorkspace
+from silt.silting import SiltingPair, SiltingWorkspace, Validation
 
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
@@ -126,7 +126,7 @@ def test_mutate_left_a2_figure(a2):
     assert got == a2.make_pair((1,), (0,))
     mid = a2.make_pair((0, s1), ())
     got = a2.mutate_left(mid, mid.summands.index(s1))
-    assert got is None  # P1 is sincere, no vertex available
+    assert got is None  # S1 is in Fac P1, so there is no left mutation
     got = a2.mutate_left(mid, mid.summands.index(0))
     assert got == a2.make_pair((s1,), (1,))
     low = a2.make_pair((s1,), (1,))
@@ -134,6 +134,62 @@ def test_mutate_left_a2_figure(a2):
     assert got == a2.zero_pair()
     with pytest.raises(IndexError):
         a2.mutate_left(lam, 5)
+
+
+@pytest.mark.parametrize("build", [
+    orders.triangular_example_reduction, orders.bass_v_reduction,
+    lambda: orders.hereditary_reduction(3),
+    lambda: orders.auslander_bass_v_reduction(2),
+], ids=["triangular", "bass_v", "hereditary3", "auslander2"])
+def test_no_left_mutation_iff_minimal_completion(build):
+    # oracle: T has no left mutation at X exactly when T is the minimal
+    # (co-Bongartz) completion of the rest; computed on complexes, without Fac
+    eq = ex.explore(build())
+    ws = eq.workspace
+    for pair in eq.nodes:
+        t = ws.complex_of(pair)
+        for at, x in enumerate(pair.summands):
+            rest = SiltingPair(tuple(i for i in pair.summands if i != x),
+                               pair.proj_part)
+            low = tt.co_bongartz_completion(ws.complex_of(rest), ws.registry)
+            minimal = tt.silt_leq(t, low) and tt.silt_leq(low, t)
+            assert (ws.mutate_left(pair, at) is None) == minimal, (pair, at)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: orders.auslander_bass_v_reduction(2),
+    lambda: orders.auslander_bass_v_reduction(3),
+    lambda: orders.cyclic_nakayama(3, 5),
+    lambda: orders.cyclic_nakayama(4, 6),
+], ids=["auslander2", "auslander3", "nakayama3-5", "nakayama4-6"])
+def test_explore_registers_only_node_summands(build):
+    eq = ex.explore(build())
+    used = {i for pair in eq.nodes for i in pair.summands}
+    nv = eq.algebra.quiver.n_vertices
+    assert set(range(nv, len(eq.workspace.registry))) - used == set()
+
+
+def test_mutate_left_raises_on_invalid_candidate(monkeypatch):
+    ws = SiltingWorkspace(a2_algebra())
+    monkeypatch.setattr(ws, "validate_silting_pair",
+                        lambda pair: Validation(False, "rigidity"))
+    with pytest.raises(RuntimeError, match="rigidity"):
+        ws.mutate_left(ws.lambda_pair(), 0)
+
+
+def test_mutate_left_fac_rejection_builds_nothing(monkeypatch):
+    ws = SiltingWorkspace(a2_algebra())
+    s1 = s1_id(ws)
+    mid = ws.make_pair((0, s1), ())
+    size = len(ws.registry)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no cokernel or registration without a mutation")
+
+    monkeypatch.setattr(rm, "cokernel", refuse)
+    monkeypatch.setattr(ws.registry, "get_or_insert", refuse)
+    assert ws.mutate_left(mid, mid.summands.index(s1)) is None
+    assert len(ws.registry) == size
 
 
 def test_mutation_strictly_descends(a2):
@@ -206,9 +262,15 @@ def test_pair_leq_iff_complex_rigidity(a2):
 
 
 @pytest.fixture(scope="module")
-def her3_registry():
+def her3_ws():
+    """The workspace of an exploration of the hereditary n=3 reduction."""
+    return ex.explore(orders.hereditary_reduction(3)).workspace
+
+
+@pytest.fixture(scope="module")
+def her3_registry(her3_ws):
     """The nine modules that exploring the hereditary n=3 reduction registers."""
-    return ex.explore(orders.hereditary_reduction(3)).workspace.registry
+    return her3_ws.registry
 
 
 def _split_by_restarts(registry, rep, candidate_ids=None):
@@ -294,3 +356,33 @@ def test_decompose_memo_hit_equals_fresh():
     assert [reg.decompose(t) for t in complexes] == hits
     assert hits[2] == ((), (0, s1))
     assert hits[-1] == ((), (0, 0, s1, s1))
+
+
+# ---- approximation copies ------------------------------------------------------
+
+
+def _strip_by_restarts(ws, x, targets, copies):
+    """The scan that restarts at the first copy after every removal, as a reference."""
+    copies = list(copies)
+    i = 0
+    while i < len(copies):
+        trial = copies[:i] + copies[i + 1:]
+        if ws._is_approximation(x, targets, trial):
+            copies = trial
+            i = 0
+        else:
+            i += 1
+    return copies
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_strip_copies_matches_restart_scan(her3_ws, data):
+    ws = her3_ws
+    n = len(ws.registry)
+    x = data.draw(st.integers(0, n - 1))
+    targets = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=4)))
+    copies = [(t, b) for t in targets for b in range(len(ws.hom(x, t)))]
+    copies = data.draw(st.permutations(copies))
+    assert ws._strip_copies(x, targets, copies) == \
+        _strip_by_restarts(ws, x, targets, copies)
