@@ -55,6 +55,7 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
             workspace: SiltingWorkspace | None = None) -> ExchangeQuiver:
     limits = limits or ExploreLimits()
     ws = workspace if workspace is not None else SiltingWorkspace(algebra)
+    counts_before = dict(ws.mutation_counts)
     start = ws.lambda_pair()
     nodes: list[SiltingPair] = [start]
     index: dict[SiltingPair, int] = {start: 0}
@@ -89,7 +90,9 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
         frontier = new_frontier
         depth += 1
     stats = {"nodes": len(nodes), "edges": len(edges), "max_depth": depth,
-             "cache_entries": ws.cache_sizes()}
+             "cache_entries": ws.cache_sizes(),
+             "mutations": {k: n - counts_before[k]
+                           for k, n in ws.mutation_counts.items()}}
     return ExchangeQuiver(ws, nodes, edges, complete, stats)
 
 

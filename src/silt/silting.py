@@ -5,10 +5,11 @@ of vertices whose shifted projectives make up the complex's degree -1 stalk
 part.  The summands live in a shared registry which hands out stable ids,
 keyed by (dimension vector, g-vector) with isomorphism confirmation, so
 deduplication never trusts the numeric key alone.  ``mutate_left`` registers
-a module only when a mutation exists, so a registry that ``explore`` filled
-holds only summands of the pairs it produced.
+a module only when a mutation exists and its partner is not registered yet,
+so a registry that ``explore`` filled holds only summands of the pairs it
+produced.
 
-A ``SiltingWorkspace`` keeps four caches, plain dicts filled without locks,
+A ``SiltingWorkspace`` keeps five caches, plain dicts filled without locks,
 so a workspace belongs to one thread.  Each fills on first use, is never
 invalidated, and is keyed by registry ids, which are stable because the
 registry only grows:
@@ -24,12 +25,22 @@ registry only grows:
 - ``validate_silting_pair(pair)``: the verdict with its reason, per
   ``SiltingPair``.  Validation never registers a module, so the same pair
   always gets the same verdict.
+- ``approximation_pieces(v, summands)``: the summand ids into which the
+  cokernel of the minimal left approximation of ``P_v`` splits, per
+  ``(v, copies)``, the vertex and the stripped approximation copies.  The
+  copies index the cached Hom bases, so they fix the map and its cokernel;
+  a stored entry is a proof of that splitting, and a pair whose summands
+  do not contain the stored pieces is split afresh.  Successes only.
 
-The ``Registry`` keeps one more, ``decompose(t)``: the shifted-projective
-vertices and the H^0 summand ids of a two-term complex, keyed by
-``minimality_reduce(t)``.  Only successful decompositions are stored; a
-complex whose H^0 holds an unregistered module is computed afresh on the
-next call, when the registry may have grown.
+The ``Registry`` keeps two more, both per two-term complex ``t`` and keyed
+by ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
+in the homotopy category:
+
+- ``decompose(t)``: the shifted-projective vertices and the H^0 summand
+  ids.  Only successful decompositions are stored; a complex whose H^0
+  holds an unregistered module is computed afresh on the next call, when
+  the registry may have grown.
+- ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.
 """
 
 from __future__ import annotations
@@ -64,6 +75,10 @@ class Validation:
         return self.ok
 
 
+MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
+                     "registry_lookup", "cokernel_built")
+
+
 class Registry:
     """Shared store of discovered indecomposable modules with stable ids.
 
@@ -81,6 +96,7 @@ class Registry:
         self._by_key: dict[tuple, list[int]] = {}
         self._decomp: dict[tt.TwoTermComplex,
                            tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._presilting: dict[tt.TwoTermComplex, bool] = {}
         for v in range(algebra.quiver.n_vertices):
             self.get_or_insert(algebra.projective(v))
 
@@ -170,6 +186,18 @@ class Registry:
             got = self._decomp[red] = (tt.shifted_vertices(red), tuple(pieces))
         return got
 
+    def is_presilting(self, t: tt.TwoTermComplex) -> bool:
+        """``twoterm.is_presilting(t)``, memoised per reduced complex.
+
+        A contractible summand changes no Hom in the homotopy category, so
+        the reduced complex has the verdict of ``t``.
+        """
+        red = tt.minimality_reduce(t)
+        got = self._presilting.get(red)
+        if got is None:
+            got = self._presilting[red] = tt.is_presilting(red)
+        return got
+
 
 class SiltingWorkspace:
     """An algebra, its registry, and all mutation-level operations."""
@@ -181,6 +209,8 @@ class SiltingWorkspace:
         self._rigid: dict[tuple[int, int], bool] = {}
         self._comp: dict[tuple[int, int, int], np.ndarray] = {}
         self._valid: dict[SiltingPair, Validation] = {}
+        self._pieces: dict[tuple[int, tuple], tuple[int, ...]] = {}
+        self.mutation_counts = dict.fromkeys(MUTATION_OUTCOMES, 0)
 
     # ---- cached primitives -----------------------------------------------
 
@@ -234,9 +264,10 @@ class SiltingWorkspace:
         return coords.reshape(len(hxt), len(hxk), len(hkt))
 
     def cache_sizes(self) -> dict[str, int]:
-        """Entry counts of the four caches."""
+        """Entry counts of the five caches."""
         return {"hom": len(self._hom), "rigid": len(self._rigid),
-                "composition": len(self._comp), "validation": len(self._valid)}
+                "composition": len(self._comp), "validation": len(self._valid),
+                "approximation_pieces": len(self._pieces)}
 
     # ---- pair plumbing ------------------------------------------------------
 
@@ -302,12 +333,30 @@ class SiltingWorkspace:
         if not self.is_presilting_ids(pair.summands):
             return Validation(False, "rigidity")
         for v in range(nv):
-            _, h, _ = self.left_minimal_approximation(v, pair.summands)
-            cok, _ = rm.cokernel(h)
-            if not cok.is_zero():
-                if self.registry.split(cok, candidate_ids=pair.summands) is None:
-                    return Validation(False, "approximation")
+            if self.approximation_pieces(v, pair.summands) is None:
+                return Validation(False, "approximation")
         return Validation(True)
+
+    def approximation_pieces(self, v: int, summands) -> tuple[int, ...] | None:
+        """Ids into which the approximation cokernel of ``P_v`` splits, or ``None``.
+
+        The approximation is the minimal left one by sums of ``summands``;
+        ``None`` means its cokernel is not in their additive closure.
+        Memoised per (vertex, stripped copies); a stored entry counts only
+        when its pieces are among ``summands``.
+        """
+        copies = tuple(self._approximation_copies(v, summands))
+        got = self._pieces.get((v, copies))
+        if got is not None and set(got) <= set(summands):
+            return got
+        h, _ = self._assemble_approximation(v, copies)
+        cok, _ = rm.cokernel(h)
+        pieces = [] if cok.is_zero() else \
+            self.registry.split(cok, candidate_ids=summands)
+        if pieces is None:
+            return None
+        got = self._pieces[v, copies] = tuple(pieces)
+        return got
 
     def is_sincere_silting(self, pair: SiltingPair) -> bool:
         return len(pair.summands) == self.algebra.quiver.n_vertices
@@ -321,11 +370,14 @@ class SiltingWorkspace:
         copies, re-testing the approximation property after each removal;
         the scan order is deterministic.  Returns (copy list, map, target).
         """
-        targets = sorted(target_ids)
-        copies = [(t, b) for t in targets for b in range(len(self.hom(x, t)))]
-        copies = self._strip_copies(x, targets, copies)
+        copies = self._approximation_copies(x, target_ids)
         h, target = self._assemble_approximation(x, copies)
         return copies, h, target
+
+    def _approximation_copies(self, x: int, target_ids):
+        targets = sorted(target_ids)
+        copies = [(t, b) for t in targets for b in range(len(self.hom(x, t)))]
+        return self._strip_copies(x, targets, copies)
 
     def _assemble_approximation(self, x: int, copies):
         xrep = self.registry.rep(x)
@@ -374,29 +426,47 @@ class SiltingWorkspace:
         With ``X`` that summand and ``U`` the rest, the mutation exists iff
         ``X`` is not in ``Fac U`` (Adachi-Iyama-Reiten, arXiv:1210.1036,
         Def.-Prop. 2.28); the images of the cached ``Hom(U, X)`` decide this
-        before anything is built, and ``None`` means it fails.  Otherwise
-        the cokernel formula applies; when the approximation is onto, ``X``
-        moves to the shifted-projective part at the newly unsupported vertex.
-        An invalid input raises: the result must validate and lie below it.
+        before anything is built, and ``None`` means it fails.  Otherwise the
+        result is the completion of ``(U, P)`` other than ``X`` (AIR Thm
+        2.18: there are exactly two), found by lookup where possible: the
+        shifted projective at a vertex outside ``P`` that ``U`` leaves
+        unsupported, else the one registered module that completes the pair
+        (``registered_partner``).  Only when neither exists is the partner
+        built, as the cokernel of the minimal left approximation of ``X`` by
+        ``U``, and registered.  ``mutation_counts`` records which way each
+        call went.  An invalid input raises: the result must validate and
+        lie below it.
         """
         if not 0 <= at < len(pair.summands):
             raise IndexError(f"summand index {at} out of range")
         x = pair.summands[at]
         rest = tuple(i for k, i in enumerate(pair.summands) if k != at)
+        counts = self.mutation_counts
+        counts["attempted"] += 1
         if rm.images_span([f for i in rest for f in self.hom(i, x)], self.module(x)):
+            counts["fac_rejected"] += 1
             return None
-        _, h, _ = self.left_minimal_approximation(x, rest)
-        cok, _ = rm.cokernel(h)
-        if not cok.is_zero():
-            candidate = self.make_pair(rest + (self.registry.get_or_insert(cok),),
-                                       pair.proj_part)
-        else:
-            vacant = [v for v, d in enumerate(self.summand_dims(rest))
-                      if d == 0 and v not in pair.proj_part]
-            if len(vacant) != 1:
-                raise RuntimeError(f"vertices {vacant}, not exactly one, lose support; "
-                                   "the input is not a silting pair")
+        vacant = [v for v, d in enumerate(self.summand_dims(rest))
+                  if d == 0 and v not in pair.proj_part]
+        if len(vacant) > 1:
+            raise RuntimeError(f"vertices {vacant} all lose support; "
+                               "the input is not a silting pair")
+        if vacant:
+            counts["shifted_projective"] += 1
             candidate = self.make_pair(rest, pair.proj_part + (vacant[0],))
+        else:
+            y = self.registered_partner(x, rest, pair.proj_part)
+            if y is not None:
+                counts["registry_lookup"] += 1
+            else:
+                counts["cokernel_built"] += 1
+                _, h, _ = self.left_minimal_approximation(x, rest)
+                cok, _ = rm.cokernel(h)
+                if cok.is_zero():
+                    raise RuntimeError("the approximation is onto but no vertex "
+                                       "loses support; the input is not a silting pair")
+                y = self.registry.get_or_insert(cok)
+            candidate = self.make_pair(rest + (y,), pair.proj_part)
         valid = self.validate_silting_pair(candidate)
         if not valid:
             raise RuntimeError(f"left mutation of {pair} at {at} failed "
@@ -404,6 +474,27 @@ class SiltingWorkspace:
         if not (self.pair_leq(candidate, pair) and not self.pair_leq(pair, candidate)):
             raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
         return candidate
+
+    def registered_partner(self, x: int, rest, proj_part) -> int | None:
+        """The registered ``y`` other than ``x`` that completes ``(rest, proj_part)``.
+
+        ``y`` must be outside ``rest``, have no support on ``proj_part`` and
+        be rigid with itself and both ways with every summand of ``rest``.
+        The pair is then tau-rigid with as many summands as vertices, hence
+        support tau-tilting (AIR Section 2), and by Thm 2.18 it is the one
+        completion besides ``x``; ``None`` means it is not registered yet.
+        The whole registry is scanned, and a second such ``y`` raises.
+        """
+        reg = self.registry
+        found = [y for y in range(len(reg))
+                 if y != x and y not in rest
+                 and not any(reg.dims(y)[v] for v in proj_part)
+                 and self.rigid(y, y)
+                 and all(self.rigid(y, u) and self.rigid(u, y) for u in rest)]
+        if len(found) > 1:
+            raise RuntimeError(f"registered modules {found} all complete the pair; "
+                               "one is decomposable or two are isomorphic")
+        return found[0] if found else None
 
     # ---- order --------------------------------------------------------------------
 

@@ -394,9 +394,10 @@ def is_silting(t: TwoTermComplex, registry) -> bool:
 
     The count criterion replaces a thick-subcategory generation test and is
     sound exactly when ``t`` arose as a summand of a silting complex, which
-    holds for everything the explorer and the completions produce.
+    holds for everything the explorer and the completions produce.  The
+    presilting verdict comes from the registry's memo (``is_presilting``).
     """
-    if not is_presilting(t):
+    if not registry.is_presilting(t):
         return False
     nv = t.algebra.quiver.n_vertices
     descs = summand_descriptors(t, registry)

@@ -12,6 +12,7 @@ import pytest
 
 from silt import explorer as ex
 from silt import orders
+from silt import repmod as rm
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
@@ -232,3 +233,75 @@ def test_criterion_10_determinism(runs):
                     # the ids really moved, so the JSON cannot be reading them
                     assert again.nodes != eq.nodes
                 assert ex.to_json(again) == ex.to_json(eq)
+
+
+# ---- oracles for the mutation and validation shortcuts ------------------------
+
+
+@pytest.fixture(scope="module")
+def complete_runs(runs):
+    """Every complete exploration of ``runs``, plus two Nakayama algebras."""
+    extra = [ex.explore(orders.cyclic_nakayama(3, 5)),
+             ex.explore(orders.cyclic_nakayama(4, 6))]
+    eqs = list(runs.values()) + extra
+    assert all(eq.complete for eq in eqs)
+    return eqs
+
+
+def _mutation_by_cokernel(ws, pair, at):
+    """The left mutation built from the approximation cokernel, as a reference."""
+    x = pair.summands[at]
+    rest = tuple(i for i in pair.summands if i != x)
+    _, h, _ = ws.left_minimal_approximation(x, rest)
+    cok, _ = rm.cokernel(h)
+    if cok.is_zero():
+        vacant = [v for v, d in enumerate(ws.summand_dims(rest))
+                  if d == 0 and v not in pair.proj_part]
+        assert len(vacant) == 1
+        return ws.make_pair(rest, pair.proj_part + (vacant[0],))
+    return ws.make_pair(rest + (ws.registry.get_or_insert(cok),), pair.proj_part)
+
+
+def test_lookup_partner_equals_cokernel_route(complete_runs):
+    # AIR Thm 2.18: the partner found by lookup is the one the cokernel builds
+    for eq in complete_runs:
+        ws = eq.workspace
+        size, built = len(ws.registry), ws.mutation_counts["cokernel_built"]
+        for pair in eq.nodes:
+            for at, x in enumerate(pair.summands):
+                rest = tuple(i for i in pair.summands if i != x)
+                if rm.images_span([f for i in rest for f in ws.hom(i, x)],
+                                  ws.module(x)):
+                    continue    # X in Fac U: no left mutation
+                want = _mutation_by_cokernel(ws, pair, at)
+                if want.proj_part == pair.proj_part:
+                    (y,) = set(want.summands) - set(rest)
+                    assert ws.registered_partner(x, rest, pair.proj_part) == y
+                assert ws.mutate_left(pair, at) == want, (pair, at)
+        # every partner was found by lookup, and was already registered
+        assert ws.mutation_counts["cokernel_built"] == built
+        assert len(ws.registry) == size
+
+
+def test_approximation_memo_matches_fresh_workspace(complete_runs):
+    for eq in complete_runs:
+        ws = eq.workspace
+        nv = eq.algebra.quiver.n_vertices
+        for pair in eq.nodes:
+            fresh = SiltingWorkspace(eq.algebra, ws.registry)
+            assert ws.validate_silting_pair(pair) == fresh.validate_silting_pair(pair)
+            for v in range(nv):
+                warm = ws.approximation_pieces(v, pair.summands)
+                assert warm is not None
+                assert warm == fresh.approximation_pieces(v, pair.summands)
+
+
+def test_exchange_graph_is_n_regular(complete_runs):
+    # AIR Thm 2.18: each node has exactly n neighbours, one per summand
+    for eq in complete_runs:
+        nv = eq.algebra.quiver.n_vertices
+        degree = [0] * len(eq.nodes)
+        for u, v, _ in eq.edges:
+            degree[u] += 1
+            degree[v] += 1
+        assert degree == [nv] * len(eq.nodes)

@@ -136,9 +136,33 @@ def test_cover_relations_matches_loops(leq):
 
 def test_stats_count_cache_entries(a2_eq):
     sizes = a2_eq.stats["cache_entries"]
-    assert set(sizes) == {"hom", "rigid", "composition", "validation"}
+    assert set(sizes) == {"hom", "rigid", "composition", "validation",
+                          "approximation_pieces"}
     assert all(n > 0 for n in sizes.values())
     assert "cache_entries" not in ex.to_json(a2_eq)
+
+
+@pytest.mark.parametrize("build", [
+    orders.triangular_example_reduction, orders.bass_v_reduction,
+    lambda: orders.hereditary_reduction(4),
+    lambda: orders.auslander_bass_v_reduction(2),
+    lambda: orders.cyclic_nakayama(3, 5),
+], ids=["triangular", "bass_v", "hereditary4", "auslander2", "nakayama3-5"])
+def test_stats_count_mutations(build):
+    eq = ex.explore(build())
+    counts = eq.stats["mutations"]
+    assert counts["attempted"] == sum(len(node.summands) for node in eq.nodes)
+    assert counts["attempted"] == counts["fac_rejected"] + counts["shifted_projective"] \
+        + counts["registry_lookup"] + counts["cokernel_built"]
+    assert counts["attempted"] - counts["fac_rejected"] == len(eq.edges)
+    # each built cokernel registers one new module, and only those do
+    nv = eq.algebra.quiver.n_vertices
+    assert counts["cokernel_built"] == len(eq.workspace.registry) - nv
+    assert "mutations" not in ex.to_json(eq)
+    # a second exploration over the warm workspace builds nothing
+    again = ex.explore(eq.algebra, workspace=eq.workspace)
+    assert again.stats["mutations"]["cokernel_built"] == 0
+    assert again.stats["mutations"]["attempted"] == counts["attempted"]
 
 
 def test_unique_source_and_sink(a2_eq, bass_eq):

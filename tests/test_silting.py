@@ -358,6 +358,47 @@ def test_decompose_memo_hit_equals_fresh():
     assert hits[-1] == ((), (0, 0, s1, s1))
 
 
+# ---- approximation cokernels ---------------------------------------------------
+
+
+def _count_cokernels(monkeypatch):
+    calls = []
+    real = rm.cokernel
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(rm, "cokernel", counted)
+    return calls
+
+
+def test_approximation_pieces_memo_hit(her3_ws, monkeypatch):
+    eq = ex.explore(her3_ws.algebra, workspace=her3_ws)
+    calls = _count_cokernels(monkeypatch)
+    for pair in eq.nodes:
+        for v in range(3):
+            assert her3_ws.approximation_pieces(v, pair.summands) is not None
+    assert calls == []
+
+
+def test_forged_approximation_pieces_are_recomputed(monkeypatch):
+    ws = SiltingWorkspace(orders.hereditary_reduction(3))
+    eq = ex.explore(ws.algebra, workspace=ws)
+    # a vertex whose approximation has a nonzero cokernel
+    pair, v = next((pair, v) for pair in eq.nodes for v in range(3)
+                   if ws.approximation_pieces(v, pair.summands))
+    true = ws.approximation_pieces(v, pair.summands)
+    outside = next(i for i in range(len(ws.registry)) if i not in pair.summands)
+    copies, _, _ = ws.left_minimal_approximation(v, pair.summands)
+    ws._pieces[v, tuple(copies)] = (outside,)
+    calls = _count_cokernels(monkeypatch)
+    assert ws.approximation_pieces(v, pair.summands) == true
+    assert len(calls) == 1
+    # the recomputed proof replaced the forged one
+    assert ws._pieces[v, tuple(copies)] == true
+
+
 # ---- approximation copies ------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import pytest
 
+from silt import explorer as ex
+from silt import orders
 from silt import repmod as rm
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
@@ -152,3 +154,47 @@ def test_complex_repmap_validates(a2):
     assert neg1.dims == a2.projective(1).dims
     assert deg0.dims == a2.projective(0).dims
     assert not dmap.is_zero()
+
+
+def test_presilting_memo_matches_fresh_verdict(monkeypatch):
+    eq = ex.explore(orders.auslander_bass_v_reduction(2))
+    ws = eq.workspace
+    reg = ws.registry
+    checked = []
+    real = tt.is_presilting
+
+    def counted(t):
+        checked.append(t)
+        return real(t)
+
+    monkeypatch.setattr(tt, "is_presilting", counted)
+    completions = []
+    for node in eq.nodes:
+        for k in range(len(node.summands)):
+            rest = ws.make_pair(node.summands[:k] + node.summands[k + 1:],
+                                node.proj_part)
+            completions.append(ws.complex_of(rest))
+        for k in range(len(node.proj_part)):
+            rest = ws.make_pair(node.summands,
+                                node.proj_part[:k] + node.proj_part[k + 1:])
+            completions.append(ws.complex_of(rest))
+    completions = [f(t, reg) for t in completions
+                   for f in (tt.bongartz_completion, tt.co_bongartz_completion)]
+    assert len(completions) == 144
+    # one check per distinct reduced complex, not one per completion
+    assert len(checked) == len({tt.minimality_reduce(t) for t in completions}) < 144
+    # a contractible summand P_0 -> P_0 leaves the reduced key, and the verdict
+    alg = eq.algebra
+    cone = tt.TwoTermComplex(alg, (0,), (0,), ((alg.unit_elem(0),),))
+    before = len(checked)
+    assert all(reg.is_presilting(tt.direct_sum(t, cone)) for t in completions)
+    assert len(checked) == before
+    monkeypatch.undo()
+    for t in completions:
+        assert reg.is_presilting(t) is real(t) is True
+    # non-presilting sums of neighbouring nodes get the fresh verdict too
+    sums = [tt.direct_sum(ws.complex_of(a), ws.complex_of(b))
+            for a, b in zip(eq.nodes, eq.nodes[1:])]
+    verdicts = [reg.is_presilting(t) for t in sums]
+    assert verdicts == [real(t) for t in sums]
+    assert not all(verdicts)
