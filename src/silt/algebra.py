@@ -152,7 +152,8 @@ class AlgebraElement:
         return not self.coeffs
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        assert (self.src, self.tgt) == (other.src, other.tgt)
+        if (self.src, self.tgt) != (other.src, other.tgt):
+            raise AssertionError("summands must share source and target")
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) + c
@@ -203,7 +204,8 @@ class AlgebraElement:
                 break
             total = total + power
         result = total.scale(inv0)
-        assert (self * result - one).is_zero()
+        if not (self * result - one).is_zero():
+            raise AssertionError("the series inverse is not an inverse")
         return result
 
     def __eq__(self, other) -> bool:

@@ -32,8 +32,10 @@ class ExploreLimits:
     max_depth: int = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_depth < 0:
-            raise ValueError("limits must be positive")
+        for name, least in (("max_nodes", 1), ("max_depth", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass

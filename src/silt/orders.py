@@ -244,10 +244,12 @@ def weak_order_hasse(m: int, cap: int = 7) -> WeakOrderPoset:
                 covers.append((index[w], index[shorter]))
     # grading sanity: every cover drops the inversion count by exactly one
     for u, v in covers:
-        assert _inversions(elements[u]) == _inversions(elements[v]) + 1
+        if _inversions(elements[u]) != _inversions(elements[v]) + 1:
+            raise AssertionError("a cover must drop the inversion count by one")
     descents = sum(1 for w in elements
                    for i in range(m - 1) if w[i] > w[i + 1])
-    assert descents == len(covers)
+    if descents != len(covers):
+        raise AssertionError("the covers must number the descents")
     return WeakOrderPoset(m, elements, covers)
 
 

@@ -166,7 +166,8 @@ def rep_direct_sum(algebra: FiniteDimAlgebra, parts: list[Rep]) -> tuple[Rep, li
 
 def vstack_maps(target: Rep, maps: list[RepMap]) -> RepMap:
     """Stack maps with a common source into one map to the direct sum target."""
-    assert maps, "need at least one map"
+    if not maps:
+        raise AssertionError("need at least one map")
     src = maps[0].source
     comps = [np.concatenate([h.comps[v] for h in maps], axis=0)
              for v in range(len(src.dims))]
@@ -265,7 +266,8 @@ def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
         if mult[v] == 0:
             continue
         sec = em.solve_right(pi.comps[v], em.identity(mult[v]), alg.p)
-        assert sec is not None, "top projection must be surjective"
+        if sec is None:
+            raise AssertionError("top projection must be surjective")
         sections[v] = sec
         parts.extend([alg.projective(v)] * mult[v])
     order = [(v, k) for v in range(nv) for k in range(mult[v])]
@@ -281,7 +283,8 @@ def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
                 comps[w][:, off[w] + col] = vec[:, 0]
     epi = RepMap(psum, m, comps)
     for w in range(nv):
-        assert em.rank(epi.comps[w], alg.p) == m.dims[w], "cover is not surjective"
+        if em.rank(epi.comps[w], alg.p) != m.dims[w]:
+            raise AssertionError("cover is not surjective")
     return mult, psum, epi
 
 
@@ -297,7 +300,8 @@ def kernel(h: RepMap) -> tuple[Rep, RepMap]:
         i, j = q.arrow_source(k), q.arrow_target(k)
         img = em.matmul(h.source.arrow_maps[k], bases[i], alg.p)
         sol = em.solve_right(bases[j], img, alg.p)
-        assert sol is not None, "kernel is not arrow-stable"
+        if sol is None:
+            raise AssertionError("kernel is not arrow-stable")
         maps.append(sol)
     ker = Rep(alg, dims, maps, check=False)
     return ker, RepMap(ker, h.source, bases)
@@ -315,7 +319,8 @@ def cokernel(h: RepMap) -> tuple[Rep, RepMap]:
         i, j = q.arrow_source(k), q.arrow_target(k)
         rhs = em.matmul(projs[j], h.target.arrow_maps[k], alg.p)
         solT = em.solve_right(projs[i].T, rhs.T, alg.p)
-        assert solT is not None, "image is not arrow-stable"
+        if solT is None:
+            raise AssertionError("image is not arrow-stable")
         maps.append(solT.T)
     cok = Rep(alg, dims, maps, check=False)
     return cok, RepMap(h.target, cok, projs)

@@ -9,7 +9,7 @@ a module only when a mutation exists and its partner is not registered yet,
 so a registry that ``explore`` filled holds only summands of the pairs it
 produced.
 
-A ``SiltingWorkspace`` keeps five caches, plain dicts filled without locks,
+A ``SiltingWorkspace`` keeps three caches, plain dicts filled without locks,
 so a workspace belongs to one thread.  Each fills on first use, is never
 invalidated, and is keyed by registry ids, which are stable because the
 registry only grows:
@@ -17,20 +17,11 @@ registry only grows:
 - ``hom(i, j)``: the Hom-space basis, per ordered id pair.
 - ``rigid(i, j)``: the rigidity pairing (surjectivity of Hom against the
   minimal presentation differential), per ordered id pair.  The whole
-  partial order on discovered pairs reduces to lookups in this table plus
-  a support condition.
+  partial order on discovered pairs, and the rigidity step of validation,
+  reduce to lookups in this table plus a support condition.
 - ``composition(x, k, t)``: the coordinates of every composite
   ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple;
   the approximation test reads it instead of composing maps.
-- ``validate_silting_pair(pair)``: the verdict with its reason, per
-  ``SiltingPair``.  Validation never registers a module, so the same pair
-  always gets the same verdict.
-- ``approximation_pieces(v, summands)``: the summand ids into which the
-  cokernel of the minimal left approximation of ``P_v`` splits, per
-  ``(v, copies)``, the vertex and the stripped approximation copies.  The
-  copies index the cached Hom bases, so they fix the map and its cokernel;
-  a stored entry is a proof of that splitting, and a pair whose summands
-  do not contain the stored pieces is split afresh.  Successes only.
 
 The ``Registry`` keeps two more, both per two-term complex ``t`` and keyed
 by ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
@@ -134,11 +125,10 @@ class Registry:
         self._by_key.setdefault(key, []).append(i)
         return i
 
-    def split(self, rep: rm.Rep, candidate_ids=None,
-              register_remainder: bool = False) -> list[int] | None:
+    def split(self, rep: rm.Rep, register_remainder: bool = False) -> list[int] | None:
         """Peel registered indecomposables off ``rep``; ids with multiplicity.
 
-        One ascending pass over the candidate ids: each id is peeled off for
+        One ascending pass over the registry ids: each id is peeled off for
         as long as it splits, then the scan moves to the next id.  Every peel
         replaces the module by ``kernel(rho)``, a complement of the peeled
         summand, and ``direct_summand_split`` is exhaustive, so an id that
@@ -149,11 +139,9 @@ class Registry:
         registered as a new indecomposable (``register_remainder``) or the
         split fails with ``None``.
         """
-        ids = sorted(candidate_ids) if candidate_ids is not None \
-            else list(range(len(self._reps)))
         pieces: list[int] = []
         current = rep
-        for i in ids:
+        for i in range(len(self._reps)):
             while not current.is_zero():
                 got = rm.direct_summand_split(current, self._reps[i])
                 if got is None:
@@ -208,8 +196,6 @@ class SiltingWorkspace:
         self._hom: dict[tuple[int, int], list[rm.RepMap]] = {}
         self._rigid: dict[tuple[int, int], bool] = {}
         self._comp: dict[tuple[int, int, int], np.ndarray] = {}
-        self._valid: dict[SiltingPair, Validation] = {}
-        self._pieces: dict[tuple[int, tuple], tuple[int, ...]] = {}
         self.mutation_counts = dict.fromkeys(MUTATION_OUTCOMES, 0)
 
     # ---- cached primitives -----------------------------------------------
@@ -264,10 +250,9 @@ class SiltingWorkspace:
         return coords.reshape(len(hxt), len(hxk), len(hkt))
 
     def cache_sizes(self) -> dict[str, int]:
-        """Entry counts of the five caches."""
+        """Entry counts of the three caches."""
         return {"hom": len(self._hom), "rigid": len(self._rigid),
-                "composition": len(self._comp), "validation": len(self._valid),
-                "approximation_pieces": len(self._pieces)}
+                "composition": len(self._comp)}
 
     # ---- pair plumbing ------------------------------------------------------
 
@@ -315,13 +300,18 @@ class SiltingWorkspace:
         return all(self.rigid(i, j) for i in ids for j in ids)
 
     def validate_silting_pair(self, pair: SiltingPair) -> Validation:
-        """Count, exact support, rigidity, and the approximation sequence."""
-        got = self._valid.get(pair)
-        if got is None:
-            got = self._valid[pair] = self._validate_compute(pair)
-        return got
+        """Whether ``pair`` is a support tau-tilting pair, by the definition.
 
-    def _validate_compute(self, pair: SiltingPair) -> Validation:
+        A pair ``(M, P)`` is support tau-tilting when ``M`` is tau-rigid,
+        ``Hom(P, M) = 0`` and ``|M| + |P| = n`` (Adachi-Iyama-Reiten,
+        arXiv:1210.1036, Def. 0.3).  So the checks are the count, exact
+        support (``v`` is in ``P`` iff ``M`` vanishes at ``v``: one way is
+        ``Hom(P, M) = 0``, the other holds since such an ``M`` is sincere over
+        the quotient by ``P``) and rigidity through the ``rigid`` table; a
+        failure names the first that fails.  Nothing is registered.  That each
+        ``P_v`` has an ``add M``-approximation with cokernel in ``add M`` is
+        then a theorem, checked by a tier-1 oracle and not at run time.
+        """
         nv = self.algebra.quiver.n_vertices
         if len(pair.summands) + len(pair.proj_part) != nv:
             return Validation(False, "count")
@@ -332,31 +322,7 @@ class SiltingWorkspace:
                 return Validation(False, "support")
         if not self.is_presilting_ids(pair.summands):
             return Validation(False, "rigidity")
-        for v in range(nv):
-            if self.approximation_pieces(v, pair.summands) is None:
-                return Validation(False, "approximation")
         return Validation(True)
-
-    def approximation_pieces(self, v: int, summands) -> tuple[int, ...] | None:
-        """Ids into which the approximation cokernel of ``P_v`` splits, or ``None``.
-
-        The approximation is the minimal left one by sums of ``summands``;
-        ``None`` means its cokernel is not in their additive closure.
-        Memoised per (vertex, stripped copies); a stored entry counts only
-        when its pieces are among ``summands``.
-        """
-        copies = tuple(self._approximation_copies(v, summands))
-        got = self._pieces.get((v, copies))
-        if got is not None and set(got) <= set(summands):
-            return got
-        h, _ = self._assemble_approximation(v, copies)
-        cok, _ = rm.cokernel(h)
-        pieces = [] if cok.is_zero() else \
-            self.registry.split(cok, candidate_ids=summands)
-        if pieces is None:
-            return None
-        got = self._pieces[v, copies] = tuple(pieces)
-        return got
 
     def is_sincere_silting(self, pair: SiltingPair) -> bool:
         return len(pair.summands) == self.algebra.quiver.n_vertices
@@ -370,14 +336,11 @@ class SiltingWorkspace:
         copies, re-testing the approximation property after each removal;
         the scan order is deterministic.  Returns (copy list, map, target).
         """
-        copies = self._approximation_copies(x, target_ids)
-        h, target = self._assemble_approximation(x, copies)
-        return copies, h, target
-
-    def _approximation_copies(self, x: int, target_ids):
         targets = sorted(target_ids)
         copies = [(t, b) for t in targets for b in range(len(self.hom(x, t)))]
-        return self._strip_copies(x, targets, copies)
+        copies = self._strip_copies(x, targets, copies)
+        h, target = self._assemble_approximation(x, copies)
+        return copies, h, target
 
     def _assemble_approximation(self, x: int, copies):
         xrep = self.registry.rep(x)
@@ -434,8 +397,9 @@ class SiltingWorkspace:
         (``registered_partner``).  Only when neither exists is the partner
         built, as the cokernel of the minimal left approximation of ``X`` by
         ``U``, and registered.  ``mutation_counts`` records which way each
-        call went.  An invalid input raises: the result must validate and
-        lie below it.
+        call went.  An invalid input raises: the result must pass
+        ``validate_silting_pair`` (count, exact support, rigidity) and lie
+        strictly below ``pair``.
         """
         if not 0 <= at < len(pair.summands):
             raise IndexError(f"summand index {at} out of range")

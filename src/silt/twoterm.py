@@ -94,7 +94,8 @@ def lambda_shift(alg: FiniteDimAlgebra) -> TwoTermComplex:
 
 
 def direct_sum(*parts: TwoTermComplex) -> TwoTermComplex:
-    assert parts, "need at least one summand"
+    if not parts:
+        raise AssertionError("need at least one summand")
     alg = parts[0].algebra
     rows = tuple(v for t in parts for v in t.rows)
     cols = tuple(v for t in parts for v in t.cols)

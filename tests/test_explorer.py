@@ -136,10 +136,13 @@ def test_cover_relations_matches_loops(leq):
 
 def test_stats_count_cache_entries(a2_eq):
     sizes = a2_eq.stats["cache_entries"]
-    assert set(sizes) == {"hom", "rigid", "composition", "validation",
-                          "approximation_pieces"}
-    assert all(n > 0 for n in sizes.values())
+    assert set(sizes) == {"hom", "rigid", "composition"}
     assert "cache_entries" not in ex.to_json(a2_eq)
+    # A2's one built approximation has a single copy, so no composite is read;
+    # hereditary n=3 strips copies and fills all three caches
+    assert sizes["hom"] > 0 and sizes["rigid"] > 0
+    her3 = ex.explore(orders.hereditary_reduction(3)).stats["cache_entries"]
+    assert set(her3) == set(sizes) and all(n > 0 for n in her3.values())
 
 
 @pytest.mark.parametrize("build", [
@@ -186,8 +189,10 @@ def test_limits_return_partial():
     assert not eq.complete
     with pytest.raises(ValueError):
         ex.hasse_check(eq)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_nodes must be at least 1, got 0"):
         ex.ExploreLimits(max_nodes=0)
+    with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
+        ex.ExploreLimits(max_depth=-1)
 
 
 def test_to_json_roundtrip(a2_eq):

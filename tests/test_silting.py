@@ -273,14 +273,12 @@ def her3_registry(her3_ws):
     return her3_ws.registry
 
 
-def _split_by_restarts(registry, rep, candidate_ids=None):
+def _split_by_restarts(registry, rep):
     """The scan that restarts at the lowest id after every peel, as a reference."""
     pieces = []
     current = rep
     while not current.is_zero():
-        ids = sorted(candidate_ids) if candidate_ids is not None \
-            else range(len(registry))
-        for i in ids:
+        for i in range(len(registry)):
             got = rm.direct_summand_split(current, registry.rep(i))
             if got is not None:
                 pieces.append(i)
@@ -316,16 +314,14 @@ def test_split_matches_restart_scan(her3_registry, data):
     mults = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     parts = data.draw(st.permutations([reg.rep(i) for i, m in enumerate(mults)
                                        for _ in range(m)]))
-    candidates = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
     if parts:
         rep, _ = rm.rep_direct_sum(reg.algebra, parts)
         rep = _change_basis(rep, data.draw(st.integers(0, 2**32 - 1)))
     else:
         rep = rm.zero_rep(reg.algebra)
-    got = reg.split(rep, candidate_ids=candidates)
-    assert got == _split_by_restarts(reg, rep, candidates)
-    if candidates is None:
-        assert got == [i for i, m in enumerate(mults) for _ in range(m)]
+    got = reg.split(rep)
+    assert got == _split_by_restarts(reg, rep)
+    assert got == [i for i, m in enumerate(mults) for _ in range(m)]
 
 
 def test_pair_of_refuses_unregistered_h0():
@@ -356,47 +352,6 @@ def test_decompose_memo_hit_equals_fresh():
     assert [reg.decompose(t) for t in complexes] == hits
     assert hits[2] == ((), (0, s1))
     assert hits[-1] == ((), (0, 0, s1, s1))
-
-
-# ---- approximation cokernels ---------------------------------------------------
-
-
-def _count_cokernels(monkeypatch):
-    calls = []
-    real = rm.cokernel
-
-    def counted(h):
-        calls.append(h)
-        return real(h)
-
-    monkeypatch.setattr(rm, "cokernel", counted)
-    return calls
-
-
-def test_approximation_pieces_memo_hit(her3_ws, monkeypatch):
-    eq = ex.explore(her3_ws.algebra, workspace=her3_ws)
-    calls = _count_cokernels(monkeypatch)
-    for pair in eq.nodes:
-        for v in range(3):
-            assert her3_ws.approximation_pieces(v, pair.summands) is not None
-    assert calls == []
-
-
-def test_forged_approximation_pieces_are_recomputed(monkeypatch):
-    ws = SiltingWorkspace(orders.hereditary_reduction(3))
-    eq = ex.explore(ws.algebra, workspace=ws)
-    # a vertex whose approximation has a nonzero cokernel
-    pair, v = next((pair, v) for pair in eq.nodes for v in range(3)
-                   if ws.approximation_pieces(v, pair.summands))
-    true = ws.approximation_pieces(v, pair.summands)
-    outside = next(i for i in range(len(ws.registry)) if i not in pair.summands)
-    copies, _, _ = ws.left_minimal_approximation(v, pair.summands)
-    ws._pieces[v, tuple(copies)] = (outside,)
-    calls = _count_cokernels(monkeypatch)
-    assert ws.approximation_pieces(v, pair.summands) == true
-    assert len(calls) == 1
-    # the recomputed proof replaced the forged one
-    assert ws._pieces[v, tuple(copies)] == true
 
 
 # ---- approximation copies ------------------------------------------------------
