@@ -28,9 +28,11 @@ by ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
 in the homotopy category:
 
 - ``decompose(t)``: the shifted-projective vertices and the H^0 summand
-  ids.  Only successful decompositions are stored; a complex whose H^0
-  holds an unregistered module is computed afresh on the next call, when
-  the registry may have grown.
+  ids, the one route from a complex to its pair.  The stalks are read off
+  g-vectors, so they are exact even where the reduced differential hides
+  them.  A complex whose H^0 holds an unregistered module raises
+  ``ValueError``; nothing is registered or stored, so the next call, when
+  the registry may have grown, computes afresh.
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.
 """
 
@@ -125,7 +127,7 @@ class Registry:
         self._by_key.setdefault(key, []).append(i)
         return i
 
-    def split(self, rep: rm.Rep, register_remainder: bool = False) -> list[int] | None:
+    def split(self, rep: rm.Rep) -> list[int] | None:
         """Peel registered indecomposables off ``rep``; ids with multiplicity.
 
         One ascending pass over the registry ids: each id is peeled off for
@@ -134,10 +136,8 @@ class Registry:
         summand, and ``direct_summand_split`` is exhaustive, so an id that
         fails on a module fails on each of its summands (Krull-Schmidt).
         The pieces therefore come out sorted, and equal to what a scan that
-        restarts at the lowest id after every peel would find.  When nothing
-        known splits off a nonzero remainder, either the remainder is
-        registered as a new indecomposable (``register_remainder``) or the
-        split fails with ``None``.
+        restarts at the lowest id after every peel would find.  ``None``
+        means a nonzero remainder has no registered summand.
         """
         pieces: list[int] = []
         current = rep
@@ -148,30 +148,33 @@ class Registry:
                     break
                 pieces.append(i)
                 current, _ = rm.kernel(got[0])
-        if current.is_zero():
-            return pieces
-        if not register_remainder:
-            return None
-        pieces.append(self.get_or_insert(current))
-        return pieces
+        return pieces if current.is_zero() else None
 
-    def decompose(self, t: tt.TwoTermComplex, register_remainder: bool = False
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Shifted-projective vertices and H^0 summand ids of ``t``, or ``None``.
+    def decompose(self, t: tt.TwoTermComplex
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Shifted-projective vertices and H^0 summand ids of ``t``.
 
-        The vertices are those of the zero columns of the reduced complex;
-        the ids, with multiplicity, come from splitting its zeroth cohomology
-        over the whole registry (see ``split``).  Memoised per reduced
-        complex; a failure is not stored, since a later registration can
-        make the same complex split.
+        Both come with multiplicity.  The ids come from splitting the zeroth
+        cohomology of the reduced complex over the registry (``split``); an
+        unregistered summand raises ``ValueError`` and registers nothing.  A
+        reduced complex is the minimal presentation of its H^0 plus stalks
+        ``P_v[1]``, which a nonzero column can hide, so the stalks are the
+        sum of the pieces' g-vectors minus its g-vector.  Memoised per
+        reduced complex; a failure is not stored, since a later registration
+        can make the same complex split.
         """
         red = tt.minimality_reduce(t)
         got = self._decomp.get(red)
         if got is None:
-            pieces = self.split(tt.h0(red), register_remainder=register_remainder)
+            pieces = self.split(tt.h0(red))
             if pieces is None:
-                return None
-            got = self._decomp[red] = (tt.shifted_vertices(red), tuple(pieces))
+                raise ValueError("zeroth cohomology does not split over the registry")
+            stalks = [sum(self._gvec[i][v] for i in pieces) - g
+                      for v, g in enumerate(tt.g_vector(red))]
+            if any(m < 0 for m in stalks):
+                raise AssertionError(f"negative stalk multiplicities {stalks}")
+            shifted = tuple(v for v, m in enumerate(stalks) for _ in range(m))
+            got = self._decomp[red] = (shifted, tuple(pieces))
         return got
 
     def is_presilting(self, t: tt.TwoTermComplex) -> bool:
@@ -481,11 +484,8 @@ class SiltingWorkspace:
 
     def pair_of(self, t: tt.TwoTermComplex) -> SiltingPair:
         """The pair of the additive equivalence class: summands deduplicated."""
-        got = self.registry.decompose(t)
-        if got is None:
-            raise ValueError("zeroth cohomology does not split over the registry")
-        shift_verts, pieces = got
-        return self.make_pair(sorted(set(pieces)), shift_verts)
+        shifted, pieces = self.registry.decompose(t)
+        return self.make_pair(set(pieces), shifted)
 
 
 def _vec_map(h: rm.RepMap) -> np.ndarray:

@@ -123,10 +123,11 @@ def test_non_presilting_complex_rejected():
     assert not tt.is_silting(pres, reg)
 
 
-def test_rho1_counts_multiplicity():
+def test_decompose_counts_stalk_multiplicity():
+    from silt.silting import Registry
     alg = triangular_example_reduction()
     dbl = tt.direct_sum(tt.shifted_stalk(alg, 1), tt.shifted_stalk(alg, 1))
-    assert tt.rho1(dbl) == (0, 2)
+    assert Registry(alg).decompose(dbl) == ((1, 1), ())
 
 
 def test_mixed_coefficient_relation():

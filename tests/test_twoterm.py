@@ -16,7 +16,10 @@ def a2():
 
 @pytest.fixture(scope="module")
 def reg(a2):
-    return Registry(a2)
+    """A registry that holds every H^0 summand met below: P1, P2 and S1."""
+    out = Registry(a2)
+    out.get_or_insert(a2.simple(0))
+    return out
 
 
 def pres_s1(a2):
@@ -83,14 +86,28 @@ def test_minimality_reduce_block_example(a2):
     assert red.d[0][0] == arrow
 
 
-def test_h0_rho1(a2):
+def test_h0_and_decompose(a2, reg):
+    s1 = reg.get_or_insert(a2.simple(0))
     assert rm.is_isomorphic(tt.h0(tt.stalk(a2, 0)), a2.projective(0))
-    assert tt.rho1(tt.stalk(a2, 0)) == (0, 0)
+    assert reg.decompose(tt.stalk(a2, 0)) == ((), (0,))
     sh = tt.shifted_stalk(a2, 1)
     assert tt.h0(sh).is_zero()
-    assert tt.rho1(sh) == (0, 1)
+    assert reg.decompose(sh) == ((1,), ())
     assert rm.is_isomorphic(tt.h0(pres_s1(a2)), a2.simple(0))
-    assert tt.rho1(pres_s1(a2)) == (0, 0)
+    assert reg.decompose(pres_s1(a2)) == ((), (s1,))
+
+
+def test_stalk_behind_a_nonzero_column(a2, reg):
+    # (P2 + P2 -[a a]-> P1) is (P2 -> P1) + P2[1]: no column of the reduced
+    # differential is zero, yet one P2 is a shifted stalk
+    arrow = a2.path_elem(0, ("a",))
+    t = tt.TwoTermComplex(a2, (0,), (1, 1), ((arrow, arrow),))
+    assert tt.minimality_reduce(t) == t
+    s1 = reg.get_or_insert(a2.simple(0))
+    assert reg.decompose(t) == ((1,), (s1,))
+    assert tt.is_silting(t, reg)
+    ws = SiltingWorkspace(a2, reg)
+    assert ws.pair_of(t) == ws.make_pair((s1,), (1,))
 
 
 def test_is_silting(a2, reg):
@@ -98,6 +115,19 @@ def test_is_silting(a2, reg):
     assert tt.is_silting(tt.lambda_shift(a2), reg)
     assert not tt.is_silting(tt.stalk(a2, 0), reg)  # one summand, two vertices
     assert tt.is_silting(tt.direct_sum(pres_s1(a2), tt.stalk(a2, 0)), reg)
+
+
+def test_is_silting_refuses_an_unregistered_h0_summand():
+    # two non-projective summands of a hereditary n=3 node; a fresh registry
+    # knows neither, so the count cannot be read and nothing is registered
+    eq = ex.explore(orders.hereditary_reduction(3))
+    ws, nv = eq.workspace, eq.algebra.quiver.n_vertices
+    node = next(node for node in eq.nodes
+                if sum(i >= nv for i in node.summands) == 2)
+    fresh = Registry(eq.algebra)
+    with pytest.raises(ValueError, match="does not split over the registry"):
+        tt.is_silting(ws.complex_of(node), fresh)
+    assert len(fresh) == nv
 
 
 def test_bongartz_of_zero_is_lambda(a2, reg):
@@ -143,8 +173,8 @@ def test_completion_order_sandwich(a2, reg):
 
 def test_pair_of_roundtrip_on_completion(a2):
     ws = SiltingWorkspace(a2)
-    got = tt.bongartz_completion(pres_s1(a2), ws.registry)
     s1 = ws.registry.get_or_insert(a2.simple(0))
+    got = tt.bongartz_completion(pres_s1(a2), ws.registry)
     assert ws.pair_of(got) == ws.make_pair((0, s1), ())
 
 
