@@ -195,3 +195,33 @@ def int_det(m) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def unimodular_inverse(m) -> np.ndarray | None:
+    """Exact inverse of a square integer matrix of determinant +-1, else ``None``.
+
+    Fraction-free Gauss-Jordan elimination on ``[m | I]``: every division is
+    exact, and at the end the left block is ``d I`` and the right block
+    ``d m^-1``, with ``d = +-det m``.  ``None`` also covers a singular matrix.
+    """
+    n = len(m)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    if any(len(row) != 2 * n for row in a):
+        raise ValueError("inverse needs a square matrix")
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        pk = a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk[k] * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = pk[k]
+    if abs(prev) != 1:
+        return None
+    return np.array([[prev * x for x in row[n:]] for row in a],
+                    dtype=np.int64).reshape(n, n)

@@ -28,11 +28,18 @@ by ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
 in the homotopy category:
 
 - ``decompose(t)``: the shifted-projective vertices and the H^0 summand
-  ids, the one route from a complex to its pair.  The stalks are read off
-  g-vectors, so they are exact even where the reduced differential hides
-  them.  A complex whose H^0 holds an unregistered module raises
-  ``ValueError``; nothing is registered or stored, so the next call, when
-  the registry may have grown, computes afresh.
+  ids, the one route from a complex to its pair.  A presilting complex is
+  determined by its g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm
+  5.5), so a miss is first read off a table of g-vector cones, one per
+  support tau-tilting pair the registry has seen: Lambda and Lambda[1] from
+  construction, then every pair ``mutate_left`` returns.  The coordinates
+  come from each cone's exact integer inverse, built once.  A complex in no
+  cone, or not presilting, falls back to splitting its H^0 over the
+  registry, with the stalks read off g-vectors, so they are exact even
+  where the reduced differential hides them.  There a complex whose H^0
+  holds an unregistered module raises ``ValueError``; nothing is
+  registered or stored, so the next call, when the registry may have grown,
+  computes afresh.
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.
 """
 
@@ -70,6 +77,7 @@ class Validation:
 
 MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
                      "registry_lookup", "cokernel_built")
+DECOMPOSE_ROUTES = ("cone", "split")
 
 
 class Registry:
@@ -90,8 +98,15 @@ class Registry:
         self._decomp: dict[tt.TwoTermComplex,
                            tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._presilting: dict[tt.TwoTermComplex, bool] = {}
-        for v in range(algebra.quiver.n_vertices):
+        nv = algebra.quiver.n_vertices
+        self._cones: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
+        self._cone_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._cone_inv = np.zeros((0, nv, nv), dtype=np.int64)
+        self.decompose_counts = dict.fromkeys(DECOMPOSE_ROUTES, 0)
+        for v in range(nv):
             self.get_or_insert(algebra.projective(v))
+        self.record_cone(range(nv), ())
+        self.record_cone((), range(nv))
 
     def __len__(self):
         return len(self._reps)
@@ -150,32 +165,89 @@ class Registry:
                 current, _ = rm.kernel(got[0])
         return pieces if current.is_zero() else None
 
+    def record_cone(self, summands, proj_part) -> None:
+        """Add the g-vector cone of a support tau-tilting pair to ``decompose``'s table.
+
+        ``summands`` are registry ids and ``proj_part`` vertices.  The pair is
+        taken on trust as tau-rigid; its g-matrix is checked for
+        unimodularity when the table is next built.
+        """
+        self._cones.setdefault((tuple(sorted(summands)), tuple(sorted(proj_part))), None)
+
     def decompose(self, t: tt.TwoTermComplex
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Shifted-projective vertices and H^0 summand ids of ``t``.
 
-        Both come with multiplicity.  The ids come from splitting the zeroth
-        cohomology of the reduced complex over the registry (``split``); an
-        unregistered summand raises ``ValueError`` and registers nothing.  A
-        reduced complex is the minimal presentation of its H^0 plus stalks
-        ``P_v[1]``, which a nonzero column can hide, so the stalks are the
-        sum of the pieces' g-vectors minus its g-vector.  Memoised per
-        reduced complex; a failure is not stored, since a later registration
-        can make the same complex split.
+        Both come with multiplicity, ids and vertices ascending.  A memo miss
+        reads the reduced complex off the cone table first: the cones of
+        Lambda and Lambda[1], seeded at construction, and of every pair that
+        ``mutate_left`` returned.  When the g-vector has non-negative
+        coordinates in a cone and the complex is presilting, the coordinates
+        are the multiplicities, since ``(+) S_i^{c_i}`` is presilting with the
+        same g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).
+        Otherwise H^0 is split over the registry (``split``) and the stalks
+        are the sum of the pieces' g-vectors minus the g-vector, exact because
+        a reduced complex is the minimal presentation of its H^0 plus stalks
+        ``P_v[1]``; an unregistered summand raises ``ValueError`` and
+        registers nothing.  ``decompose_counts`` records the route of each
+        miss.  Memoised per reduced complex; a failure is not stored, since a
+        later registration can make the same complex split.
         """
         red = tt.minimality_reduce(t)
         got = self._decomp.get(red)
         if got is None:
-            pieces = self.split(tt.h0(red))
-            if pieces is None:
-                raise ValueError("zeroth cohomology does not split over the registry")
-            stalks = [sum(self._gvec[i][v] for i in pieces) - g
-                      for v, g in enumerate(tt.g_vector(red))]
-            if any(m < 0 for m in stalks):
-                raise AssertionError(f"negative stalk multiplicities {stalks}")
-            shifted = tuple(v for v, m in enumerate(stalks) for _ in range(m))
-            got = self._decomp[red] = (shifted, tuple(pieces))
+            got = self._cone_reading(red)
+            self.decompose_counts["split" if got is None else "cone"] += 1
+            if got is None:
+                got = self._split_reading(red)
+            self._decomp[red] = got
         return got
+
+    def _cone_reading(self, red: tt.TwoTermComplex):
+        coords = self._cone_coordinates(tt.g_vector(red))
+        hits = np.flatnonzero((coords >= 0).all(axis=1))
+        if not hits.size or not self.is_presilting(red):
+            return None
+        ids, verts = self._cone_keys[hits[0]]
+        c = coords[hits[0]].tolist()
+        shifted = tuple(v for v, m in zip(verts, c[len(ids):]) for _ in range(m))
+        return shifted, tuple(i for i, m in zip(ids, c) for _ in range(m))
+
+    def _cone_coordinates(self, g: tuple[int, ...]) -> np.ndarray:
+        """Coordinates of ``g`` in every recorded cone, one row per cone.
+
+        Each cone's g-matrix has the summands' g-vectors, then ``-e_v`` per
+        shifted vertex, as columns.  Its exact integer inverse is built once,
+        on the first call after the cone was recorded; one that is not
+        unimodular raises ``AssertionError``.
+        """
+        if len(self._cones) > len(self._cone_keys):
+            new = list(self._cones)[len(self._cone_keys):]
+            invs = np.stack([self._cone_inverse(ids, verts) for ids, verts in new])
+            self._cone_inv = np.concatenate([self._cone_inv, invs])
+            self._cone_keys += new
+        return self._cone_inv @ np.array(g, dtype=np.int64)
+
+    def _cone_inverse(self, ids, verts) -> np.ndarray:
+        nv = self.algebra.quiver.n_vertices
+        cols = [self._gvec[i] for i in ids]
+        cols += [tuple(-int(w == v) for w in range(nv)) for v in verts]
+        g = np.array(cols, dtype=np.int64).reshape(len(cols), nv).T
+        inv = em.unimodular_inverse(g) if len(cols) == nv else None
+        if inv is None or not (g @ inv == em.identity(nv)).all():
+            raise AssertionError(f"the cone of {ids} | {verts} is not unimodular")
+        return inv
+
+    def _split_reading(self, red: tt.TwoTermComplex):
+        pieces = self.split(tt.h0(red))
+        if pieces is None:
+            raise ValueError("zeroth cohomology does not split over the registry")
+        stalks = [sum(self._gvec[i][v] for i in pieces) - g
+                  for v, g in enumerate(tt.g_vector(red))]
+        if any(m < 0 for m in stalks):
+            raise AssertionError(f"negative stalk multiplicities {stalks}")
+        shifted = tuple(v for v, m in enumerate(stalks) for _ in range(m))
+        return shifted, tuple(pieces)
 
     def is_presilting(self, t: tt.TwoTermComplex) -> bool:
         """``twoterm.is_presilting(t)``, memoised per reduced complex.
@@ -440,6 +512,7 @@ class SiltingWorkspace:
                                f"validation: {valid.reason}")
         if not (self.pair_leq(candidate, pair) and not self.pair_leq(pair, candidate)):
             raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
+        self.registry.record_cone(candidate.summands, candidate.proj_part)
         return candidate
 
     def registered_partner(self, x: int, rest, proj_part) -> int | None:

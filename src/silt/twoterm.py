@@ -372,8 +372,8 @@ def is_silting(t: TwoTermComplex, registry) -> bool:
     pairwise non-isomorphic indecomposable summands (Adachi-Iyama-Reiten,
     arXiv:1210.1036, Section 3).  The presilting verdict comes from the
     registry's memo (``is_presilting``), the summands from
-    ``registry.decompose``, which raises ``ValueError`` when H^0 does not
-    split over the registry.
+    ``registry.decompose``, which raises ``ValueError`` when the complex lies
+    in no recorded cone and H^0 does not split over the registry.
     """
     if not registry.is_presilting(t):
         return False

@@ -90,6 +90,18 @@ def test_int_det():
     assert em.int_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
 
 
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_unimodular_inverse_matches_determinant(m):
+    inv = em.unimodular_inverse(m)
+    assert (inv is not None) == (abs(em.int_det(m)) == 1)
+    if inv is not None:
+        assert np.array_equal(np.array(m) @ inv, em.identity(len(m)))
+
+
 _primes = st.sampled_from([3, 5, 7, 11, 32003])
 
 

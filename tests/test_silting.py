@@ -8,7 +8,7 @@ from silt import orders
 from silt import repmod as rm
 from silt import twoterm as tt
 from silt.algebra import Quiver, build_algebra, presentation
-from silt.silting import SiltingPair, SiltingWorkspace, Validation
+from silt.silting import Registry, SiltingPair, SiltingWorkspace, Validation
 
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
@@ -352,6 +352,28 @@ def test_decompose_memo_hit_equals_fresh():
     assert [reg.decompose(t) for t in complexes] == hits
     assert hits[2] == ((), (0, s1))
     assert hits[-1] == ((), (0, 0, s1, s1))
+
+
+
+def test_cone_reading_needs_a_presilting_complex():
+    # over A2, P1 + P1[1] has g-vector 0, which lies in every cone, but
+    # End(P1) = Hom(P1[1], P1[1]) obstructs presilting: the split reads it
+    alg = a2_algebra()
+    reg = Registry(alg)
+    t = tt.direct_sum(tt.stalk(alg, 0), tt.shifted_stalk(alg, 0))
+    assert tt.g_vector(t) == (0, 0)
+    assert reg.decompose(t) == ((0,), (0,))
+    assert reg.decompose_counts == {"cone": 0, "split": 1}
+    assert not tt.is_silting(t, reg)
+
+
+def test_cone_table_refuses_a_singular_cone():
+    # P1 and P1[1] have g-vectors e1 and -e1: no basis, so no coordinates
+    alg = a2_algebra()
+    reg = Registry(alg)
+    reg.record_cone((0,), (0,))
+    with pytest.raises(AssertionError, match="not unimodular"):
+        reg.decompose(tt.stalk(alg, 1))
 
 
 # ---- approximation copies ------------------------------------------------------
