@@ -78,6 +78,7 @@ class Validation:
 MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
                      "registry_lookup", "cokernel_built")
 DECOMPOSE_ROUTES = ("cone", "split")
+ORDER_ROWS = 256
 
 
 class Registry:
@@ -539,12 +540,48 @@ class SiltingWorkspace:
     # ---- order --------------------------------------------------------------------
 
     def pair_leq(self, a: SiltingPair, b: SiltingPair) -> bool:
-        """``a <= b`` in the silting order: the factor class of a sits inside b's."""
+        """``a <= b`` in the silting order: the factor class of a sits inside b's.
+
+        Two violation counts must vanish (Adachi-Iyama-Reiten, arXiv:1210.1036,
+        Section 2): summands of ``a`` supported at a shifted vertex of ``b``,
+        and pairs (``i`` in ``b``, ``j`` in ``a``) where ``rigid(i, j)`` fails.
+        Over many pairs, with ``S`` the pair x module incidence, ``D`` the
+        module supports, ``P`` the pair x shifted-vertex incidence and ``R``
+        the ``rigid`` table, they are the matrices ``S D P^T`` and
+        ``S (1 - R)^T S^T``; ``order_matrix`` computes them.
+        """
         for v in b.proj_part:
             for i in a.summands:
                 if self.registry.dims(i)[v]:
                     return False
         return all(self.rigid(i, j) for i in b.summands for j in a.summands)
+
+    def order_matrix(self, pairs) -> np.ndarray:
+        """``leq[a, b] == pair_leq(pairs[a], pairs[b])`` for every ordered pair.
+
+        Both counts of ``pair_leq`` are non-negative, so ``leq`` is where
+        ``S (D P^T + (1 - R)^T S^T)`` vanishes, with ``R`` filled through the
+        ``rigid`` cache over the modules that occur.  Every entry is an
+        integer below (modules + vertices)^2, so the float64 products, which
+        numpy hands to BLAS, are exact.  The last one runs ``ORDER_ROWS``
+        rows at a time, which keeps its float64 block small next to ``leq``.
+        """
+        nv = self.algebra.quiver.n_vertices
+        ids = sorted({i for pair in pairs for i in pair.summands})
+        col = {i: k for k, i in enumerate(ids)}
+        s = np.zeros((len(pairs), len(ids)))
+        p = np.zeros((len(pairs), nv))
+        for a, pair in enumerate(pairs):
+            s[a, [col[i] for i in pair.summands]] = 1
+            p[a, list(pair.proj_part)] = 1
+        d = np.array([self.registry.dims(i) for i in ids]).reshape(len(ids), nv) > 0
+        unrigid = np.array([[not self.rigid(i, j) for j in ids] for i in ids],
+                           dtype=float).reshape(len(ids), len(ids))
+        right = d @ p.T + unrigid.T @ s.T
+        leq = np.empty((len(pairs), len(pairs)), dtype=bool)
+        for k in range(0, len(pairs), ORDER_ROWS):
+            leq[k:k + ORDER_ROWS] = s[k:k + ORDER_ROWS] @ right == 0
+        return leq
 
     # ---- pair <-> complex bridges ---------------------------------------------------
 

@@ -8,11 +8,13 @@ import math
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from silt import explorer as ex
 from silt import orders
 from silt import repmod as rm
+from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
@@ -103,6 +105,16 @@ def test_criterion_3_hereditary_n5_optional():
         assert eq.complete and len(eq.nodes) == 252
         th = orders.assemble_tors_hasse(eq, orders.classify_sincere(eq))
         assert len(th.nodes) == 378
+
+
+@pytest.mark.slow
+def test_criterion_3_hereditary_n7_optional():
+    with criterion(3, "hereditary family at n=7 (optional): 3432 nodes, "
+                      "12012 edges, exchange edges are the Hasse covers"):
+        eq = ex.explore(orders.hereditary_reduction(7))
+        assert eq.complete and len(eq.nodes) == math.comb(14, 7) == 3432
+        assert len(eq.edges) == 7 * 3432 // 2
+        assert ex.hasse_check(eq)
 
 
 def test_criterion_4_sincere_split(runs):
@@ -382,6 +394,18 @@ def test_exchange_graph_is_n_regular(complete_runs):
             degree[u] += 1
             degree[v] += 1
         assert degree == [nv] * len(eq.nodes)
+
+
+@pytest.mark.parametrize("rows", [silting.ORDER_ROWS, 7])
+def test_order_matrix_equals_pair_leq_loop(complete_runs, monkeypatch, rows):
+    # the matrix products count the violations of pair_leq's two conditions,
+    # support and rigidity (AIR Section 2); the double loop is the reference.
+    # With 7 rows per block, every exploration but the smallest takes several.
+    monkeypatch.setattr(silting, "ORDER_ROWS", rows)
+    for eq in complete_runs:
+        ws = eq.workspace
+        loop = np.array([[ws.pair_leq(a, b) for b in eq.nodes] for a in eq.nodes])
+        assert (ex.poset_relations(eq) == loop).all()
 
 
 def _split_reading(reg, t):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from silt import explorer as ex
 from silt import orders
+from silt.silting import SiltingWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +106,27 @@ def _order(n, pairs):
     (_order(3, [(0, 1), (1, 0)]), "not antisymmetric at 0, 1"),
     (_order(3, [(0, 1), (1, 2)]), "not transitive"),
 ])
-def test_poset_relations_rejects_broken_orders(a2_eq, monkeypatch, rel, message):
-    eq = ex.ExchangeQuiver(a2_eq.workspace, [0, 1, 2], [], True)
-    monkeypatch.setattr(eq.workspace, "pair_leq", lambda a, b: rel[a, b])
+def test_poset_relations_rejects_broken_orders(rel, message):
     with pytest.raises(AssertionError, match=message):
-        ex.poset_relations(eq)
+        ex.check_partial_order(rel)
+
+
+def test_hasse_check_makes_no_pair_leq_calls(monkeypatch):
+    # the order comes from matrix products, not from one pair_leq per node pair
+    eq = ex.explore(orders.hereditary_reduction(4))
+    calls = []
+    pair_leq = SiltingWorkspace.pair_leq
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return pair_leq(self, a, b)
+
+    monkeypatch.setattr(SiltingWorkspace, "pair_leq", counting)
+    assert ex.hasse_check(eq)
+    assert calls == []
+    # the wrapper is live: a direct call is counted
+    assert eq.workspace.pair_leq(eq.nodes[-1], eq.nodes[0])
+    assert len(calls) == 1
 
 
 def test_cover_relations_chain_and_diamond():
