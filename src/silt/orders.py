@@ -224,16 +224,20 @@ def _inversions(w: tuple[int, ...]) -> int:
                if w[i] > w[j])
 
 
-def weak_order_hasse(m: int, cap: int = 7) -> WeakOrderPoset:
+WEAK_ORDER_CAP = 7
+
+
+def weak_order_hasse(m: int) -> WeakOrderPoset:
     """All permutations of degree ``m`` with descending weak-order covers.
 
     Pure enumeration, independent of everything silting-related: an arrow
     runs from ``w`` to ``w s_i`` whenever the swap removes an inversion.
+    Degrees above ``WEAK_ORDER_CAP`` are refused.
     """
     if m < 1:
         raise ValueError("degree must be at least 1")
-    if m > cap:
-        raise ValueError(f"degree {m} exceeds the enumeration cap {cap}")
+    if m > WEAK_ORDER_CAP:
+        raise ValueError(f"degree {m} exceeds the enumeration cap {WEAK_ORDER_CAP}")
     elements = list(itertools.permutations(range(1, m + 1)))
     index = {w: i for i, w in enumerate(elements)}
     covers = []

@@ -391,10 +391,11 @@ def direct_summand_split(big: Rep, small: Rep) -> tuple[RepMap, RepMap] | None:
 
     Scans pairs of Hom-basis elements for an invertible composite; this is
     exhaustive whenever ``End(small)`` has scalar residue field, which holds
-    for every module the mutation machinery produces here.
-    ``Registry.split`` relies on this: its single pass never retries an id
-    that once failed, which is sound only because ``None`` here means that
-    ``small`` is not a summand of ``big``.
+    for every module the mutation machinery produces here.  Only reference
+    code calls this: ``Registry.split`` and the tier-1 oracles.  The split
+    relies on it, since its single pass never retries an id that once
+    failed, which is sound only because ``None`` here means that ``small``
+    is not a summand of ``big``.
     """
     if small.total_dim == 0 or any(s > b for s, b in zip(small.dims, big.dims)):
         return None

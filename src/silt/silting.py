@@ -15,10 +15,11 @@ invalidated, and is keyed by registry ids, which are stable because the
 registry only grows:
 
 - ``hom(i, j)``: the Hom-space basis, per ordered id pair.
-- ``rigid(i, j)``: the rigidity pairing (surjectivity of Hom against the
-  minimal presentation differential), per ordered id pair.  The whole
-  partial order on discovered pairs, and the rigidity step of validation,
-  reduce to lookups in this table plus a support condition.
+- ``rigid(i, j)``: the rigidity pairing, ``twoterm.hom_onto`` of the
+  minimal presentation of ``i`` against the module ``j``, per ordered id
+  pair; ``twoterm.is_presilting`` runs the same test on whole complexes.
+  The whole partial order on discovered pairs, and the rigidity step of
+  validation, reduce to lookups in this table plus a support condition.
 - ``composition(x, k, t)``: the coordinates of every composite
   ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple;
   the approximation test reads it instead of composing maps.
@@ -30,15 +31,12 @@ in the homotopy category:
 - ``decompose(t)``: the shifted-projective vertices and the H^0 summand
   ids, the one route from a complex to its pair.  A presilting complex is
   determined by its g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm
-  5.5), so a miss is first read off a table of g-vector cones, one per
-  support tau-tilting pair the registry has seen: Lambda and Lambda[1] from
+  5.5), so a miss is read off a table of g-vector cones, one per support
+  tau-tilting pair the registry has seen: Lambda and Lambda[1] from
   construction, then every pair ``mutate_left`` returns.  The coordinates
-  come from each cone's exact integer inverse, built once.  A complex in no
-  cone, or not presilting, falls back to splitting its H^0 over the
-  registry, with the stalks read off g-vectors, so they are exact even
-  where the reduced differential hides them.  There a complex whose H^0
-  holds an unregistered module raises ``ValueError``; nothing is
-  registered or stored, so the next call, when the registry may have grown,
+  come from each cone's exact integer inverse, built once.  A complex that
+  is not presilting, or lies in no recorded cone, raises ``ValueError``;
+  nothing is stored, so the next call, when more cones may be recorded,
   computes afresh.
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.
 """
@@ -77,7 +75,6 @@ class Validation:
 
 MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
                      "registry_lookup", "cokernel_built")
-DECOMPOSE_ROUTES = ("cone", "split")
 ORDER_ROWS = 256
 
 
@@ -103,7 +100,6 @@ class Registry:
         self._cones: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
         self._cone_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._cone_inv = np.zeros((0, nv, nv), dtype=np.int64)
-        self.decompose_counts = dict.fromkeys(DECOMPOSE_ROUTES, 0)
         for v in range(nv):
             self.get_or_insert(algebra.projective(v))
         self.record_cone(range(nv), ())
@@ -146,8 +142,10 @@ class Registry:
     def split(self, rep: rm.Rep) -> list[int] | None:
         """Peel registered indecomposables off ``rep``; ids with multiplicity.
 
-        One ascending pass over the registry ids: each id is peeled off for
-        as long as it splits, then the scan moves to the next id.  Every peel
+        Nothing in the package calls this: it is the tier-1 reference that
+        ``decompose``'s cone reading is checked against.  One ascending pass
+        over the registry ids: each id is peeled off for as long as it
+        splits, then the scan moves to the next id.  Every peel
         replaces the module by ``kernel(rho)``, a complement of the peeled
         summand, and ``direct_summand_split`` is exhaustive, so an id that
         fails on a module fails on each of its summands (Krull-Schmidt).
@@ -180,39 +178,30 @@ class Registry:
         """Shifted-projective vertices and H^0 summand ids of ``t``.
 
         Both come with multiplicity, ids and vertices ascending.  A memo miss
-        reads the reduced complex off the cone table first: the cones of
-        Lambda and Lambda[1], seeded at construction, and of every pair that
-        ``mutate_left`` returned.  When the g-vector has non-negative
-        coordinates in a cone and the complex is presilting, the coordinates
-        are the multiplicities, since ``(+) S_i^{c_i}`` is presilting with the
-        same g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).
-        Otherwise H^0 is split over the registry (``split``) and the stalks
-        are the sum of the pieces' g-vectors minus the g-vector, exact because
-        a reduced complex is the minimal presentation of its H^0 plus stalks
-        ``P_v[1]``; an unregistered summand raises ``ValueError`` and
-        registers nothing.  ``decompose_counts`` records the route of each
-        miss.  Memoised per reduced complex; a failure is not stored, since a
-        later registration can make the same complex split.
+        reads the reduced complex off the cone table: the cones of Lambda and
+        Lambda[1], seeded at construction, and of every pair that
+        ``mutate_left`` returned.  For a presilting complex whose g-vector
+        has non-negative coordinates in a cone, the coordinates are the
+        multiplicities, since ``(+) S_i^{c_i}`` is presilting with the same
+        g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).  A complex
+        that is not presilting, or lies in no recorded cone, raises
+        ``ValueError`` and is not stored, since a later cone can hold it.
         """
         red = tt.minimality_reduce(t)
         got = self._decomp.get(red)
         if got is None:
-            got = self._cone_reading(red)
-            self.decompose_counts["split" if got is None else "cone"] += 1
-            if got is None:
-                got = self._split_reading(red)
-            self._decomp[red] = got
+            if not self.is_presilting(red):
+                raise ValueError("the complex is not presilting")
+            coords = self._cone_coordinates(tt.g_vector(red))
+            hits = np.flatnonzero((coords >= 0).all(axis=1))
+            if not hits.size:
+                raise ValueError("the g-vector lies in no recorded cone")
+            ids, verts = self._cone_keys[hits[0]]
+            c = coords[hits[0]].tolist()
+            got = self._decomp[red] = (
+                tuple(v for v, m in zip(verts, c[len(ids):]) for _ in range(m)),
+                tuple(i for i, m in zip(ids, c) for _ in range(m)))
         return got
-
-    def _cone_reading(self, red: tt.TwoTermComplex):
-        coords = self._cone_coordinates(tt.g_vector(red))
-        hits = np.flatnonzero((coords >= 0).all(axis=1))
-        if not hits.size or not self.is_presilting(red):
-            return None
-        ids, verts = self._cone_keys[hits[0]]
-        c = coords[hits[0]].tolist()
-        shifted = tuple(v for v, m in zip(verts, c[len(ids):]) for _ in range(m))
-        return shifted, tuple(i for i, m in zip(ids, c) for _ in range(m))
 
     def _cone_coordinates(self, g: tuple[int, ...]) -> np.ndarray:
         """Coordinates of ``g`` in every recorded cone, one row per cone.
@@ -238,17 +227,6 @@ class Registry:
         if inv is None or not (g @ inv == em.identity(nv)).all():
             raise AssertionError(f"the cone of {ids} | {verts} is not unimodular")
         return inv
-
-    def _split_reading(self, red: tt.TwoTermComplex):
-        pieces = self.split(tt.h0(red))
-        if pieces is None:
-            raise ValueError("zeroth cohomology does not split over the registry")
-        stalks = [sum(self._gvec[i][v] for i in pieces) - g
-                  for v, g in enumerate(tt.g_vector(red))]
-        if any(m < 0 for m in stalks):
-            raise AssertionError(f"negative stalk multiplicities {stalks}")
-        shifted = tuple(v for v, m in enumerate(stalks) for _ in range(m))
-        return shifted, tuple(pieces)
 
     def is_presilting(self, t: tt.TwoTermComplex) -> bool:
         """``twoterm.is_presilting(t)``, memoised per reduced complex.
@@ -289,8 +267,8 @@ class SiltingWorkspace:
         """Surjectivity of Hom(d_i, m_j); the two-term shifted-Hom vanishing."""
         got = self._rigid.get((i, j))
         if got is None:
-            got = self._rigid[i, j] = _hom_onto(self.registry.presentation(i),
-                                                self.module(j))
+            got = self._rigid[i, j] = tt.hom_onto(self.registry.presentation(i),
+                                                  self.module(j))
         return got
 
     def composition(self, x: int, k: int, t: int) -> np.ndarray:
@@ -366,10 +344,6 @@ class SiltingWorkspace:
         return rep
 
     # ---- predicates ----------------------------------------------------------
-
-    def is_presilting_module(self, m: rm.Rep) -> bool:
-        """Rigidity of a raw module, without touching the registry."""
-        return _hom_onto(rm.min_projective_presentation(m), m)
 
     def is_presilting_ids(self, ids) -> bool:
         ids = list(ids)
@@ -602,21 +576,3 @@ def _vec_map(h: rm.RepMap) -> np.ndarray:
     if not h.comps:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate([c.reshape(-1) for c in h.comps])
-
-
-def _hom_onto(pres: tt.TwoTermComplex, m: rm.Rep) -> bool:
-    """Whether ``Hom(d, m)`` is onto, for the differential ``d`` of ``pres``.
-
-    The matrix has one block per entry of ``d``, acting on ``m``.
-    """
-    dom = sum(m.dims[v] for v in pres.rows)
-    cod = sum(m.dims[v] for v in pres.cols)
-    if cod == 0:
-        return True
-    mat = em.zeros(cod, dom)
-    roff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.rows])]).astype(int)
-    coff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.cols])]).astype(int)
-    for r in range(len(pres.rows)):
-        for c in range(len(pres.cols)):
-            mat[coff[c]:coff[c + 1], roff[r]:roff[r + 1]] = rm.elem_matrix(m, pres.d[r][c])
-    return em.rank(mat, m.algebra.p) == cod

@@ -169,7 +169,9 @@ def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
 
     The obstruction space is the cokernel of
     ``(f, g) -> g . d_p - d_q . f`` landing in ``Hom(P_-1, Q_0)``; the test
-    is one surjectivity rank computation.
+    is one surjectivity rank computation on the complexes themselves.  It is
+    ``silt_leq``, and the tier-1 reference for ``is_presilting``, which reads
+    the same space off ``H^0(q)``.
     """
     if p.algebra is not q.algebra:
         raise ValueError("complexes live over different algebras")
@@ -199,9 +201,37 @@ def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     return em.rank(mat, alg.p) == len(cod)
 
 
+def hom_onto(pres: TwoTermComplex, m: rm.Rep) -> bool:
+    """Whether ``Hom(d, m)`` is onto, for the differential ``d`` of ``pres``.
+
+    Since both terms of ``pres`` are projective, its cokernel is
+    ``Hom(pres, Q[1])`` in the homotopy category for every 2-term complex
+    of projectives ``Q`` with ``H^0(Q) = m``.  The matrix has one block per
+    entry of ``d``, acting on ``m``.
+    """
+    dom = sum(m.dims[v] for v in pres.rows)
+    cod = sum(m.dims[v] for v in pres.cols)
+    if cod == 0:
+        return True
+    mat = em.zeros(cod, dom)
+    roff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.rows])]).astype(int)
+    coff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.cols])]).astype(int)
+    for r in range(len(pres.rows)):
+        for c in range(len(pres.cols)):
+            mat[coff[c]:coff[c + 1], roff[r]:roff[r + 1]] = rm.elem_matrix(m, pres.d[r][c])
+    return em.rank(mat, m.algebra.p) == cod
+
+
 def is_presilting(p: TwoTermComplex) -> bool:
-    """Self-rigidity; for two-term complexes only the first shift can obstruct."""
-    return hom_shift_vanishes(p, p)
+    """Self-rigidity, as ``hom_onto(p, h0(p))``.
+
+    For two-term complexes only the first shift can obstruct, and
+    ``Hom(p, p[1])`` is the cokernel of ``Hom(d_p, H^0 p)``.  With ``p`` the
+    minimal presentation of ``M`` plus ``Q[1]``, the test is that ``M`` is
+    tau-rigid and ``Hom(Q, M) = 0`` at once (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Section 3).
+    """
+    return hom_onto(p, h0(p))
 
 
 def silt_leq(p: TwoTermComplex, q: TwoTermComplex) -> bool:
@@ -373,7 +403,7 @@ def is_silting(t: TwoTermComplex, registry) -> bool:
     arXiv:1210.1036, Section 3).  The presilting verdict comes from the
     registry's memo (``is_presilting``), the summands from
     ``registry.decompose``, which raises ``ValueError`` when the complex lies
-    in no recorded cone and H^0 does not split over the registry.
+    in no recorded cone.
     """
     if not registry.is_presilting(t):
         return False

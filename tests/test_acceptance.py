@@ -164,7 +164,7 @@ def _additively_equivalent(a, b):
     return tt.silt_leq(a, b) and tt.silt_leq(b, a)
 
 
-def test_criterion_8_cross_level_consistency(runs, complete_runs):
+def test_criterion_8_cross_level_consistency(runs, complete_runs, nakayama46):
     with criterion(8, "order, rigidity and completion laws agree across the "
                       "module and complex levels"):
         for key in ("triangular_a2", "bass_v"):
@@ -180,8 +180,9 @@ def test_criterion_8_cross_level_consistency(runs, complete_runs):
 
             # module rigidity vs presentation rigidity, every known module
             for mid in range(len(ws.registry)):
-                assert ws.is_presilting_module(ws.registry.rep(mid)) == \
-                    tt.is_presilting(ws.registry.presentation(mid))
+                pres = ws.registry.presentation(mid)
+                want = tt.hom_shift_vanishes(pres, pres)
+                assert ws.rigid(mid, mid) == tt.is_presilting(pres) == want
 
             # completion laws on every almost-complete subcomplex
             for node in eq.nodes:
@@ -209,20 +210,28 @@ def test_criterion_8_cross_level_consistency(runs, complete_runs):
                     assert any(_additively_equivalent(bot, fc) for fc in found)
 
         # both completions of every almost-complete pair read back, through
-        # ``decompose``, as the two nodes containing it.  Hereditary n=4 and
-        # Nakayama (4, 6), 70 nodes and 140 almost-complete pairs each, are
-        # left out: their completions take about 21 s and 69 s, since the
-        # cone reading leaves ``hom_shift_vanishes`` (the presilting verdict
-        # of each completion) as about 83% of the time.
+        # ``decompose``, as the two nodes containing it.  On a 2-core Xeon,
+        # in process, the 140 pairs of hereditary n=4 take 5.1 s and those of
+        # Nakayama (4, 6), the optional test below, 9.7 s.
         for eq in complete_runs:
-            if len(eq.nodes) > 24:
-                continue
-            ws = eq.workspace
-            for sub, containing in _almost_complete_pairs(eq):
-                cx = ws.complex_of(sub)
-                got = {ws.pair_of(tt.bongartz_completion(cx, ws.registry)),
-                       ws.pair_of(tt.co_bongartz_completion(cx, ws.registry))}
-                assert got == containing
+            if eq is not nakayama46:
+                _check_completions_read_back(eq)
+
+
+@pytest.mark.slow
+def test_criterion_8_nakayama46_completions_optional(nakayama46):
+    with criterion(8, "completions of Nakayama (4, 6) read back as the two "
+                      "nodes containing each almost-complete pair (optional)"):
+        _check_completions_read_back(nakayama46)
+
+
+def _check_completions_read_back(eq):
+    ws = eq.workspace
+    for sub, containing in _almost_complete_pairs(eq):
+        cx = ws.complex_of(sub)
+        got = {ws.pair_of(tt.bongartz_completion(cx, ws.registry)),
+               ws.pair_of(tt.co_bongartz_completion(cx, ws.registry))}
+        assert got == containing
 
 
 def _almost_complete_pairs(eq):
@@ -286,10 +295,14 @@ def test_criterion_10_determinism(runs):
 
 
 @pytest.fixture(scope="module")
-def complete_runs(runs):
+def nakayama46():
+    return ex.explore(orders.cyclic_nakayama(4, 6))
+
+
+@pytest.fixture(scope="module")
+def complete_runs(runs, nakayama46):
     """Every complete exploration of ``runs``, plus two Nakayama algebras."""
-    extra = [ex.explore(orders.cyclic_nakayama(3, 5)),
-             ex.explore(orders.cyclic_nakayama(4, 6))]
+    extra = [ex.explore(orders.cyclic_nakayama(3, 5)), nakayama46]
     eqs = list(runs.values()) + extra
     assert all(eq.complete for eq in eqs)
     return eqs
@@ -427,10 +440,9 @@ def test_cone_reading_equals_split_reading(complete_runs):
     # coordinates in a cone of the exploration are its multiplicities
     for eq in complete_runs:
         if len(eq.nodes) > 24:
-            continue
+            continue    # the split reference is slow on the larger H^0
         ws, reg = eq.workspace, eq.workspace.registry
         reg._decomp.clear()
-        before = dict(reg.decompose_counts)
         sums = []
         for sub, _ in _almost_complete_pairs(eq):
             cx = ws.complex_of(sub)
@@ -439,15 +451,10 @@ def test_cone_reading_equals_split_reading(complete_runs):
             for t in (top, bot):
                 assert reg.decompose(t) == _split_reading(reg, t), (sub, t)
             sums.append(tt.direct_sum(top, bot))
-        # every completion lies in a cone that ``explore`` recorded
-        assert reg.decompose_counts["split"] == before["split"]
-        assert reg.decompose_counts["cone"] > before["cone"]
-        if len(eq.nodes) > 6:
-            continue    # splitting the doubled H^0 of these sums is slow
         # two distinct silting complexes sum to a non-presilting one, which
-        # the presilting gate sends to the split even where its g-vector lies
-        # in a cone
+        # the presilting gate refuses even where its g-vector lies in a cone
         assert any((reg._cone_coordinates(tt.g_vector(t)) >= 0).all(axis=1).any()
                    for t in sums)
         for t in sums:
-            assert reg.decompose(t) == _split_reading(reg, t), t
+            with pytest.raises(ValueError, match="not presilting"):
+                reg.decompose(t)

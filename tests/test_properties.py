@@ -83,12 +83,11 @@ def test_presentation_cokernel_dims(algebras, data):
 @given(_random_module_data())
 def test_rigidity_matches_complex_level(algebras, data):
     alg_idx, n_tgt, n_src, seed = data
-    from silt.silting import SiltingWorkspace
     alg = algebras[alg_idx]
     m = _random_module(alg, n_tgt, n_src, seed)
-    ws = SiltingWorkspace(alg)
     pres = rm.min_projective_presentation(m)
-    assert ws.is_presilting_module(m) == tt.is_presilting(pres)
+    assert tt.hom_onto(pres, m) == tt.is_presilting(pres) == \
+        tt.hom_shift_vanishes(pres, pres)
 
 
 @settings(deadline=None, max_examples=30)

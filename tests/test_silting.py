@@ -15,7 +15,8 @@ from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
 @pytest.fixture(scope="module")
 def a2():
-    return SiltingWorkspace(a2_algebra())
+    """The workspace of an A2 exploration: S1 registered, all five cones recorded."""
+    return ex.explore(a2_algebra()).workspace
 
 
 @pytest.fixture(scope="module")
@@ -48,21 +49,25 @@ def test_registry_dedup(a2):
         a2.registry.get_or_insert(rm.zero_rep(a2.algebra))
 
 
+def module_presilting(m):
+    return tt.is_presilting(rm.min_projective_presentation(m))
+
+
 def test_presilting_projective_and_zero(a2):
-    assert a2.is_presilting_module(a2.algebra.projective(0))
-    assert a2.is_presilting_module(rm.zero_rep(a2.algebra))
+    assert module_presilting(a2.algebra.projective(0))
+    assert module_presilting(rm.zero_rep(a2.algebra))
 
 
 def test_presilting_simple_over_dual_numbers():
     ws = dual_numbers_ws()
     # the simple has presentation P -> P; Hom(d, S) is the zero map onto k
-    assert not ws.is_presilting_module(ws.algebra.simple(0))
+    assert not module_presilting(ws.algebra.simple(0))
 
 
 def test_presilting_simples_over_selfinjective_nakayama(cyc2):
     # radical-square-zero cyclic Nakayama: every simple is a silting summand
-    assert cyc2.is_presilting_module(cyc2.algebra.simple(0))
-    assert cyc2.is_presilting_module(cyc2.algebra.simple(1))
+    assert module_presilting(cyc2.algebra.simple(0))
+    assert module_presilting(cyc2.algebra.simple(1))
 
 
 def test_presilting_matches_complex_level(a2, cyc2):
@@ -70,7 +75,7 @@ def test_presilting_matches_complex_level(a2, cyc2):
         for v in range(2):
             for m in (ws.algebra.simple(v), ws.algebra.projective(v)):
                 pres = rm.min_projective_presentation(m)
-                assert ws.is_presilting_module(m) == tt.is_presilting(pres)
+                assert module_presilting(m) == tt.hom_shift_vanishes(pres, pres)
 
 
 def test_validate_lambda_and_zero(a2):
@@ -327,15 +332,17 @@ def test_split_matches_restart_scan(her3_registry, data):
 def test_pair_of_refuses_unregistered_h0():
     ws = SiltingWorkspace(a2_algebra())
     pres = rm.min_projective_presentation(ws.algebra.simple(0))
-    with pytest.raises(ValueError, match="does not split over the registry"):
+    with pytest.raises(ValueError, match="in no recorded cone"):
         ws.pair_of(pres)
-    # the failure was not memoised: once S1 is registered the same call succeeds
+    # the failure was not memoised: once an exploration has recorded the cone
+    # of (P1 + S1, -), the same call succeeds
+    ex.explore(ws.algebra, workspace=ws)
     s1 = s1_id(ws)
     assert ws.pair_of(pres) == ws.make_pair((s1,), ())
 
 
 def test_decompose_memo_hit_equals_fresh():
-    ws = SiltingWorkspace(a2_algebra())
+    ws = ex.explore(a2_algebra()).workspace
     alg, reg = ws.algebra, ws.registry
     s1 = s1_id(ws)
     pairs = [ws.lambda_pair(), ws.zero_pair(), ws.make_pair((0, s1), ()),
@@ -354,16 +361,15 @@ def test_decompose_memo_hit_equals_fresh():
     assert hits[-1] == ((), (0, 0, s1, s1))
 
 
-
 def test_cone_reading_needs_a_presilting_complex():
     # over A2, P1 + P1[1] has g-vector 0, which lies in every cone, but
-    # End(P1) = Hom(P1[1], P1[1]) obstructs presilting: the split reads it
+    # End(P1) = Hom(P1[1], P1[1]) obstructs presilting: no cone may read it
     alg = a2_algebra()
-    reg = Registry(alg)
+    reg = ex.explore(alg).workspace.registry
     t = tt.direct_sum(tt.stalk(alg, 0), tt.shifted_stalk(alg, 0))
     assert tt.g_vector(t) == (0, 0)
-    assert reg.decompose(t) == ((0,), (0,))
-    assert reg.decompose_counts == {"cone": 0, "split": 1}
+    with pytest.raises(ValueError, match="not presilting"):
+        reg.decompose(t)
     assert not tt.is_silting(t, reg)
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import find, given, settings, strategies as st
 
 from silt import explorer as ex
 from silt import orders
@@ -16,10 +17,8 @@ def a2():
 
 @pytest.fixture(scope="module")
 def reg(a2):
-    """A registry that holds every H^0 summand met below: P1, P2 and S1."""
-    out = Registry(a2)
-    out.get_or_insert(a2.simple(0))
-    return out
+    """The registry of an A2 exploration: P1, P2, S1 and the cones of all five pairs."""
+    return ex.explore(a2).workspace.registry
 
 
 def pres_s1(a2):
@@ -119,13 +118,14 @@ def test_is_silting(a2, reg):
 
 def test_is_silting_refuses_an_unregistered_h0_summand():
     # two non-projective summands of a hereditary n=3 node; a fresh registry
-    # knows neither, so the count cannot be read and nothing is registered
+    # knows neither, nor the node's cone, so the count cannot be read and
+    # nothing is registered
     eq = ex.explore(orders.hereditary_reduction(3))
     ws, nv = eq.workspace, eq.algebra.quiver.n_vertices
     node = next(node for node in eq.nodes
                 if sum(i >= nv for i in node.summands) == 2)
     fresh = Registry(eq.algebra)
-    with pytest.raises(ValueError, match="does not split over the registry"):
+    with pytest.raises(ValueError, match="in no recorded cone"):
         tt.is_silting(ws.complex_of(node), fresh)
     assert len(fresh) == nv
 
@@ -172,7 +172,7 @@ def test_completion_order_sandwich(a2, reg):
 
 
 def test_pair_of_roundtrip_on_completion(a2):
-    ws = SiltingWorkspace(a2)
+    ws = ex.explore(a2).workspace
     s1 = ws.registry.get_or_insert(a2.simple(0))
     got = tt.bongartz_completion(pres_s1(a2), ws.registry)
     assert ws.pair_of(got) == ws.make_pair((0, s1), ())
@@ -221,10 +221,66 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     assert len(checked) == before
     monkeypatch.undo()
     for t in completions:
-        assert reg.is_presilting(t) is real(t) is True
-    # non-presilting sums of neighbouring nodes get the fresh verdict too
+        assert reg.is_presilting(t) is tt.hom_shift_vanishes(t, t) is True
+    # non-presilting sums of neighbouring nodes get the reference verdict too
     sums = [tt.direct_sum(ws.complex_of(a), ws.complex_of(b))
             for a, b in zip(eq.nodes, eq.nodes[1:])]
     verdicts = [reg.is_presilting(t) for t in sums]
-    assert verdicts == [real(t) for t in sums]
+    assert verdicts == [tt.hom_shift_vanishes(t, t) for t in sums]
     assert not all(verdicts)
+
+
+# ---- the presilting verdict against the shifted-Hom reference ------------------
+
+
+@pytest.fixture(scope="module")
+def families():
+    """Registries of three explorations, each holding every node summand."""
+    builds = {"hereditary3": orders.hereditary_reduction(3),
+              "auslander2": orders.auslander_bass_v_reduction(2),
+              "nakayama3-5": orders.cyclic_nakayama(3, 5)}
+    return {name: ex.explore(alg).workspace.registry for name, alg in builds.items()}
+
+
+@st.composite
+def summed_complexes(draw, reg):
+    """Direct sums of registered presentations, shifted stalks and maybe a
+    contractible ``P_v -> P_v``, in a drawn order."""
+    alg = reg.algebra
+    nv = alg.quiver.n_vertices
+    ids = draw(st.lists(st.integers(0, len(reg) - 1), max_size=3))
+    shifted = draw(st.lists(st.integers(0, nv - 1), max_size=2))
+    parts = [reg.presentation(i) for i in ids]
+    parts += [tt.shifted_stalk(alg, v) for v in shifted]
+    if draw(st.booleans()):
+        v = draw(st.integers(0, nv - 1))
+        parts.append(tt.TwoTermComplex(alg, (v,), (v,), ((alg.unit_elem(v),),)))
+    parts = draw(st.permutations(parts))
+    return tt.direct_sum(*parts) if parts else tt.zero_complex(alg)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_presilting_verdict_equals_shifted_hom(families, data):
+    # Hom(T, T[1]) is the cokernel of Hom(d_T, H^0 T), since both terms of T
+    # are projective; hom_shift_vanishes builds the homotopy quotient itself
+    reg = families[data.draw(st.sampled_from(sorted(families)))]
+    t = data.draw(summed_complexes(reg))
+    assert tt.is_presilting(t) == tt.hom_shift_vanishes(t, t)
+
+
+def _h0_tau_rigid(t):
+    pres = rm.min_projective_presentation(tt.h0(t))
+    return tt.hom_shift_vanishes(pres, pres)
+
+
+@pytest.mark.parametrize("name", ["hereditary3", "auslander2", "nakayama3-5"])
+def test_summed_complexes_reach_both_obstructions(families, name):
+    # the draws above fail to be presilting both through H^0 = M, which is
+    # not tau-rigid, and through Hom(Q, M) != 0 for the shifted part Q[1]
+    quiet = settings(deadline=None, database=None, max_examples=500)
+    draws = summed_complexes(families[name])
+    for h0_rigid in (False, True):
+        t = find(draws, lambda t: not tt.hom_shift_vanishes(t, t)
+                 and _h0_tau_rigid(t) == h0_rigid, settings=quiet)
+        assert not tt.is_presilting(t)
