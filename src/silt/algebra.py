@@ -146,21 +146,25 @@ class AlgebraElement:
         self.src = src
         self.tgt = tgt
         p = algebra.p
-        self.coeffs = {g: c % p for g, c in coeffs.items() if c % p}
+        self.coeffs = {g: r for g, c in coeffs.items() if (r := c % p)}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "AlgebraElement", sign: int) -> "AlgebraElement":
+        """``self + sign * other`` in one pass."""
         if (self.src, self.tgt) != (other.src, other.tgt):
             raise AssertionError("summands must share source and target")
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) + c
+            out[g] = out.get(g, 0) + sign * c
         return AlgebraElement(self.algebra, self.src, self.tgt, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scale(-1)
 
     def scale(self, c: int) -> "AlgebraElement":
         return AlgebraElement(self.algebra, self.src, self.tgt,
@@ -269,6 +273,7 @@ class FiniteDimAlgebra:
                 self._pair_pos[g] = pos
         self._units = tuple(self._gid_of_path[(v, ())] for v in range(self.quiver.n_vertices))
         self._mult_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._zeros: dict[tuple[int, int], AlgebraElement] = {}
         self._projectives: dict[int, object] = {}
         self._simples: dict[int, object] = {}
 
@@ -321,7 +326,15 @@ class FiniteDimAlgebra:
     # ---- element constructors ----------------------------------------------
 
     def zero_elem(self, src: int, tgt: int) -> AlgebraElement:
-        return AlgebraElement(self, src, tgt, {})
+        """The zero of ``e_src . A . e_tgt``, one shared object per pair.
+
+        Sharing is safe because no code assigns into an element's
+        ``coeffs``; ``tests/test_lint.py`` checks the sources for it.
+        """
+        z = self._zeros.get((src, tgt))
+        if z is None:
+            z = self._zeros[(src, tgt)] = AlgebraElement(self, src, tgt, {})
+        return z
 
     def unit_elem(self, v: int) -> AlgebraElement:
         return AlgebraElement(self, v, v, {self.unit_gid(v): 1})

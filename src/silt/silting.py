@@ -26,7 +26,11 @@ registry only grows:
 
 The ``Registry`` keeps two more, both per two-term complex ``t`` and keyed
 by ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
-in the homotopy category:
+in the homotopy category.  ``minimality_reduce`` hands an already reduced
+complex back as it is, and a complex computes its hash once, on first use.
+So a completion is reduced once, when it is built: the ``is_silting`` gate
+and ``pair_of`` find nothing left to cancel and key on the same object,
+which is hashed once and matches its memo key by identity:
 
 - ``decompose(t)``: the shifted-projective vertices and the H^0 summand
   ids, the one route from a complex to its pair.  A presilting complex is

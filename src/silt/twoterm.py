@@ -42,6 +42,16 @@ class TwoTermComplex:
                                      f"{(entry.src, entry.tgt)}, expected "
                                      f"{(self.rows[r], self.cols[c])}")
 
+    def __hash__(self):
+        # computed once: the registry memos and ``pair_of`` key on the same
+        # completion several times, and each hash walks every block
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((id(self.algebra), self.rows, self.cols, self.d))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def mult_0(self) -> tuple[int, ...]:
         return _mult_vector(self.algebra, self.rows)
@@ -247,36 +257,37 @@ def minimality_reduce(t: TwoTermComplex) -> TwoTermComplex:
 
     A block ``P_v -> P_v`` whose trivial-path coefficient is nonzero is an
     isomorphism up to radical; one Schur-complement step removes the pair and
-    strictly drops the total multiplicity, so the loop terminates.
+    strictly drops the total multiplicity, so the loop terminates.  A step
+    updates only the rows with a nonzero entry in the pivot column, and in
+    them only the entries under a nonzero pivot-row entry; every other block
+    is kept as it is, since subtracting zero changes nothing.  A complex
+    whose differential is already radical is returned itself.
     """
-    alg = t.algebra
-    rows = list(t.rows)
-    cols = list(t.cols)
-    d = [list(row) for row in t.d]
+    rows, cols, d = t.rows, t.cols, t.d
     while True:
-        pivot = None
-        for r in range(len(rows)):
-            for c in range(len(cols)):
-                if rows[r] == cols[c] and d[r][c].unit_coefficient():
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
+        pivot = next(((r, c) for r, rv in enumerate(rows)
+                      for c, cv in enumerate(cols)
+                      if rv == cv and d[r][c].unit_coefficient()), None)
         if pivot is None:
             break
         r, c = pivot
         u_inv = d[r][c].local_inverse()
-        new_rows = [rows[i] for i in range(len(rows)) if i != r]
-        new_cols = [cols[j] for j in range(len(cols)) if j != c]
+        pivot_row = d[r]
+        hit = [j for j, entry in enumerate(pivot_row) if j != c and not entry.is_zero()]
         new_d = []
-        for i in range(len(rows)):
+        for i, row in enumerate(d):
             if i == r:
                 continue
-            left = d[i][c] * u_inv
-            new_d.append([d[i][j] - left * d[r][j]
-                          for j in range(len(cols)) if j != c])
-        rows, cols, d = new_rows, new_cols, new_d
-    return TwoTermComplex(alg, tuple(rows), tuple(cols), tuple(tuple(r) for r in d))
+            if hit and not row[c].is_zero():
+                left = row[c] * u_inv
+                row = list(row)
+                for j in hit:
+                    row[j] = row[j] - left * pivot_row[j]
+            new_d.append((*row[:c], *row[c + 1:]))
+        rows, cols, d = rows[:r] + rows[r + 1:], cols[:c] + cols[c + 1:], tuple(new_d)
+    if len(rows) == len(t.rows):   # no step taken
+        return t
+    return TwoTermComplex(t.algebra, rows, cols, d)
 
 
 def h0(t: TwoTermComplex) -> rm.Rep:

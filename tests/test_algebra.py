@@ -113,6 +113,21 @@ def test_local_inverse():
     assert (v * v.local_inverse()) == loop.unit_elem(0)
 
 
+def test_zero_elem_is_shared_and_left_unchanged():
+    # one zero per (src, tgt) is handed out to every caller, so arithmetic
+    # must build new elements and never write into an operand
+    alg = cyclic_2_algebra()
+    z = alg.zero_elem(0, 1)
+    assert z is alg.zero_elem(0, 1)
+    assert z is not alg.zero_elem(1, 0)
+    x = alg.path_elem(0, ("a1",))
+    y = alg.path_elem(1, ("a2",))
+    assert z + x == x and (x - x).is_zero() and (z * y).is_zero()
+    assert (x - x) is not z and (x * x) is alg.zero_elem(0, 1)
+    assert x - alg.unit_elem(0) * x.scale(3) == x.scale(-2)
+    assert z.coeffs == {}
+
+
 def test_projective_dimension_vectors():
     alg = a2_algebra()
     assert projective_module(alg, "1").dims == (1, 1)

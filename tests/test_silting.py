@@ -354,6 +354,10 @@ def test_decompose_memo_hit_equals_fresh():
     first = [reg.decompose(t) for t in complexes]
     hits = [reg.decompose(t) for t in complexes]
     assert all(a is b for a, b in zip(first, hits))
+    # an equal complex built again hashes alike and finds the same entry
+    again = [ws.complex_of(pair) for pair in pairs]
+    assert [hash(t) for t in again] == [hash(t) for t in complexes[:-1]]
+    assert all(reg.decompose(t) is f for t, f in zip(again, first))
     assert reg.decompose(tt.direct_sum(complexes[2], cone)) is first[2]
     reg._decomp.clear()
     assert [reg.decompose(t) for t in complexes] == hits

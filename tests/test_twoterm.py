@@ -5,6 +5,7 @@ from silt import explorer as ex
 from silt import orders
 from silt import repmod as rm
 from silt import twoterm as tt
+from silt.algebra import AlgebraElement
 from silt.silting import Registry, SiltingWorkspace
 
 from test_algebra import a2_algebra, cyclic_2_algebra
@@ -63,9 +64,14 @@ def test_silt_leq_extremes(a2):
     assert tt.silt_leq(pres_s1(a2), pres_s1(a2))
 
 
-def test_minimality_reduce_fixpoint(a2):
-    p = pres_s1(a2)
-    assert tt.minimality_reduce(p) == p
+def test_minimality_reduce_fixpoint(a2, families):
+    # a minimal presentation has a radical differential: nothing to cancel,
+    # and the reduction hands back the object it was given
+    presentations = [pres_s1(a2)]
+    presentations += [reg.presentation(i) for reg in families.values()
+                      for i in range(len(reg))]
+    for p in presentations:
+        assert tt.minimality_reduce(p) is p
 
 
 def test_minimality_reduce_cancels_identity(a2):
@@ -234,12 +240,17 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def families():
-    """Registries of three explorations, each holding every node summand."""
+def explorations():
     builds = {"hereditary3": orders.hereditary_reduction(3),
               "auslander2": orders.auslander_bass_v_reduction(2),
               "nakayama3-5": orders.cyclic_nakayama(3, 5)}
-    return {name: ex.explore(alg).workspace.registry for name, alg in builds.items()}
+    return {name: ex.explore(alg) for name, alg in builds.items()}
+
+
+@pytest.fixture(scope="module")
+def families(explorations):
+    """Registries of three explorations, each holding every node summand."""
+    return {name: eq.workspace.registry for name, eq in explorations.items()}
 
 
 @st.composite
@@ -284,3 +295,84 @@ def test_summed_complexes_reach_both_obstructions(families, name):
         t = find(draws, lambda t: not tt.hom_shift_vanishes(t, t)
                  and _h0_tau_rigid(t) == h0_rigid, settings=quiet)
         assert not tt.is_presilting(t)
+
+
+# ---- minimality_reduce against the full Schur update ----------------------------
+
+
+def _full_schur_reduce(t):
+    """Reference: every Schur step rebuilds every remaining entry."""
+    rows, cols = list(t.rows), list(t.cols)
+    d = [list(row) for row in t.d]
+    while True:
+        pivot = next(((r, c) for r in range(len(rows)) for c in range(len(cols))
+                      if rows[r] == cols[c] and d[r][c].unit_coefficient()), None)
+        if pivot is None:
+            return tt.TwoTermComplex(t.algebra, rows, cols, d)
+        r, c = pivot
+        u_inv = d[r][c].local_inverse()
+        d = [[d[i][j] - d[i][c] * u_inv * d[r][j] for j in range(len(cols)) if j != c]
+             for i in range(len(rows)) if i != r]
+        del rows[r], cols[c]
+
+
+def _same_fields(a, b):
+    return (a.rows, a.cols, a.d) == (b.rows, b.cols, b.d)
+
+
+@st.composite
+def block_complexes(draw, alg):
+    """Arbitrary block differentials with at most four summands a degree.
+
+    Unlike the summed presentations, these have units off the diagonal of a
+    direct sum, so Schur steps meet nonzero entries in the pivot row and
+    column."""
+    nv = alg.quiver.n_vertices
+    rows = draw(st.lists(st.integers(0, nv - 1), max_size=4))
+    cols = draw(st.lists(st.integers(0, nv - 1), max_size=4))
+    coeff = st.sampled_from([0, 0, 1, 2, alg.p - 1])
+    d = [[AlgebraElement(alg, rv, cv, {g: draw(coeff) for g in alg.pair_basis(rv, cv)})
+          for cv in cols] for rv in rows]
+    return tt.TwoTermComplex(alg, rows, cols, d)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_reduce_equals_full_schur_update(families, data):
+    reg = families[data.draw(st.sampled_from(sorted(families)))]
+    t = data.draw(st.one_of(summed_complexes(reg), block_complexes(reg.algebra)))
+    assert _same_fields(tt.minimality_reduce(t), _full_schur_reduce(t))
+
+
+@pytest.mark.parametrize("name", ["hereditary3", "auslander2"])
+def test_reduce_equals_full_schur_update_on_glued_completions(explorations, name,
+                                                              monkeypatch):
+    # the complexes both completions glue before reducing: the approximation
+    # copies put nonzero blocks in the pivot rows and columns
+    eq = explorations[name]
+    ws = eq.workspace
+    seen = {}
+    real = tt.minimality_reduce
+
+    def recorded(t):
+        seen.setdefault(id(t), t)
+        return real(t)
+
+    monkeypatch.setattr(tt, "minimality_reduce", recorded)
+    for node in eq.nodes:
+        parts = [(node.summands[:k] + node.summands[k + 1:], node.proj_part)
+                 for k in range(len(node.summands))]
+        parts += [(node.summands, node.proj_part[:k] + node.proj_part[k + 1:])
+                  for k in range(len(node.proj_part))]
+        for summands, proj_part in parts:
+            rest = ws.complex_of(ws.make_pair(summands, proj_part))
+            tt.bongartz_completion(rest, ws.registry)
+            tt.co_bongartz_completion(rest, ws.registry)
+    monkeypatch.undo()
+    steps = 0
+    for t in seen.values():
+        got = real(t)
+        assert _same_fields(got, _full_schur_reduce(t))
+        steps += len(t.rows) - len(got.rows)
+    assert steps > 0
+
