@@ -137,9 +137,14 @@ def presentation(quiver: Quiver, relations, nilpotency_bound: int) -> AlgebraPre
 
 
 class AlgebraElement:
-    """An element of ``e_src . A . e_tgt``: coefficients on basis paths."""
+    """An element of ``e_src . A . e_tgt``: coefficients on basis paths.
 
-    __slots__ = ("algebra", "src", "tgt", "coeffs")
+    ``coeffs`` never changes after construction (``tests/test_lint.py``
+    checks the sources for writes into it), so the hash is computed once,
+    on first use, and kept in ``_hash``.
+    """
+
+    __slots__ = ("algebra", "src", "tgt", "coeffs", "_hash")
 
     def __init__(self, algebra: "FiniteDimAlgebra", src: int, tgt: int, coeffs: dict):
         self.algebra = algebra
@@ -147,6 +152,7 @@ class AlgebraElement:
         self.tgt = tgt
         p = algebra.p
         self.coeffs = {g: r for g, c in coeffs.items() if (r := c % p)}
+        self._hash = None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -219,8 +225,11 @@ class AlgebraElement:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((id(self.algebra), self.src, self.tgt,
-                     tuple(sorted(self.coeffs.items()))))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((id(self.algebra), self.src, self.tgt,
+                                   tuple(sorted(self.coeffs.items()))))
+        return h
 
     def __repr__(self):
         if self.is_zero():

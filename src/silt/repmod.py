@@ -178,7 +178,10 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
     """Deterministic basis of ``Hom(m, n)``.
 
     Unknowns are the vertex components flattened row-major and concatenated
-    in vertex order; each arrow contributes one commuting-square block.
+    in vertex order; each arrow contributes one commuting-square block.  The
+    squares of all basis maps are then checked at once, one stacked product
+    per arrow, so the maps skip ``RepMap``'s own check; a failure raises
+    ``AssertionError``, under ``python -O`` too.
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
@@ -197,23 +200,31 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
         if rows == 0:
             continue
         block = em.zeros(rows, total)
-        # n.arrow @ phi_i  contributes  kron(N_b, I)
-        block[:, offs[i]:offs[i + 1]] = np.kron(n.arrow_maps[k], em.identity(m.dims[i]))
-        # phi_j @ m.arrow  contributes  kron(I, M_b^T), subtracted
+        # entry (a, c) of N_k @ phi_i is sum_b N_k[a, b] phi_i[b, c]: the
+        # coefficient of unknown (b, d) in row (a, c) is N_k[a, b] I[c, d]
+        block[:, offs[i]:offs[i + 1]] = _kron(n.arrow_maps[k], em.identity(m.dims[i]))
+        # entry (a, c) of phi_j @ M_k is sum_d phi_j[a, d] M_k[d, c]: the
+        # coefficient of unknown (b, d) is I[a, b] M_k[d, c], subtracted
         block[:, offs[j]:offs[j + 1]] = (block[:, offs[j]:offs[j + 1]]
-                                         - np.kron(em.identity(n.dims[j]),
-                                                   m.arrow_maps[k].T)) % alg.p
+                                         - _kron(em.identity(n.dims[j]),
+                                                 m.arrow_maps[k].T)) % alg.p
         blocks.append(block)
     system = np.concatenate(blocks, axis=0) if blocks else em.zeros(0, total)
     basis = em.kernel_basis(system, alg.p)
-    out = []
-    for col in range(basis.shape[1]):
-        comps = []
-        for v in range(nv):
-            flat = basis[offs[v]:offs[v + 1], col]
-            comps.append(flat.reshape(n.dims[v], m.dims[v]))
-        out.append(RepMap(m, n, comps))
-    return out
+    nb = basis.shape[1]
+    phis = [basis[offs[v]:offs[v + 1]].T.reshape(nb, n.dims[v], m.dims[v])
+            for v in range(nv)]
+    for k in range(q.n_arrows):
+        i, j = q.arrow_source(k), q.arrow_target(k)
+        if np.any((n.arrow_maps[k] @ phis[i] - phis[j] @ m.arrow_maps[k]) % alg.p):
+            raise AssertionError(f"a Hom basis map fails the square at arrow {k}")
+    return [RepMap(m, n, [phi[b] for phi in phis], check=False) for b in range(nb)]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def is_isomorphic(m: Rep, n: Rep) -> bool:

@@ -14,7 +14,9 @@ so a workspace belongs to one thread.  Each fills on first use, is never
 invalidated, and is keyed by registry ids, which are stable because the
 registry only grows:
 
-- ``hom(i, j)``: the Hom-space basis, per ordered id pair.
+- ``hom(i, j)``: the Hom-space basis, per ordered id pair.  ``mutate_left``
+  reads ``Hom(U, X)`` only for an ``X`` without a registered partner, the
+  one case in which it may build a module.
 - ``rigid(i, j)``: the rigidity pairing, ``twoterm.hom_onto`` of the
   minimal presentation of ``i`` against the module ``j``, per ordered id
   pair; ``twoterm.is_presilting`` runs the same test on whole complexes.
@@ -442,18 +444,25 @@ class SiltingWorkspace:
 
         With ``X`` that summand and ``U`` the rest, the mutation exists iff
         ``X`` is not in ``Fac U`` (Adachi-Iyama-Reiten, arXiv:1210.1036,
-        Def.-Prop. 2.28); the images of the cached ``Hom(U, X)`` decide this
-        before anything is built, and ``None`` means it fails.  Otherwise the
-        result is the completion of ``(U, P)`` other than ``X`` (AIR Thm
-        2.18: there are exactly two), found by lookup where possible: the
-        shifted projective at a vertex outside ``P`` that ``U`` leaves
-        unsupported, else the one registered module that completes the pair
-        (``registered_partner``).  Only when neither exists is the partner
-        built, as the cokernel of the minimal left approximation of ``X`` by
-        ``U``, and registered.  ``mutation_counts`` records which way each
-        call went.  An invalid input raises: the result must pass
-        ``validate_silting_pair`` (count, exact support, rigidity) and lie
-        strictly below ``pair``.
+        Def.-Prop. 2.28), and it is then the completion of ``(U, P)`` other
+        than ``X``.  There are exactly two completions, one above the other
+        (AIR Thm 2.18), so the other one, where it is known, also says whether
+        the mutation exists:
+        - A vertex outside ``P`` that ``U`` leaves unsupported gives the
+          shifted projective there.  ``X`` is supported at that vertex and
+          ``U`` is not, so ``X`` is not in ``Fac U``.
+        - Else the one registered module ``Y`` that completes the pair
+          (``registered_partner``).  ``U + Y <= X + U`` comes down to the
+          single entry ``rigid(X, Y)``, since the other entries of
+          ``pair_leq`` hold for two completions; when it fails, ``X`` is in
+          ``Fac U`` and the result is ``None``.
+        - Only with neither are the images of the cached ``Hom(U, X)``
+          tested for ``X`` in ``Fac U``; if not, the partner is built as
+          the cokernel of the minimal left approximation of ``X`` by ``U``,
+          and registered.
+        ``mutation_counts`` records which way each call went.  An invalid
+        input raises: the result must pass ``validate_silting_pair`` (count,
+        exact support, rigidity) and lie strictly below ``pair``.
         """
         if not 0 <= at < len(pair.summands):
             raise IndexError(f"summand index {at} out of range")
@@ -461,9 +470,6 @@ class SiltingWorkspace:
         rest = tuple(i for k, i in enumerate(pair.summands) if k != at)
         counts = self.mutation_counts
         counts["attempted"] += 1
-        if rm.images_span([f for i in rest for f in self.hom(i, x)], self.module(x)):
-            counts["fac_rejected"] += 1
-            return None
         vacant = [v for v, d in enumerate(self.summand_dims(rest))
                   if d == 0 and v not in pair.proj_part]
         if len(vacant) > 1:
@@ -475,7 +481,14 @@ class SiltingWorkspace:
         else:
             y = self.registered_partner(x, rest, pair.proj_part)
             if y is not None:
+                if not self.rigid(x, y):
+                    counts["fac_rejected"] += 1
+                    return None
                 counts["registry_lookup"] += 1
+            elif rm.images_span([f for i in rest for f in self.hom(i, x)],
+                                self.module(x)):
+                counts["fac_rejected"] += 1
+                return None
             else:
                 counts["cokernel_built"] += 1
                 _, h, _ = self.left_minimal_approximation(x, rest)

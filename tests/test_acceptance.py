@@ -343,6 +343,63 @@ def test_lookup_partner_equals_cokernel_route(complete_runs):
         assert len(ws.registry) == size
 
 
+def test_mutation_exists_iff_not_in_fac(complete_runs):
+    # AIR Def.-Prop. 2.28: the left mutation at X exists iff X is not in
+    # Fac U.  mutate_left decides most attempts by the registered partner and
+    # one rigid entry (Thm 2.18); the images of Hom(U, X) are the reference.
+    checks = 0
+    for eq in complete_runs:
+        ws = eq.workspace
+        size = len(ws.registry)
+        for pair in eq.nodes:
+            for at, x in enumerate(pair.summands):
+                rest = tuple(i for i in pair.summands if i != x)
+                in_fac = rm.images_span([f for i in rest for f in ws.hom(i, x)],
+                                        ws.module(x))
+                assert (ws.mutate_left(pair, at) is None) == in_fac, (pair, at)
+                checks += 1
+        assert len(ws.registry) == size
+    assert checks == 626
+
+
+@pytest.mark.parametrize("build, args, counts", [
+    (orders.hereditary_reduction, (4,),
+     dict(attempted=224, fac_rejected=84, shifted_projective=56,
+          registry_lookup=72, cokernel_built=12)),
+    (orders.auslander_bass_v_reduction, (2,),
+     dict(attempted=56, fac_rejected=20, shifted_projective=16,
+          registry_lookup=12, cokernel_built=8)),
+    (orders.cyclic_nakayama, (3, 5),
+     dict(attempted=45, fac_rejected=15, shifted_projective=15,
+          registry_lookup=9, cokernel_built=6)),
+], ids=["hereditary4", "auslander2", "nakayama35"])
+def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts):
+    # Hom(U, X) and its images are computed only for the attempts that find
+    # neither a vacant vertex nor a registered partner; here each of them
+    # builds a module.  The counts equal those of deciding every attempt by
+    # the Fac test.
+    spans, misses = [], []
+    images_span = rm.images_span
+    partner = SiltingWorkspace.registered_partner
+
+    def counting_span(maps, x):
+        spans.append(x)
+        return images_span(maps, x)
+
+    def counting_partner(self, x, rest, proj_part):
+        got = partner(self, x, rest, proj_part)
+        if got is None:
+            misses.append(x)
+        return got
+
+    monkeypatch.setattr(rm, "images_span", counting_span)
+    monkeypatch.setattr(SiltingWorkspace, "registered_partner", counting_partner)
+    eq = ex.explore(build(*args))
+    assert eq.complete
+    assert eq.stats["mutations"] == counts
+    assert len(spans) == len(misses) == counts["cokernel_built"]
+
+
 def _approximation_cokernel_pieces(ws, pair, v):
     """Summands of ``pair`` that the approximation cokernel of ``P_v`` splits into.
 

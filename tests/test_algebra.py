@@ -128,6 +128,23 @@ def test_zero_elem_is_shared_and_left_unchanged():
     assert z.coeffs == {}
 
 
+def test_element_hash_is_computed_once():
+    # the cached hash is the formula of the element's value, so equal
+    # elements built apart still hash alike, and a shared zero keeps its hash
+    alg = cyclic_2_algebra()
+    elems = [alg.basis_elem(g) for g in range(alg.dimension)]
+    elems += [x + y.scale(5) for x in elems for y in elems if x.src == y.src
+              and x.tgt == y.tgt]
+    for x in elems:
+        want = hash((id(alg), x.src, x.tgt, tuple(sorted(x.coeffs.items()))))
+        assert hash(x) == want == hash(x)
+    x = alg.path_elem(0, ("a1",))
+    assert hash(x.scale(2) - x) == hash(x)
+    z = alg.zero_elem(0, 1)
+    seen = {hash(alg.zero_elem(0, 1)) for _ in range(3)}
+    assert seen == {hash(z)} and hash(x - x) == hash(z)
+
+
 def test_projective_dimension_vectors():
     alg = a2_algebra()
     assert projective_module(alg, "1").dims == (1, 1)

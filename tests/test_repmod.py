@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from silt import exactmat as em
 from silt import repmod as rm
 from silt.algebra import projective_module, simple_module
 
@@ -47,6 +48,41 @@ def test_hom_contains_identity(a2):
     assert len(basis) == 1
     assert all(rm_.comps[v].shape == (p1.dims[v], p1.dims[v]) for rm_ in basis
                for v in range(2))
+
+
+def test_kron_blocks_equal_numpy_kron():
+    # the commuting-square blocks are Kronecker products of an arrow matrix
+    # and an identity, in either order; every shape, zero sides included
+    rng = np.random.default_rng(7)
+    shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (4, 2)]
+    for sa in shapes:
+        a = rng.integers(0, 32003, size=sa)
+        others = [rng.integers(0, 32003, size=sb) for sb in shapes]
+        others += [np.eye(n, dtype=np.int64) for n in range(4)]
+        for b in others:
+            for x, y in ((a, b), (b, a.T)):
+                want = np.kron(x, y)
+                got = rm._kron(x, y)
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_hom_basis_checks_every_square(a2, monkeypatch):
+    # hom_basis builds its maps unchecked; the batched square check must
+    # catch a kernel column that solves no commuting square
+    p1 = projective_module(a2, "1")
+    kernel_basis = em.kernel_basis
+
+    def with_bad_column(m, p):
+        bad = [c for c in range(m.shape[1]) if np.any(m[:, c] % p)]
+        assert bad
+        extra = np.zeros((m.shape[1], 1), dtype=np.int64)
+        extra[bad[0]] = 1
+        return np.concatenate([kernel_basis(m, p), extra], axis=1)
+
+    assert len(rm.hom_basis(p1, p1)) == 1
+    monkeypatch.setattr(em, "kernel_basis", with_bad_column)
+    with pytest.raises(AssertionError, match="square at arrow 0"):
+        rm.hom_basis(p1, p1)
 
 
 def test_is_isomorphic(a2):
