@@ -58,6 +58,7 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
     limits = limits or ExploreLimits()
     ws = workspace if workspace is not None else SiltingWorkspace(algebra)
     counts_before = dict(ws.mutation_counts)
+    lookups_before = dict(ws.partner_lookups)
     start = ws.lambda_pair()
     nodes: list[SiltingPair] = [start]
     index: dict[SiltingPair, int] = {start: 0}
@@ -94,7 +95,9 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
     stats = {"nodes": len(nodes), "edges": len(edges), "max_depth": depth,
              "cache_entries": ws.cache_sizes(),
              "mutations": {k: n - counts_before[k]
-                           for k, n in ws.mutation_counts.items()}}
+                           for k, n in ws.mutation_counts.items()},
+             "partner_lookups": {k: n - lookups_before[k]
+                                 for k, n in ws.partner_lookups.items()}}
     return ExchangeQuiver(ws, nodes, edges, complete, stats)
 
 

@@ -45,6 +45,14 @@ which is hashed once and matches its memo key by identity:
   nothing is stored, so the next call, when more cones may be recorded,
   computes afresh.
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.
+
+Next to the cone table the ``Registry`` indexes the recorded pairs by facet:
+
+- ``completions(rest, proj_part)``: the module ids ``s`` that complete the
+  facet ``(rest, proj_part)`` to a recorded pair, filed by ``record_cone``
+  under each facet of each new pair.  ``registered_partner`` reads the other
+  completion of a mutation from it (AIR Thm 2.18) and scans the registry
+  only on a miss.
 """
 
 from __future__ import annotations
@@ -106,6 +114,7 @@ class Registry:
         self._cones: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
         self._cone_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._cone_inv = np.zeros((0, nv, nv), dtype=np.int64)
+        self._facets: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
         for v in range(nv):
             self.get_or_insert(algebra.projective(v))
         self.record_cone(range(nv), ())
@@ -171,13 +180,28 @@ class Registry:
         return pieces if current.is_zero() else None
 
     def record_cone(self, summands, proj_part) -> None:
-        """Add the g-vector cone of a support tau-tilting pair to ``decompose``'s table.
+        """Record a support tau-tilting pair: its g-vector cone and its facets.
 
-        ``summands`` are registry ids and ``proj_part`` vertices.  The pair is
-        taken on trust as tau-rigid; its g-matrix is checked for
-        unimodularity when the table is next built.
+        ``summands`` are registry ids and ``proj_part`` vertices.  The callers
+        record Lambda, Lambda[1] and results of ``mutate_left`` that passed
+        ``validate_silting_pair``.  The cone joins ``decompose``'s table, and
+        its g-matrix is checked for unimodularity when the table is next
+        built.  A new pair is filed under each facet ``(summands - s,
+        proj_part)`` as a completion ``s`` of it; an almost-complete pair has
+        exactly two completions (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm
+        2.18), so ``completions`` of a facet lists at most two ids.
         """
-        self._cones.setdefault((tuple(sorted(summands)), tuple(sorted(proj_part))), None)
+        key = (tuple(sorted(summands)), tuple(sorted(proj_part)))
+        if key in self._cones:
+            return
+        self._cones[key] = None
+        ids, verts = key
+        for k, s in enumerate(ids):
+            self._facets.setdefault((ids[:k] + ids[k + 1:], verts), []).append(s)
+
+    def completions(self, rest, proj_part) -> list[int]:
+        """Module ids ``s`` such that ``(rest + s, proj_part)`` is a recorded pair."""
+        return self._facets.get((tuple(sorted(rest)), tuple(sorted(proj_part))), [])
 
     def decompose(self, t: tt.TwoTermComplex
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -257,6 +281,7 @@ class SiltingWorkspace:
         self._rigid: dict[tuple[int, int], bool] = {}
         self._comp: dict[tuple[int, int, int], np.ndarray] = {}
         self.mutation_counts = dict.fromkeys(MUTATION_OUTCOMES, 0)
+        self.partner_lookups = {"indexed": 0, "scanned": 0}
 
     # ---- cached primitives -----------------------------------------------
 
@@ -452,7 +477,8 @@ class SiltingWorkspace:
           shifted projective there.  ``X`` is supported at that vertex and
           ``U`` is not, so ``X`` is not in ``Fac U``.
         - Else the one registered module ``Y`` that completes the pair
-          (``registered_partner``).  ``U + Y <= X + U`` comes down to the
+          (``registered_partner``: a recorded pair through the facet, or a
+          registry scan).  ``U + Y <= X + U`` comes down to the
           single entry ``rigid(X, Y)``, since the other entries of
           ``pair_leq`` hold for two completions; when it fails, ``X`` is in
           ``Fac U`` and the result is ``None``.
@@ -510,16 +536,38 @@ class SiltingWorkspace:
     def registered_partner(self, x: int, rest, proj_part) -> int | None:
         """The registered ``y`` other than ``x`` that completes ``(rest, proj_part)``.
 
-        ``y`` must be outside ``rest``, have no support on ``proj_part`` and
-        be rigid with itself and both ways with every summand of ``rest``.
-        The pair is then tau-rigid with as many summands as vertices, hence
-        support tau-tilting (AIR Section 2), and by Thm 2.18 it is the one
-        completion besides ``x``; ``None`` means it is not registered yet.
-        The whole registry is scanned, and a second such ``y`` raises.
+        An almost-complete pair has exactly two completions (Adachi-Iyama-Reiten,
+        arXiv:1210.1036, Thm 2.18), so a recorded pair through the facet
+        ``(rest, proj_part)`` with a summand other than ``x`` gives ``y``, and
+        a second such summand raises.  Otherwise the registry is scanned for a
+        ``y`` outside ``rest``, with no support on ``proj_part``, rigid with
+        itself and both ways with every summand of ``rest``: the pair is then
+        tau-rigid with as many summands as vertices, hence support tau-tilting
+        (AIR Section 2).  Before any ``rigid`` lookup the scan drops every
+        ``y`` whose g-vector takes a sign at a vertex opposite to one of the
+        g-vectors of ``rest`` or ``-e_v`` (``v`` in ``proj_part``), since the
+        summands of a 2-term silting complex are sign-coherent
+        (Demonet-Iyama-Jasso, arXiv:1503.00285).  ``None`` means ``y`` is
+        not registered yet; a second ``y`` found by the scan raises.
+        ``partner_lookups`` counts the index answers and the scans.
         """
         reg = self.registry
+        known = [y for y in reg.completions(rest, proj_part) if y != x]
+        if len(known) > 1:
+            raise RuntimeError(f"modules {known} all complete the facet in recorded "
+                               "pairs; one is decomposable or two are isomorphic")
+        if known:
+            self.partner_lookups["indexed"] += 1
+            return known[0]
+        self.partner_lookups["scanned"] += 1
+        nv = self.algebra.quiver.n_vertices
+        gs = [reg.gvector(u) for u in rest]
+        gs += [tuple(-int(w == v) for w in range(nv)) for v in proj_part]
+        bounds = [(min(col), max(col)) for col in zip(*gs)]
         found = [y for y in range(len(reg))
                  if y != x and y not in rest
+                 and all(g * lo >= 0 and g * hi >= 0
+                         for g, (lo, hi) in zip(reg.gvector(y), bounds))
                  and not any(reg.dims(y)[v] for v in proj_part)
                  and self.rigid(y, y)
                  and all(self.rigid(y, u) and self.rigid(u, y) for u in rest)]

@@ -143,6 +143,16 @@ def test_criterion_5_weak_order_n3_optional():
         assert orders.poset_isomorphic(eq, orders.weak_order_hasse(5))
 
 
+@pytest.mark.slow
+def test_criterion_5_weak_order_n5_optional():
+    with criterion(5, "doubled-line family at n=5 (optional): 5040 nodes, "
+                      "15120 edges, exchange edges are the Hasse covers"):
+        eq = ex.explore(orders.auslander_bass_v_reduction(5))
+        assert eq.complete and len(eq.nodes) == math.factorial(7) == 5040
+        assert len(eq.edges) == 6 * 5040 // 2
+        assert ex.hasse_check(eq)
+
+
 def test_criterion_6_exchange_is_hasse(runs):
     with criterion(6, "exchange edges equal cover relations on every "
                       "complete exploration"):
@@ -362,23 +372,70 @@ def test_mutation_exists_iff_not_in_fac(complete_runs):
     assert checks == 626
 
 
-@pytest.mark.parametrize("build, args, counts", [
+def _partner_by_registry_scan(ws, x, rest, proj_part):
+    """Every registered module that completes ``(rest, proj_part)`` besides ``x``.
+
+    The reference of ``registered_partner``: no facet index and no sign
+    filter, every registry id is tested by support and the ``rigid`` table.
+    """
+    reg = ws.registry
+    return [y for y in range(len(reg))
+            if y != x and y not in rest
+            and not any(reg.dims(y)[v] for v in proj_part)
+            and ws.rigid(y, y)
+            and all(ws.rigid(y, u) and ws.rigid(u, y) for u in rest)]
+
+
+def test_partner_index_equals_registry_scan(complete_runs, monkeypatch):
+    # AIR Thm 2.18: an almost-complete pair has exactly two completions, so a
+    # recorded pair through the facet names the partner, and DIJ
+    # sign-coherence drops only non-partners from the scan on a miss.  The
+    # unfiltered scan of the whole registry is the reference of both routes.
+    cases = []
+    for eq in complete_runs:
+        ws, reg = eq.workspace, eq.workspace.registry
+        assert all(len(ids) <= 2 for ids in reg._facets.values())
+        for pair in eq.nodes:
+            for x in pair.summands:
+                rest = tuple(i for i in pair.summands if i != x)
+                if any(d == 0 and v not in pair.proj_part
+                       for v, d in enumerate(ws.summand_dims(rest))):
+                    continue    # the other completion is a shifted projective
+                (y,) = _partner_by_registry_scan(ws, x, rest, pair.proj_part)
+                # both completions are nodes, so both are filed under the facet
+                assert sorted(reg.completions(rest, pair.proj_part)) == sorted((x, y))
+                cases.append((ws, x, rest, pair.proj_part, y))
+    assert len(cases) == 450
+    for ws, x, rest, proj_part, y in cases:
+        assert ws.registered_partner(x, rest, proj_part) == y, (x, rest, proj_part)
+    monkeypatch.setattr(Registry, "completions", lambda self, rest, proj_part: [])
+    for ws, x, rest, proj_part, y in cases:
+        assert ws.registered_partner(x, rest, proj_part) == y, (x, rest, proj_part)
+
+
+@pytest.mark.parametrize("build, args, counts, lookups", [
     (orders.hereditary_reduction, (4,),
      dict(attempted=224, fac_rejected=84, shifted_projective=56,
-          registry_lookup=72, cokernel_built=12)),
+          registry_lookup=72, cokernel_built=12),
+     dict(indexed=134, scanned=34)),
     (orders.auslander_bass_v_reduction, (2,),
      dict(attempted=56, fac_rejected=20, shifted_projective=16,
-          registry_lookup=12, cokernel_built=8)),
+          registry_lookup=12, cokernel_built=8),
+     dict(indexed=27, scanned=13)),
     (orders.cyclic_nakayama, (3, 5),
      dict(attempted=45, fac_rejected=15, shifted_projective=15,
-          registry_lookup=9, cokernel_built=6)),
+          registry_lookup=9, cokernel_built=6),
+     dict(indexed=21, scanned=9)),
 ], ids=["hereditary4", "auslander2", "nakayama35"])
-def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts):
+def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lookups):
     # Hom(U, X) and its images are computed only for the attempts that find
     # neither a vacant vertex nor a registered partner; here each of them
     # builds a module.  The counts equal those of deciding every attempt by
-    # the Fac test.
+    # the Fac test.  The registry is scanned for a partner only where no
+    # recorded pair has the facet; the routes are told apart by the index
+    # itself, not by the workspace counters.
     spans, misses = [], []
+    routes = {"indexed": 0, "scanned": 0}
     images_span = rm.images_span
     partner = SiltingWorkspace.registered_partner
 
@@ -387,6 +444,8 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts):
         return images_span(maps, x)
 
     def counting_partner(self, x, rest, proj_part):
+        known = set(self.registry.completions(rest, proj_part)) - {x}
+        routes["indexed" if known else "scanned"] += 1
         got = partner(self, x, rest, proj_part)
         if got is None:
             misses.append(x)
@@ -398,6 +457,11 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts):
     assert eq.complete
     assert eq.stats["mutations"] == counts
     assert len(spans) == len(misses) == counts["cokernel_built"]
+    assert routes == eq.stats["partner_lookups"] == lookups
+    # every pair is recorded now, so each facet has both completions
+    again = ex.explore(eq.algebra, workspace=eq.workspace)
+    assert again.stats["partner_lookups"] == {"indexed": sum(lookups.values()),
+                                              "scanned": 0}
 
 
 def _approximation_cokernel_pieces(ws, pair, v):

@@ -179,6 +179,13 @@ def test_stats_count_mutations(build):
     nv = eq.algebra.quiver.n_vertices
     assert counts["cokernel_built"] == len(eq.workspace.registry) - nv
     assert "mutations" not in ex.to_json(eq)
+    # every attempt without a vacant vertex looks up its partner once, and
+    # each built cokernel follows a registry scan that found none
+    lookups = eq.stats["partner_lookups"]
+    assert lookups["indexed"] + lookups["scanned"] \
+        == counts["attempted"] - counts["shifted_projective"]
+    assert lookups["scanned"] >= counts["cokernel_built"]
+    assert "partner_lookups" not in ex.to_json(eq)
     # a second exploration over the warm workspace builds nothing
     again = ex.explore(eq.algebra, workspace=eq.workspace)
     assert again.stats["mutations"]["cokernel_built"] == 0

@@ -60,3 +60,65 @@ def test_traced_names_exist():
         if leaf not in namespace:
             missing.append(prefix)
     assert missing == []
+
+
+def _called(node, name):
+    # ``name(...)`` or ``<expr>.name(...)``
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == name) or \
+        (isinstance(func, ast.Attribute) and func.attr == name)
+
+
+def _scoped_calls(node, scope=()):
+    # (enclosing class and function names, call) for every call under ``node``
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _scoped_calls(child, inner)
+
+
+def _unvalidated_record_cone_calls(tree):
+    # a recorded pair answers later mutations through the facet index, so
+    # ``record_cone`` runs only in ``Registry.__init__`` (Lambda, Lambda[1])
+    # and in ``SiltingWorkspace.mutate_left`` after ``validate_silting_pair``
+    calls = list(_scoped_calls(tree))
+    for scope, call in calls:
+        if not _called(call, "record_cone"):
+            continue
+        where = ".".join(scope)
+        if where == "Registry.__init__":
+            continue
+        if where == "SiltingWorkspace.mutate_left" and any(
+                s == scope and _called(c, "validate_silting_pair") and c.lineno < call.lineno
+                for s, c in calls):
+            continue
+        yield where, call.lineno
+
+
+def test_record_cone_callers():
+    probe = ("class Registry:\n"
+             "    def __init__(self):\n"
+             "        self.record_cone((), ())\n"
+             "class SiltingWorkspace:\n"
+             "    def mutate_left(self, pair):\n"
+             "        self.registry.record_cone(pair, ())\n"
+             "        valid = self.validate_silting_pair(pair)\n"
+             "        self.registry.record_cone(pair, ())\n"
+             "    def mutate_right(self, pair):\n"
+             "        self.registry.record_cone(pair, ())\n"
+             "def free(reg):\n"
+             "    record_cone(reg)\n")
+    assert list(_unvalidated_record_cone_calls(ast.parse(probe))) == [
+        ("SiltingWorkspace.mutate_left", 6), ("SiltingWorkspace.mutate_right", 10),
+        ("free", 12)]
+    found, allowed = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} in {where}"
+                  for where, line in _unvalidated_record_cone_calls(tree)]
+        allowed += sum(_called(call, "record_cone") for _, call in _scoped_calls(tree))
+    assert found == []
+    assert allowed == 3     # Lambda and Lambda[1], then each mutation result

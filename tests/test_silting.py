@@ -197,6 +197,19 @@ def test_mutate_left_fac_rejection_builds_nothing(monkeypatch):
     assert len(ws.registry) == size
 
 
+def test_partner_index_refuses_a_third_completion():
+    # AIR Thm 2.18 allows two completions; a recorded third one is corruption
+    eq = ex.explore(orders.hereditary_reduction(3))
+    ws, reg = eq.workspace, eq.workspace.registry
+    pair = eq.nodes[0]
+    x, rest = pair.summands[0], pair.summands[1:]
+    y = ws.registered_partner(x, rest, pair.proj_part)
+    z = next(i for i in range(len(reg)) if i not in (x, y, *rest))
+    reg.record_cone(rest + (z,), pair.proj_part)
+    with pytest.raises(RuntimeError, match="all complete the facet"):
+        ws.registered_partner(x, rest, pair.proj_part)
+
+
 def test_mutation_strictly_descends(a2):
     lam = a2.lambda_pair()
     for at in range(2):
