@@ -317,45 +317,37 @@ def poset_isomorphic(a, b) -> bool:
         by_color_b.setdefault(col_b[j], []).append(j)
     # most-constrained-first: rare colors early
     order = sorted(range(n), key=lambda i: (len(by_color_b[col_a[i]]), col_a[i], i))
-    mapping = [-1] * n
-    used = [False] * n
+    mapping = [-1] * n   # a -> b
+    inverse = [-1] * n   # b -> a
 
-    def backtrack(k: int) -> bool:
-        if k == n:
-            return True
+    def fits(i: int, j: int) -> bool:
+        # every mapped neighbour of i maps to a neighbour of j, and back
+        return all(to[x] == -1 or to[x] in there
+                   for to, here, there in ((mapping, succ_a[i], succ_b[j]),
+                                           (mapping, pred_a[i], pred_b[j]),
+                                           (inverse, succ_b[j], succ_a[i]),
+                                           (inverse, pred_b[j], pred_a[i]))
+                   for x in here)
+
+    # depth-first search without recursion, one level per node: ``tried[k]``
+    # counts the candidates already tried for ``order[k]``, so the depth is
+    # not bounded by the interpreter's recursion limit
+    tried = [0] * n
+    k = 0
+    while 0 <= k < n:
         i = order[k]
-        for j in by_color_b[col_a[i]]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in succ_a[i]:
-                if mapping[i2] != -1 and mapping[i2] not in succ_b[j]:
-                    ok = False
-                    break
-            if ok:
-                for i2 in pred_a[i]:
-                    if mapping[i2] != -1 and mapping[i2] not in pred_b[j]:
-                        ok = False
-                        break
-            if ok:
-                for i2 in range(n):
-                    m2 = mapping[i2]
-                    if m2 == -1 or i2 == i:
-                        continue
-                    if (i in succ_a[i2]) != (j in succ_b[m2]):
-                        ok = False
-                        break
-                    if (i in pred_a[i2]) != (j in pred_b[m2]):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[i] = j
-            used[j] = True
-            if backtrack(k + 1):
-                return True
+        if mapping[i] != -1:   # back from a dead end below: undo and go on
+            inverse[mapping[i]] = -1
             mapping[i] = -1
-            used[j] = False
-        return False
-
-    return backtrack(0)
+        cands = by_color_b[col_a[i]]
+        while tried[k] < len(cands):
+            j = cands[tried[k]]
+            tried[k] += 1
+            if inverse[j] == -1 and fits(i, j):
+                mapping[i], inverse[j] = j, i
+                k += 1
+                break
+        else:
+            tried[k] = 0
+            k -= 1
+    return k == n

@@ -52,28 +52,14 @@ class TwoTermComplex:
             object.__setattr__(self, "_hash", h)
             return h
 
-    @property
-    def mult_0(self) -> tuple[int, ...]:
-        return _mult_vector(self.algebra, self.rows)
-
-    @property
-    def mult_neg1(self) -> tuple[int, ...]:
-        return _mult_vector(self.algebra, self.cols)
-
     def __repr__(self):
         return f"TwoTermComplex(rows={self.rows}, cols={self.cols})"
 
 
-def _mult_vector(alg: FiniteDimAlgebra, verts: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * alg.quiver.n_vertices
-    for v in verts:
-        out[v] += 1
-    return tuple(out)
-
-
 def g_vector(t: TwoTermComplex) -> tuple[int, ...]:
     """Class of the complex in the projective Grothendieck group."""
-    return tuple(a - b for a, b in zip(t.mult_0, t.mult_neg1))
+    return tuple(t.rows.count(v) - t.cols.count(v)
+                 for v in range(t.algebra.quiver.n_vertices))
 
 
 # ---- constructors -------------------------------------------------------------
@@ -104,23 +90,31 @@ def lambda_shift(alg: FiniteDimAlgebra) -> TwoTermComplex:
 
 
 def direct_sum(*parts: TwoTermComplex) -> TwoTermComplex:
+    return _glue(parts, {})
+
+
+def _glue(parts: tuple[TwoTermComplex, ...],
+          links: dict[tuple[int, int], AlgebraElement]) -> TwoTermComplex:
+    """Direct sum of ``parts`` in order, plus the blocks ``links[(r, c)]``.
+
+    ``links`` places extra blocks at global block coordinates, off the
+    diagonal summands; the completions put their approximation maps there,
+    which makes the sum their mapping cone.
+    """
     if not parts:
         raise AssertionError("need at least one summand")
     alg = parts[0].algebra
     rows = tuple(v for t in parts for v in t.rows)
     cols = tuple(v for t in parts for v in t.cols)
-    blocks = []
-    for ti, t in enumerate(parts):
-        for r in range(len(t.rows)):
-            row = []
-            for tj, u in enumerate(parts):
-                for c in range(len(u.cols)):
-                    if ti == tj:
-                        row.append(t.d[r][c])
-                    else:
-                        row.append(alg.zero_elem(t.rows[r], u.cols[c]))
-            blocks.append(tuple(row))
-    return TwoTermComplex(alg, rows, cols, tuple(blocks))
+    blocks = [[alg.zero_elem(rv, cv) for cv in cols] for rv in rows]
+    r0 = c0 = 0
+    for t in parts:
+        for r, row in enumerate(t.d):
+            blocks[r0 + r][c0:c0 + len(row)] = row
+        r0, c0 = r0 + len(t.rows), c0 + len(t.cols)
+    for (r, c), elem in links.items():
+        blocks[r][c] = elem
+    return TwoTermComplex(alg, rows, cols, blocks)
 
 
 # ---- representation view ------------------------------------------------------
@@ -174,21 +168,24 @@ def _hom_entries(alg: FiniteDimAlgebra, tverts, sverts):
     return out
 
 
-def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
-    """Whether every degree-1 morphism ``p -> q[1]`` is null-homotopic.
+def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int, int]]:
+    """Block entries ``(row, col, gid)`` of ``Hom(P_-1, Q_0)`` that descend to
+    a basis of ``Hom(p, q[1])`` in the homotopy category.
 
-    The obstruction space is the cokernel of
-    ``(f, g) -> g . d_p - d_q . f`` landing in ``Hom(P_-1, Q_0)``; the test
-    is one surjectivity rank computation on the complexes themselves.  It is
-    ``silt_leq``, and the tier-1 reference for ``is_presilting``, which reads
-    the same space off ``H^0(q)``.
+    ``Hom(p, q[1])`` is the cokernel of ``(f, g) -> g . d_p - d_q . f``
+    landing in ``Hom(P_-1, Q_0)``.  The coordinates outside the pivots of
+    that image span a complement of it, so their unit vectors are the basis
+    returned.  This is the one place the shifted-Hom matrix is built: the
+    silting order reads its emptiness, and both completions read their
+    approximation copies off it (Adachi-Iyama-Reiten, arXiv:1210.1036,
+    Sections 2-3).
     """
     if p.algebra is not q.algebra:
         raise ValueError("complexes live over different algebras")
     alg = p.algebra
     cod = _hom_entries(alg, q.rows, p.cols)
     if not cod:
-        return True
+        return []
     cod_pos = {key: n for n, key in enumerate(cod)}
     dom_f = _hom_entries(alg, q.cols, p.cols)   # f : P_-1 -> Q_-1
     dom_g = _hom_entries(alg, q.rows, p.rows)   # g : P_0  -> Q_0
@@ -208,7 +205,18 @@ def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
             prod = elem * p.d[j][m]
             for g2, c in prod.coeffs.items():
                 mat[cod_pos[(i, m, g2)], off + n] = c % alg.p
-    return em.rank(mat, alg.p) == len(cod)
+    pivots = set(em.rref(mat.T, alg.p)[1])
+    return [key for n, key in enumerate(cod) if n not in pivots]
+
+
+def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
+    """Whether every degree-1 morphism ``p -> q[1]`` is null-homotopic.
+
+    That is, ``shift_hom_basis(p, q)`` is empty.  It is ``silt_leq``, and
+    the tier-1 reference for ``is_presilting``, which reads the same space
+    off ``H^0(q)``.
+    """
+    return not shift_hom_basis(p, q)
 
 
 def hom_onto(pres: TwoTermComplex, m: rm.Rep) -> bool:
@@ -301,105 +309,48 @@ def h0(t: TwoTermComplex) -> rm.Rep:
 # ---- completions ---------------------------------------------------------------
 
 
-def _coker_free_indices(mat: np.ndarray, p: int) -> list[int]:
-    """Standard coordinates that descend to a basis of the cokernel."""
-    _, pivots = em.rref(mat.T % p, p)
-    pivot_set = set(pivots)
-    return [k for k in range(mat.shape[0]) if k not in pivot_set]
-
-
 def bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
     """Maximal completion: add the co-cone of a right approximation of ``L[1]``.
 
-    ``Hom(t, P_v[1])`` is the cokernel of composing with the differential;
-    lifted basis vectors assemble the approximation, whose shifted cone is
-    glued onto ``t``, reduced, and validated.
+    Each basis entry ``(0, j, gid)`` of ``shift_hom_basis(t, P_v)`` is one
+    map ``t -> P_v[1]``; the approximation sums them.  Its shifted cone is
+    ``t + t^m + Lambda`` with the entry glued from the ``k``-th copy of ``t``
+    to ``P_v``, reduced and validated.
     """
     alg = t.algebra
-    nv = alg.quiver.n_vertices
-    copies = []  # (vertex v, block col j, gid) one per approximation copy
-    for v in range(nv):
-        entries = _hom_entries(alg, (v,), t.cols)
-        if not entries:
-            continue
-        pos = {key: n for n, key in enumerate(entries)}
-        dom = _hom_entries(alg, (v,), t.rows)
-        mat = em.zeros(len(entries), len(dom))
-        for n, (_, i, gid) in enumerate(dom):
-            elem = alg.basis_elem(gid)  # phi_i in Hom(P_rows[i], P_v)
-            for j in range(len(t.cols)):
-                prod = elem * t.d[i][j]
-                for g2, c in prod.coeffs.items():
-                    mat[pos[(0, j, g2)], n] = c % alg.p
-        for k in _coker_free_indices(mat, alg.p):
-            _, j, gid = entries[k]
-            copies.append((v, j, gid))
-
-    m = len(copies)
-    rows = list(t.rows) + list(t.rows) * m + list(range(nv))
-    cols = list(t.cols) + list(t.cols) * m
-    nr0, nc0 = len(t.rows), len(t.cols)
-    blocks = [[alg.zero_elem(rv, cv) for cv in cols] for rv in rows]
-    for r in range(nr0):
-        for c in range(nc0):
-            blocks[r][c] = t.d[r][c]
-    for k in range(m):
-        for r in range(nr0):
-            for c in range(nc0):
-                blocks[nr0 + k * nr0 + r][nc0 + k * nc0 + c] = t.d[r][c]
-    for k, (v, j, gid) in enumerate(copies):
-        blocks[nr0 + m * nr0 + v][nc0 + k * nc0 + j] = alg.basis_elem(gid)
-    result = TwoTermComplex(alg, tuple(rows), tuple(cols),
-                            tuple(tuple(r) for r in blocks))
-    result = minimality_reduce(result)
-    if not is_silting(result, registry):
-        raise RuntimeError("Bongartz completion failed silting validation")
-    return result
+    copies = [(v, j, gid) for v in range(alg.quiver.n_vertices)
+              for _, j, gid in shift_hom_basis(t, stalk(alg, v))]
+    m, nr, nc = len(copies), len(t.rows), len(t.cols)
+    links = {((m + 1) * nr + v, (k + 1) * nc + j): alg.basis_elem(gid)
+             for k, (v, j, gid) in enumerate(copies)}
+    return _silting_or_raise(_glue((t,) * (m + 1) + (lambda_stalk(alg),), links),
+                             registry, "Bongartz")
 
 
 def co_bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
-    """Minimal completion: add the cone of a left approximation of ``L``."""
-    alg = t.algebra
-    nv = alg.quiver.n_vertices
-    copies = []  # (vertex v, block row i, gid)
-    for v in range(nv):
-        entries = _hom_entries(alg, t.rows, (v,))   # u0 : P_v -> P_0
-        if not entries:
-            continue
-        pos = {key: n for n, key in enumerate(entries)}
-        dom = _hom_entries(alg, t.cols, (v,))       # s : P_v -> P_-1
-        mat = em.zeros(len(entries), len(dom))
-        for n, (j, _, gid) in enumerate(dom):
-            elem = alg.basis_elem(gid)
-            for i in range(len(t.rows)):
-                prod = t.d[i][j] * elem
-                for g2, c in prod.coeffs.items():
-                    mat[pos[(i, 0, g2)], n] = c % alg.p
-        for k in _coker_free_indices(mat, alg.p):
-            i, _, gid = entries[k]
-            copies.append((v, i, gid))
+    """Minimal completion: add the cone of a left approximation of ``L``.
 
-    # the cone of L -> p^m has all of L in degree -1; vertices that receive
-    # no approximation copy survive as shifted stalks
-    m = len(copies)
-    rows = list(t.rows) + list(t.rows) * m
-    cols = list(t.cols) + list(range(nv)) + list(t.cols) * m
-    nr0, nc0 = len(t.rows), len(t.cols)
-    blocks = [[alg.zero_elem(rv, cv) for cv in cols] for rv in rows]
-    for r in range(nr0):
-        for c in range(nc0):
-            blocks[r][c] = t.d[r][c]
-    for k in range(m):
-        for r in range(nr0):
-            for c in range(nc0):
-                blocks[nr0 + k * nr0 + r][nc0 + nv + k * nc0 + c] = t.d[r][c]
-    for k, (v, i, gid) in enumerate(copies):
-        blocks[nr0 + k * nr0 + i][nc0 + v] = alg.basis_elem(gid)
-    result = TwoTermComplex(alg, tuple(rows), tuple(cols),
-                            tuple(tuple(r) for r in blocks))
-    result = minimality_reduce(result)
+    Each basis entry ``(i, 0, gid)`` of ``shift_hom_basis(P_v[1], t)`` is one
+    map ``P_v -> t``; the approximation sums them.  Its cone is
+    ``t + Lambda[1] + t^m`` with the entry glued from ``P_v`` to the ``k``-th
+    copy of ``t``.  All of ``Lambda`` sits in degree -1, so vertices that get
+    no copy survive as shifted stalks.
+    """
+    alg = t.algebra
+    copies = [(v, i, gid) for v in range(alg.quiver.n_vertices)
+              for i, _, gid in shift_hom_basis(shifted_stalk(alg, v), t)]
+    m, nr, nc = len(copies), len(t.rows), len(t.cols)
+    links = {((k + 1) * nr + i, nc + v): alg.basis_elem(gid)
+             for k, (v, i, gid) in enumerate(copies)}
+    return _silting_or_raise(_glue((t, lambda_shift(alg)) + (t,) * m, links),
+                             registry, "co-Bongartz")
+
+
+def _silting_or_raise(glued: TwoTermComplex, registry, name: str) -> TwoTermComplex:
+    """The reduced glued cone; it must be silting, or the completion raises."""
+    result = minimality_reduce(glued)
     if not is_silting(result, registry):
-        raise RuntimeError("co-Bongartz completion failed silting validation")
+        raise RuntimeError(f"{name} completion failed silting validation")
     return result
 
 

@@ -122,3 +122,27 @@ def test_record_cone_callers():
         allowed += sum(_called(call, "record_cone") for _, call in _scoped_calls(tree))
     assert found == []
     assert allowed == 3     # Lambda and Lambda[1], then each mutation result
+
+
+def _hom_entries_outside_shift_hom_basis(tree):
+    # the shifted-Hom matrix is built in ``shift_hom_basis`` alone; the
+    # silting order and both completions read it from there
+    for scope, call in _scoped_calls(tree):
+        if _called(call, "_hom_entries") and scope != ("shift_hom_basis",):
+            yield ".".join(scope), call.lineno
+
+
+def test_shift_hom_matrix_built_once():
+    probe = ("def shift_hom_basis(p, q):\n"
+             "    return _hom_entries(a, q.rows, p.cols)\n"
+             "def bongartz_completion(t):\n"
+             "    return _hom_entries(a, (0,), t.cols)\n"
+             "def helper():\n"
+             "    def inner():\n"
+             "        return tt._hom_entries(a, (), ())\n")
+    assert list(_hom_entries_outside_shift_hom_basis(ast.parse(probe))) == [
+        ("bongartz_completion", 4), ("helper.inner", 7)]
+    path = ROOT / "src" / "silt" / "twoterm.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_hom_entries_outside_shift_hom_basis(tree)) == []
+    assert sum(_called(call, "_hom_entries") for _, call in _scoped_calls(tree)) == 3

@@ -162,3 +162,21 @@ def test_reduction_invariance_n1():
     doubled = ex.explore(orders.cyclic_nakayama(1, 2))
     assert len(doubled.nodes) == 2
     assert orders.poset_isomorphic(base, doubled)
+
+
+def _fan(middle, extra=()):
+    # source 0 -> each of 1..middle -> sink middle + 1, plus ``extra`` edges
+    edges = [(0, i) for i in range(1, middle + 1)]
+    edges += [(i, middle + 1) for i in range(1, middle + 1)]
+    return middle + 2, edges + list(extra)
+
+
+def test_poset_isomorphic_deeper_than_the_recursion_limit():
+    # the search places one node per level: 1500 levels
+    fan = _fan(1498)
+    assert orders.poset_isomorphic(fan, fan)
+    n, edges = _fan(1498, [(1, 2)])
+    relabel = {0: 0, n - 1: n - 1, **{i: n - 1 - i for i in range(1, n - 1)}}
+    moved = (n, [(relabel[u], relabel[v]) for u, v in reversed(edges)])
+    assert orders.poset_isomorphic((n, edges), moved)
+    assert not orders.poset_isomorphic(fan, (n, edges))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
@@ -184,6 +186,18 @@ def test_pair_of_roundtrip_on_completion(a2):
     assert ws.pair_of(got) == ws.make_pair((0, s1), ())
 
 
+def _almost_complete(eq):
+    """Complexes of every pair one summand short of a node of ``eq``."""
+    ws = eq.workspace
+    for node in eq.nodes:
+        for k in range(len(node.summands)):
+            yield ws.complex_of(ws.make_pair(
+                node.summands[:k] + node.summands[k + 1:], node.proj_part))
+        for k in range(len(node.proj_part)):
+            yield ws.complex_of(ws.make_pair(
+                node.summands, node.proj_part[:k] + node.proj_part[k + 1:]))
+
+
 def test_complex_repmap_validates(a2):
     # the evaluated differential is a genuine homomorphism of representations
     neg1, deg0, dmap = tt.complex_repmap(pres_s1(a2))
@@ -204,17 +218,7 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(tt, "is_presilting", counted)
-    completions = []
-    for node in eq.nodes:
-        for k in range(len(node.summands)):
-            rest = ws.make_pair(node.summands[:k] + node.summands[k + 1:],
-                                node.proj_part)
-            completions.append(ws.complex_of(rest))
-        for k in range(len(node.proj_part)):
-            rest = ws.make_pair(node.summands,
-                                node.proj_part[:k] + node.proj_part[k + 1:])
-            completions.append(ws.complex_of(rest))
-    completions = [f(t, reg) for t in completions
+    completions = [f(t, reg) for t in _almost_complete(eq)
                    for f in (tt.bongartz_completion, tt.co_bongartz_completion)]
     assert len(completions) == 144
     # one check per distinct reduced complex, not one per completion
@@ -251,6 +255,41 @@ def explorations():
 def families(explorations):
     """Registries of three explorations, each holding every node summand."""
     return {name: eq.workspace.registry for name, eq in explorations.items()}
+
+
+def test_completions_match_parent_digest(explorations):
+    # both completions of all 192 almost-complete pairs, block for block;
+    # the digest was recorded before the completions read their copies off
+    # shift_hom_basis and glued their cones through one direct sum
+    h, count = hashlib.sha256(), 0
+    for eq in explorations.values():
+        for t in _almost_complete(eq):
+            for f in (tt.bongartz_completion, tt.co_bongartz_completion):
+                got = f(t, eq.workspace.registry)
+                h.update(repr((got.rows, got.cols,
+                               tuple(tuple(sorted(e.coeffs.items()))
+                                     for row in got.d for e in row))).encode())
+                count += 1
+    assert count == 384
+    assert h.hexdigest() == \
+        "1edf8e4eca05ea4e3339f09ddfa07572dd7c0723d5d42dc33834b4de77bdf669"
+
+
+def test_shift_hom_basis_against_h0_and_hom_onto(explorations):
+    # Hom(P_v[1], t[1]) = Hom(P_v, H^0 t) has dimension dim H^0(t)_v, and
+    # Hom(t, P_v[1]) is the cokernel of Hom(d_t, P_v); neither reference
+    # builds the homotopy quotient
+    checks = 0
+    for eq in explorations.values():
+        alg = eq.algebra
+        for t in _almost_complete(eq):
+            dims = tt.h0(t).dims
+            for v in range(alg.quiver.n_vertices):
+                assert len(tt.shift_hom_basis(tt.shifted_stalk(alg, v), t)) == dims[v]
+                assert bool(tt.shift_hom_basis(t, tt.stalk(alg, v))) == \
+                    (not tt.hom_onto(t, alg.projective(v)))
+                checks += 2
+    assert checks == 1152
 
 
 @st.composite
@@ -359,15 +398,9 @@ def test_reduce_equals_full_schur_update_on_glued_completions(explorations, name
         return real(t)
 
     monkeypatch.setattr(tt, "minimality_reduce", recorded)
-    for node in eq.nodes:
-        parts = [(node.summands[:k] + node.summands[k + 1:], node.proj_part)
-                 for k in range(len(node.summands))]
-        parts += [(node.summands, node.proj_part[:k] + node.proj_part[k + 1:])
-                  for k in range(len(node.proj_part))]
-        for summands, proj_part in parts:
-            rest = ws.complex_of(ws.make_pair(summands, proj_part))
-            tt.bongartz_completion(rest, ws.registry)
-            tt.co_bongartz_completion(rest, ws.registry)
+    for rest in _almost_complete(eq):
+        tt.bongartz_completion(rest, ws.registry)
+        tt.co_bongartz_completion(rest, ws.registry)
     monkeypatch.undo()
     steps = 0
     for t in seen.values():
