@@ -285,6 +285,7 @@ class FiniteDimAlgebra:
         self._zeros: dict[tuple[int, int], AlgebraElement] = {}
         self._projectives: dict[int, object] = {}
         self._simples: dict[int, object] = {}
+        self._stalks: dict[tuple, object] = {}   # silt.twoterm._stalk_complex
 
     # ---- basis bookkeeping -------------------------------------------------
 

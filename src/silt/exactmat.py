@@ -5,11 +5,15 @@ Pivoting is deterministic (first nonzero entry scanning left to right), so
 bases, solutions and kernels are reproducible across runs and platforms;
 everything downstream relies on that for canonical output.
 
-A product of two reduced matrices with inner dimension ``k`` sums ``k``
-terms below ``(p - 1)**2``, so ``int64`` arithmetic is exact while
-``k * (p - 1)**2 < 2**63``.  ``check_field_prime`` therefore admits only
-primes below ``2**26``, which keeps every product with inner dimension up
-to 2048 exact; no arbitrary-precision arithmetic is needed.
+Elimination (``rref``, ``rank``, ``kernel_basis``, ``solve_right``) runs
+on rows of Python ints, so it is exact for any prime.  The bound that
+``check_field_prime`` enforces protects the ``int64`` products: ``matmul``,
+the broadcast products in ``repmod.hom_basis`` and
+``SiltingWorkspace._composition_compute``, and
+``SiltingWorkspace.order_matrix``.  A product of two reduced matrices with
+inner dimension ``k`` sums ``k`` terms below ``(p - 1)**2``, so it is exact
+while ``k * (p - 1)**2 < 2**63``; primes below ``2**26`` keep every product
+with inner dimension up to 2048 exact.
 """
 
 from __future__ import annotations
@@ -77,35 +81,50 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    a = m % p
-    nr, nc = a.shape
+def _eliminate(rows: list[list[int]], ncols: int, p: int, full: bool) -> list[int]:
+    """Row-reduce ``rows``, lists of ints in ``[0, p)``, in place; return the pivots.
+
+    With ``full`` the rows end in reduced row echelon form; without it rows
+    above a pivot are left as they are, which keeps the pivot columns.  A
+    pivot row is zero left of its pivot, so an update touches only its
+    nonzero columns.
+    """
+    nr = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(nc):
+    for c in range(ncols):
         if r == nr:
             break
-        piv = None
-        for i in range(r, nr):
-            if a[i, c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        for i in range(nr):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        prow = rows[piv]
+        rows[piv], rows[r] = rows[r], prow
+        inv = pow(prow[c], p - 2, p)
+        nz = [(j, prow[j] * inv % p) for j in range(c, ncols) if prow[j]]
+        for j, x in nz:
+            prow[j] = x
+        for i in range(0 if full else r + 1, nr):
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j, x in nz:
+                    row[j] = (row[j] - f * x) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots
+
+
+def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    nr, nc = m.shape
+    rows = (m % p).tolist()
+    pivots = _eliminate(rows, nc, p, True)
+    return np.array(rows, dtype=np.int64).reshape(nr, nc), pivots
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    return len(rref(m, p)[1])
+    return len(_eliminate((m % p).tolist(), m.shape[1], p, False))
 
 
 def solve_right(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -116,13 +135,13 @@ def solve_right(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
     n = a.shape[1]
-    aug = np.concatenate([a % p, b % p], axis=1)
-    r, pivots = rref(aug, p)
-    if any(c >= n for c in pivots):
+    rows = np.concatenate([a % p, b % p], axis=1).tolist()
+    pivots = _eliminate(rows, n + b.shape[1], p, True)
+    if pivots and pivots[-1] >= n:
         return None
     x = zeros(n, b.shape[1])
-    for row, c in enumerate(pivots):
-        x[c] = r[row, n:]
+    if pivots:
+        x[pivots] = [row[n:] for row in rows[:len(pivots)]]
     return x
 
 
@@ -132,15 +151,16 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     Free variables get unit values in ascending column order, so the result
     is canonical for a given matrix.
     """
-    r, pivots = rref(m, p)
     nc = m.shape[1]
+    rows = (m % p).tolist()
+    pivots = _eliminate(rows, nc, p, True)
     pivot_set = set(pivots)
     free = [c for c in range(nc) if c not in pivot_set]
     out = zeros(nc, len(free))
     for k, f in enumerate(free):
         out[f, k] = 1
-        for row, c in enumerate(pivots):
-            out[c, k] = (-r[row, f]) % p
+    if pivots and free:
+        out[pivots] = [[-row[f] % p for f in free] for row in rows[:len(pivots)]]
     return out
 
 

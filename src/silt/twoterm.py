@@ -65,14 +65,24 @@ def g_vector(t: TwoTermComplex) -> tuple[int, ...]:
 # ---- constructors -------------------------------------------------------------
 
 
+def _stalk_complex(alg: FiniteDimAlgebra, rows: tuple, cols: tuple) -> TwoTermComplex:
+    """Zero differential on ``rows`` and ``cols``: one shared object per
+    algebra and summands, as a complex never changes once built."""
+    t = alg._stalks.get((rows, cols))
+    if t is None:
+        t = alg._stalks[(rows, cols)] = TwoTermComplex(
+            alg, rows, cols, tuple(() for _ in rows))
+    return t
+
+
 def stalk(alg: FiniteDimAlgebra, v: int) -> TwoTermComplex:
     """``0 -> P_v``."""
-    return TwoTermComplex(alg, (v,), (), ((),))
+    return _stalk_complex(alg, (v,), ())
 
 
 def shifted_stalk(alg: FiniteDimAlgebra, v: int) -> TwoTermComplex:
     """``P_v -> 0``."""
-    return TwoTermComplex(alg, (), (v,), ())
+    return _stalk_complex(alg, (), (v,))
 
 
 def zero_complex(alg: FiniteDimAlgebra) -> TwoTermComplex:
@@ -80,13 +90,11 @@ def zero_complex(alg: FiniteDimAlgebra) -> TwoTermComplex:
 
 
 def lambda_stalk(alg: FiniteDimAlgebra) -> TwoTermComplex:
-    verts = tuple(range(alg.quiver.n_vertices))
-    return TwoTermComplex(alg, verts, (), tuple(() for _ in verts))
+    return _stalk_complex(alg, tuple(range(alg.quiver.n_vertices)), ())
 
 
 def lambda_shift(alg: FiniteDimAlgebra) -> TwoTermComplex:
-    verts = tuple(range(alg.quiver.n_vertices))
-    return TwoTermComplex(alg, (), verts, ())
+    return _stalk_complex(alg, (), tuple(range(alg.quiver.n_vertices)))
 
 
 def direct_sum(*parts: TwoTermComplex) -> TwoTermComplex:
@@ -189,14 +197,15 @@ def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int
     cod_pos = {key: n for n, key in enumerate(cod)}
     dom_f = _hom_entries(alg, q.cols, p.cols)   # f : P_-1 -> Q_-1
     dom_g = _hom_entries(alg, q.rows, p.rows)   # g : P_0  -> Q_0
-    mat = em.zeros(len(cod), len(dom_f) + len(dom_g))
+    # the image matrix transposed: one row per domain basis element
+    image = [[0] * len(cod) for _ in range(len(dom_f) + len(dom_g))]
     for n, (i, j, gid) in enumerate(dom_f):
         # beta . f lands in block (k, j) as d_q[k][i] * elem
         elem = alg.basis_elem(gid)
         for k in range(len(q.rows)):
             prod = q.d[k][i] * elem
             for g2, c in prod.coeffs.items():
-                mat[cod_pos[(k, j, g2)], n] = (-c) % alg.p
+                image[n][cod_pos[(k, j, g2)]] = (-c) % alg.p
     off = len(dom_f)
     for n, (i, j, gid) in enumerate(dom_g):
         # g . alpha lands in block (i, m) as elem * d_p[j][m]
@@ -204,8 +213,8 @@ def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int
         for m in range(len(p.cols)):
             prod = elem * p.d[j][m]
             for g2, c in prod.coeffs.items():
-                mat[cod_pos[(i, m, g2)], off + n] = c % alg.p
-    pivots = set(em.rref(mat.T, alg.p)[1])
+                image[off + n][cod_pos[(i, m, g2)]] = c % alg.p
+    pivots = set(em._eliminate(image, len(cod), alg.p, False))
     return [key for n, key in enumerate(cod) if n not in pivots]
 
 

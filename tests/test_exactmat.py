@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from silt import exactmat as em
 
@@ -102,18 +102,95 @@ def test_unimodular_inverse_matches_determinant(m):
         assert np.array_equal(np.array(m) @ inv, em.identity(len(m)))
 
 
-_primes = st.sampled_from([3, 5, 7, 11, 32003])
+# 67108859 is the largest prime check_field_prime admits
+_primes = st.sampled_from([3, 5, 7, 11, 32003, 67108859])
 
 
 @st.composite
-def _matrices(draw, max_dim=5):
+def _matrices(draw):
+    # entries come from a drawn seed, so a 30 x 60 matrix costs hypothesis
+    # one draw; ``density`` is the share of entries left nonzero
     p = draw(_primes)
-    r = draw(st.integers(0, max_dim))
-    c = draw(st.integers(0, max_dim))
-    entries = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
-                            min_size=r, max_size=r))
-    m = np.array(entries, dtype=np.int64).reshape(r, c)
-    return m, p
+    r = draw(st.integers(0, 30))
+    c = draw(st.integers(0, 60))
+    density = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(1, p, size=(r, c), dtype=np.int64)
+    return m * (rng.random((r, c)) < density), p
+
+
+def _reference_rref(m, p):
+    # the elimination on numpy rows that exactmat.rref replaced: every row
+    # is rewritten in full for every pivot
+    a = m % p
+    nr, nc = a.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = None
+        for i in range(r, nr):
+            if a[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        for i in range(nr):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _reference_kernel(m, p):
+    r, pivots = _reference_rref(m, p)
+    nc = m.shape[1]
+    free = [c for c in range(nc) if c not in pivots]
+    out = em.zeros(nc, len(free))
+    for k, f in enumerate(free):
+        out[f, k] = 1
+        for row, c in enumerate(pivots):
+            out[c, k] = (-r[row, f]) % p
+    return out
+
+
+def _reference_solve(a, b, p):
+    n = a.shape[1]
+    r, pivots = _reference_rref(np.concatenate([a % p, b % p], axis=1), p)
+    if any(c >= n for c in pivots):
+        return None
+    x = em.zeros(n, b.shape[1])
+    for row, c in enumerate(pivots):
+        x[c] = r[row, n:]
+    return x
+
+
+def _same(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_matrices(), st.integers(0, 60))
+@example((em.zeros(0, 7), 5), 3)
+@example((em.zeros(7, 0), 5), 0)
+def test_elimination_matches_reference(mp, split):
+    m, p = mp
+    want, want_piv = _reference_rref(m, p)
+    got, piv = em.rref(m, p)
+    assert _same(got, want) and piv == want_piv
+    assert em.rank(m, p) == len(want_piv)
+    assert _same(em.kernel_basis(m, p), _reference_kernel(m, p))
+    # the columns from ``split`` on as right-hand sides: consistent and
+    # inconsistent systems both occur
+    a, b = m[:, :split], m[:, split:]
+    x, want_x = em.solve_right(a, b, p), _reference_solve(a, b, p)
+    assert (x is None) == (want_x is None)
+    assert x is None or _same(x, want_x)
 
 
 @settings(deadline=None)
@@ -141,14 +218,12 @@ def test_kernel_vectors_annihilate(mp):
 
 
 @settings(deadline=None)
-@given(_matrices(max_dim=4), st.data())
+@given(_matrices(), st.data())
 def test_solve_right_exact(mp, data):
     a, p = mp
     cols = data.draw(st.integers(0, 3))
-    x_true = np.array(
-        data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
-                           min_size=a.shape[1], max_size=a.shape[1])),
-        dtype=np.int64).reshape(a.shape[1], cols)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x_true = rng.integers(0, p, size=(a.shape[1], cols), dtype=np.int64)
     b = em.matmul(a, x_true, p)
     x = em.solve_right(a, b, p)
     assert x is not None

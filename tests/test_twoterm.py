@@ -39,6 +39,19 @@ def test_g_vector(a2):
     assert tt.g_vector(pres_s1(a2)) == (1, -1)
 
 
+def test_stalks_are_shared(a2):
+    # one stalk complex per algebra and summands: the completions ask for
+    # the same stalks on every request
+    assert tt.stalk(a2, 0) is tt.stalk(a2, 0)
+    assert tt.stalk(a2, 0) is not tt.stalk(a2, 1)
+    assert tt.shifted_stalk(a2, 1) is tt.shifted_stalk(a2, 1)
+    assert tt.lambda_stalk(a2) is tt.lambda_stalk(a2)
+    assert tt.lambda_shift(a2) is tt.lambda_shift(a2)
+    assert tt.stalk(a2, 0) is not tt.stalk(a2_algebra(), 0)
+    s = tt.shifted_stalk(a2, 1)
+    assert (s.rows, s.cols, s.d) == ((), (1,), ())
+
+
 def test_hom_shift_vanishes_trivial(a2):
     p = pres_s1(a2)
     assert tt.hom_shift_vanishes(p, tt.zero_complex(a2))
