@@ -191,32 +191,6 @@ def invert(m: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def int_det(m) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [[int(x) for x in row] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def unimodular_inverse(m) -> np.ndarray | None:
     """Exact inverse of a square integer matrix of determinant +-1, else ``None``.
 

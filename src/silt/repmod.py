@@ -383,11 +383,6 @@ def _copy_offsets(alg: FiniteDimAlgebra, verts: tuple[int, ...]) -> list[tuple[i
     return out
 
 
-def fac_contains(generators: Rep, x: Rep) -> bool:
-    """Whether ``x`` is a factor of a finite direct sum of the generators."""
-    return images_span(hom_basis(generators, x), x)
-
-
 def images_span(maps: list[RepMap], x: Rep) -> bool:
     """Whether the images of ``maps``, all into ``x``, together span ``x``."""
     for v, d in enumerate(x.dims):

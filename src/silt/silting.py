@@ -19,7 +19,7 @@ registry only grows:
   one case in which it may build a module.
 - ``rigid(i, j)``: the rigidity pairing, ``twoterm.hom_onto`` of the
   minimal presentation of ``i`` against the module ``j``, per ordered id
-  pair; ``twoterm.is_presilting`` runs the same test on whole complexes.
+  pair; ``twoterm.is_presilting`` runs the same test on component pairs.
   The whole partial order on discovered pairs, and the rigidity step of
   validation, reduce to lookups in this table plus a support condition.
 - ``composition(x, k, t)``: the coordinates of every composite
@@ -44,7 +44,13 @@ which is hashed once and matches its memo key by identity:
   is not presilting, or lies in no recorded cone, raises ``ValueError``;
   nothing is stored, so the next call, when more cones may be recorded,
   computes afresh.
-- ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.
+- ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
+  runs its loop over ordered pairs of ``twoterm.components`` through two
+  more memos, keyed by component: ``H^0`` of each, and ``hom_onto(A,
+  H^0 B)`` of each ordered pair.  Hom is additive and ``Hom(A, B[1])`` is
+  the cokernel of ``Hom(d_A, H^0 B)`` (Adachi-Iyama-Reiten, arXiv:1210.1036,
+  Section 3), so the pairs give the verdict of the whole complex, and the
+  completions share most of their components.
 
 Next to the cone table the ``Registry`` indexes the recorded pairs by facet:
 
@@ -110,6 +116,8 @@ class Registry:
         self._decomp: dict[tt.TwoTermComplex,
                            tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._presilting: dict[tt.TwoTermComplex, bool] = {}
+        self._h0: dict[tt.TwoTermComplex, rm.Rep] = {}
+        self._pair_onto: dict[tuple[tt.TwoTermComplex, tt.TwoTermComplex], bool] = {}
         nv = algebra.quiver.n_vertices
         self._cones: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
         self._cone_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -262,12 +270,23 @@ class Registry:
         """``twoterm.is_presilting(t)``, memoised per reduced complex.
 
         A contractible summand changes no Hom in the homotopy category, so
-        the reduced complex has the verdict of ``t``.
+        the reduced complex has the verdict of ``t``.  A miss tests its
+        component pairs through ``_onto``, memoised across complexes.
         """
         red = tt.minimality_reduce(t)
         got = self._presilting.get(red)
         if got is None:
-            got = self._presilting[red] = tt.is_presilting(red)
+            got = self._presilting[red] = tt.is_presilting(red, self._onto)
+        return got
+
+    def _onto(self, a: tt.TwoTermComplex, b: tt.TwoTermComplex) -> bool:
+        """``hom_onto(a, h0(b))`` per ordered component pair, with ``h0(b)`` memoised."""
+        got = self._pair_onto.get((a, b))
+        if got is None:
+            m = self._h0.get(b)
+            if m is None:
+                m = self._h0[b] = tt.h0(b)
+            got = self._pair_onto[a, b] = tt.hom_onto(a, m)
         return got
 
 

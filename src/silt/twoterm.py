@@ -249,16 +249,62 @@ def hom_onto(pres: TwoTermComplex, m: rm.Rep) -> bool:
     return em.rank(mat, m.algebra.p) == cod
 
 
-def is_presilting(p: TwoTermComplex) -> bool:
-    """Self-rigidity, as ``hom_onto(p, h0(p))``.
+def is_presilting(p: TwoTermComplex, onto=None) -> bool:
+    """Self-rigidity, one ordered pair of direct-sum components at a time.
 
     For two-term complexes only the first shift can obstruct, and
-    ``Hom(p, p[1])`` is the cokernel of ``Hom(d_p, H^0 p)``.  With ``p`` the
-    minimal presentation of ``M`` plus ``Q[1]``, the test is that ``M`` is
-    tau-rigid and ``Hom(Q, M) = 0`` at once (Adachi-Iyama-Reiten,
-    arXiv:1210.1036, Section 3).
+    ``Hom(A, B[1])`` is the cokernel of ``Hom(d_A, H^0 B)``, since both
+    terms of ``A`` are projective (Adachi-Iyama-Reiten, arXiv:1210.1036,
+    Section 3).  Hom is additive in both arguments, so ``p`` is presilting
+    exactly when ``onto(A, B)``, that is ``hom_onto(A, h0(B))``, holds for
+    every ordered pair of its ``components``.  The registry passes its
+    memoised pair test as ``onto``; components recur from one completion
+    to the next.
     """
-    return hom_onto(p, h0(p))
+    parts = components(p)
+    if onto is None:
+        tops = {b: h0(b) for b in parts}
+
+        def onto(a, b):
+            return hom_onto(a, tops[b])
+    return all(onto(a, b) for a in parts for b in parts)
+
+
+def components(t: TwoTermComplex) -> list[TwoTermComplex]:
+    """The distinct direct-sum components of ``t``, in first-appearance order.
+
+    Block rows and columns joined by nonzero blocks form one component, so
+    a zero row or column is a stalk of its own.  Components equal by value
+    are kept once; the order is that of each component's first row, or of
+    its column for a shifted stalk.
+    """
+    nr = len(t.rows)
+    root = list(range(nr + len(t.cols)))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for r, row in enumerate(t.d):
+        for c, entry in enumerate(row):
+            if not entry.is_zero():
+                root[find(nr + c)] = find(r)
+    members: dict[int, tuple[list[int], list[int]]] = {}
+    for x in range(len(root)):
+        rs, cs = members.setdefault(find(x), ([], []))
+        if x < nr:
+            rs.append(x)
+        else:
+            cs.append(x - nr)
+    parts = {}
+    for rs, cs in members.values():
+        rows, cols = tuple(t.rows[r] for r in rs), tuple(t.cols[c] for c in cs)
+        part = (_stalk_complex(t.algebra, rows, cols) if not (rs and cs) else
+                TwoTermComplex(t.algebra, rows, cols,
+                               tuple(tuple(t.d[r][c] for c in cs) for r in rs)))
+        parts[part] = None
+    return list(parts)
 
 
 def silt_leq(p: TwoTermComplex, q: TwoTermComplex) -> bool:

@@ -18,6 +18,7 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
+from oracles import int_det
 from test_algebra import a2_algebra
 
 
@@ -262,7 +263,6 @@ def _almost_complete_pairs(eq):
 
 
 def test_criterion_9_unimodular_g_vectors(runs):
-    from silt.exactmat import int_det
     with criterion(9, "summand g-vectors of every discovered silting complex "
                       "are unimodular"):
         for eq in runs.values():

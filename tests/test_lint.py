@@ -146,3 +146,33 @@ def test_shift_hom_matrix_built_once():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert list(_hom_entries_outside_shift_hom_basis(tree)) == []
     assert sum(_called(call, "_hom_entries") for _, call in _scoped_calls(tree)) == 3
+
+
+def _h0_calls_off_the_presilting_route(tree):
+    # H^0 of a component is memoised by the registry's pair test; the only
+    # other caller is the unmemoised default of ``twoterm.is_presilting``
+    for scope, call in _scoped_calls(tree):
+        if _called(call, "h0") and scope not in (("is_presilting",), ("Registry", "_onto")):
+            yield ".".join(scope), call.lineno
+
+
+def test_h0_callers():
+    probe = ("def is_presilting(p):\n"
+             "    return h0(p)\n"
+             "class Registry:\n"
+             "    def _onto(self, a, b):\n"
+             "        return tt.h0(b)\n"
+             "    def decompose(self, t):\n"
+             "        return tt.h0(t)\n"
+             "def pair_of(t):\n"
+             "    return split(h0(t))\n")
+    assert list(_h0_calls_off_the_presilting_route(ast.parse(probe))) == [
+        ("Registry.decompose", 7), ("pair_of", 9)]
+    found, allowed = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} in {where}"
+                  for where, line in _h0_calls_off_the_presilting_route(tree)]
+        allowed += sum(_called(call, "h0") for _, call in _scoped_calls(tree))
+    assert found == []
+    assert allowed == 2     # the registry's memo and the unmemoised default

@@ -223,19 +223,33 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     eq = ex.explore(orders.auslander_bass_v_reduction(2))
     ws = eq.workspace
     reg = ws.registry
-    checked = []
-    real = tt.is_presilting
+    checked, tops, pairs = [], {}, []
+    real, real_h0, real_onto = tt.is_presilting, tt.h0, tt.hom_onto
 
-    def counted(t):
+    def counted(t, *args):
         checked.append(t)
-        return real(t)
+        return real(t, *args)
+
+    def counted_h0(t):
+        tops[id(m := real_h0(t))] = t
+        return m
+
+    def counted_onto(a, m):
+        pairs.append((a, tops[id(m)]))
+        return real_onto(a, m)
 
     monkeypatch.setattr(tt, "is_presilting", counted)
+    monkeypatch.setattr(tt, "h0", counted_h0)
+    monkeypatch.setattr(tt, "hom_onto", counted_onto)
     completions = [f(t, reg) for t in _almost_complete(eq)
                    for f in (tt.bongartz_completion, tt.co_bongartz_completion)]
     assert len(completions) == 144
     # one check per distinct reduced complex, not one per completion
     assert len(checked) == len({tt.minimality_reduce(t) for t in completions}) < 144
+    # each distinct ordered pair of components is computed once, over all checks
+    assert len(pairs) == len(set(pairs)) == len(
+        {(a, b) for t in checked for a in tt.components(t) for b in tt.components(t)})
+    assert len(tops) == len({b for t in checked for b in tt.components(t)})
     # a contractible summand P_0 -> P_0 leaves the reduced key, and the verdict
     alg = eq.algebra
     cone = tt.TwoTermComplex(alg, (0,), (0,), ((alg.unit_elem(0),),))
@@ -303,6 +317,72 @@ def test_shift_hom_basis_against_h0_and_hom_onto(explorations):
                     (not tt.hom_onto(t, alg.projective(v)))
                 checks += 2
     assert checks == 1152
+
+
+def _reference_components(t):
+    """Per block row, then per block column: the complex on its connected
+    part of the block pattern, found by a breadth-first walk."""
+    nr = len(t.rows)
+    links = {x: set() for x in range(nr + len(t.cols))}
+    for r, row in enumerate(t.d):
+        for c, entry in enumerate(row):
+            if not entry.is_zero():
+                links[r].add(nr + c)
+                links[nr + c].add(r)
+    out = []
+    for x in links:
+        seen, todo = {x}, [x]
+        while todo:
+            for y in links[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+        rs = sorted(y for y in seen if y < nr)
+        cs = sorted(y - nr for y in seen if y >= nr)
+        out.append(tt.TwoTermComplex(t.algebra, [t.rows[r] for r in rs],
+                                     [t.cols[c] for c in cs],
+                                     [[t.d[r][c] for c in cs] for r in rs]))
+    return out
+
+
+def test_components_partition_every_completion(explorations):
+    # every block row and column lands in exactly one returned component,
+    # and every returned component is the part of some row or column
+    checked = 0
+    for eq in explorations.values():
+        for t in _almost_complete(eq):
+            for f in (tt.bongartz_completion, tt.co_bongartz_completion):
+                got = f(t, eq.workspace.registry)
+                parts = tt.components(got)
+                assert len(parts) == len(set(parts))
+                want = _reference_components(got)
+                assert [parts.count(part) for part in want] == [1] * len(want)
+                assert set(parts) == set(want)
+                assert list(dict.fromkeys(want)) == parts
+                checked += len(got.rows) + len(got.cols)
+    assert checked > 384
+
+
+def test_components_keep_one_copy(reg, a2):
+    p = reg.presentation(reg.get_or_insert(a2.simple(0)))
+    q = reg.presentation(0)
+    assert len(p.rows) == len(p.cols) == 1 and not p.d[0][0].is_zero()
+    assert tt.components(tt.direct_sum(p, p, q)) == [p, q]
+    assert tt.components(tt.direct_sum(q, p, q, p)) == [q, p]
+
+
+def test_components_of_zero_rows_and_columns_are_stalks(a2):
+    t = tt.TwoTermComplex(a2, (0, 1, 0), (1, 0), [[a2.zero_elem(0, 1), a2.zero_elem(0, 0)],
+                                                  [a2.zero_elem(1, 1), a2.zero_elem(1, 0)],
+                                                  [a2.zero_elem(0, 1), a2.zero_elem(0, 0)]])
+    got = tt.components(t)
+    want = [tt.stalk(a2, 0), tt.stalk(a2, 1), tt.shifted_stalk(a2, 1),
+            tt.shifted_stalk(a2, 0)]
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    assert tt.components(tt.zero_complex(a2)) == []
+    # a nonzero block joins its row and column, the zero ones stay stalks
+    s1 = pres_s1(a2)
+    got = tt.components(tt.direct_sum(tt.shifted_stalk(a2, 0), s1, tt.stalk(a2, 1)))
+    assert got == [s1, tt.stalk(a2, 1), tt.shifted_stalk(a2, 0)]
 
 
 @st.composite
