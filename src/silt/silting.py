@@ -19,7 +19,7 @@ registry only grows:
   one case in which it may build a module.
 - ``rigid(i, j)``: the rigidity pairing, ``twoterm.hom_onto`` of the
   minimal presentation of ``i`` against the module ``j``, per ordered id
-  pair; ``twoterm.is_presilting`` runs the same test on component pairs.
+  pair; ``twoterm.is_presilting`` runs the same test on whole complexes.
   The whole partial order on discovered pairs, and the rigidity step of
   validation, reduce to lookups in this table plus a support condition.
 - ``composition(x, k, t)``: the coordinates of every composite
@@ -45,8 +45,8 @@ which is hashed once and matches its memo key by identity:
   nothing is stored, so the next call, when more cones may be recorded,
   computes afresh.
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
-  runs its loop over ordered pairs of ``twoterm.components`` through two
-  more memos, keyed by component: ``H^0`` of each, and ``hom_onto(A,
+  tests every ordered pair of ``twoterm.components`` through two more
+  memos, keyed by component: ``H^0`` of each, and ``hom_onto(A,
   H^0 B)`` of each ordered pair.  Hom is additive and ``Hom(A, B[1])`` is
   the cokernel of ``Hom(d_A, H^0 B)`` (Adachi-Iyama-Reiten, arXiv:1210.1036,
   Section 3), so the pairs give the verdict of the whole complex, and the
@@ -270,13 +270,15 @@ class Registry:
         """``twoterm.is_presilting(t)``, memoised per reduced complex.
 
         A contractible summand changes no Hom in the homotopy category, so
-        the reduced complex has the verdict of ``t``.  A miss tests its
-        component pairs through ``_onto``, memoised across complexes.
+        the reduced complex has the verdict of ``t``.  A miss tests every
+        ordered pair of its components through ``_onto``, memoised across
+        complexes.
         """
         red = tt.minimality_reduce(t)
         got = self._presilting.get(red)
         if got is None:
-            got = self._presilting[red] = tt.is_presilting(red, self._onto)
+            parts = tt.components(red)
+            got = self._presilting[red] = all(self._onto(a, b) for a in parts for b in parts)
         return got
 
     def _onto(self, a: tt.TwoTermComplex, b: tt.TwoTermComplex) -> bool:

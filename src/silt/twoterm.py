@@ -249,25 +249,19 @@ def hom_onto(pres: TwoTermComplex, m: rm.Rep) -> bool:
     return em.rank(mat, m.algebra.p) == cod
 
 
-def is_presilting(p: TwoTermComplex, onto=None) -> bool:
-    """Self-rigidity, one ordered pair of direct-sum components at a time.
+def is_presilting(p: TwoTermComplex) -> bool:
+    """Self-rigidity, as ``hom_onto(p, h0(p))``.
 
     For two-term complexes only the first shift can obstruct, and
-    ``Hom(A, B[1])`` is the cokernel of ``Hom(d_A, H^0 B)``, since both
-    terms of ``A`` are projective (Adachi-Iyama-Reiten, arXiv:1210.1036,
-    Section 3).  Hom is additive in both arguments, so ``p`` is presilting
-    exactly when ``onto(A, B)``, that is ``hom_onto(A, h0(B))``, holds for
-    every ordered pair of its ``components``.  The registry passes its
-    memoised pair test as ``onto``; components recur from one completion
-    to the next.
+    ``Hom(p, p[1])`` is the cokernel of ``Hom(d_p, H^0 p)``.  With ``p`` the
+    minimal presentation of ``M`` plus ``Q[1]``, the test is that ``M`` is
+    tau-rigid and ``Hom(Q, M) = 0`` at once (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Section 3).  Hom is additive in both arguments, so
+    ``p`` is presilting exactly when ``hom_onto(A, h0(B))`` holds for every
+    ordered pair of its ``components``; ``Registry.is_presilting`` reads
+    it that way, with the pairs memoised, since completions share them.
     """
-    parts = components(p)
-    if onto is None:
-        tops = {b: h0(b) for b in parts}
-
-        def onto(a, b):
-            return hom_onto(a, tops[b])
-    return all(onto(a, b) for a in parts for b in parts)
+    return hom_onto(p, h0(p))
 
 
 def components(t: TwoTermComplex) -> list[TwoTermComplex]:

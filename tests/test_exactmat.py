@@ -111,13 +111,14 @@ _primes = st.sampled_from([3, 5, 7, 11, 32003, 67108859])
 @st.composite
 def _matrices(draw):
     # entries come from a drawn seed, so a 30 x 60 matrix costs hypothesis
-    # one draw; ``density`` is the share of entries left nonzero.  Most
-    # shapes are at least 15 x 30; the small branch, which holds the zero
-    # shapes, gets one draw in eight
+    # one draw; ``density`` is the share of entries left nonzero.  Of eight
+    # draws of the shape ranges, five are at least 15 x 30 and two are tall
+    # or square with at least 15 rows; the eighth, where shrinking starts,
+    # may take any shape up to 30 x 60, the zero shapes among them
     p = draw(_primes)
-    large = draw(st.sampled_from((False,) + (True,) * 7))
-    r = draw(st.integers(15, 30) if large else st.integers(0, 14))
-    c = draw(st.integers(30, 60) if large else st.integers(0, 29))
+    rows, cols = draw(st.sampled_from([((0, 30), (0, 60))] + [((15, 30), (10, 29))] * 2
+                                      + [((15, 30), (30, 60))] * 5))
+    r, c = draw(st.integers(*rows)), draw(st.integers(*cols))
     density = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = rng.integers(1, p, size=(r, c), dtype=np.int64)

@@ -150,7 +150,7 @@ def test_shift_hom_matrix_built_once():
 
 def _h0_calls_off_the_presilting_route(tree):
     # H^0 of a component is memoised by the registry's pair test; the only
-    # other caller is the unmemoised default of ``twoterm.is_presilting``
+    # other caller is the whole-complex reference ``twoterm.is_presilting``
     for scope, call in _scoped_calls(tree):
         if _called(call, "h0") and scope not in (("is_presilting",), ("Registry", "_onto")):
             yield ".".join(scope), call.lineno
@@ -175,4 +175,4 @@ def test_h0_callers():
                   for where, line in _h0_calls_off_the_presilting_route(tree)]
         allowed += sum(_called(call, "h0") for _, call in _scoped_calls(tree))
     assert found == []
-    assert allowed == 2     # the registry's memo and the unmemoised default
+    assert allowed == 2     # the registry's memo and the whole-complex reference

@@ -224,11 +224,11 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     ws = eq.workspace
     reg = ws.registry
     checked, tops, pairs = [], {}, []
-    real, real_h0, real_onto = tt.is_presilting, tt.h0, tt.hom_onto
+    real, real_h0, real_onto = tt.components, tt.h0, tt.hom_onto
 
-    def counted(t, *args):
+    def counted(t):
         checked.append(t)
-        return real(t, *args)
+        return real(t)
 
     def counted_h0(t):
         tops[id(m := real_h0(t))] = t
@@ -238,7 +238,7 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
         pairs.append((a, tops[id(m)]))
         return real_onto(a, m)
 
-    monkeypatch.setattr(tt, "is_presilting", counted)
+    monkeypatch.setattr(tt, "components", counted)
     monkeypatch.setattr(tt, "h0", counted_h0)
     monkeypatch.setattr(tt, "hom_onto", counted_onto)
     completions = [f(t, reg) for t in _almost_complete(eq)
@@ -248,8 +248,8 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     assert len(checked) == len({tt.minimality_reduce(t) for t in completions}) < 144
     # each distinct ordered pair of components is computed once, over all checks
     assert len(pairs) == len(set(pairs)) == len(
-        {(a, b) for t in checked for a in tt.components(t) for b in tt.components(t)})
-    assert len(tops) == len({b for t in checked for b in tt.components(t)})
+        {(a, b) for t in checked for a in real(t) for b in real(t)})
+    assert len(tops) == len({b for t in checked for b in real(t)})
     # a contractible summand P_0 -> P_0 leaves the reduced key, and the verdict
     alg = eq.algebra
     cone = tt.TwoTermComplex(alg, (0,), (0,), ((alg.unit_elem(0),),))
