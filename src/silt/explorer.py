@@ -102,58 +102,47 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
 
 
 def poset_relations(eq: ExchangeQuiver) -> np.ndarray:
-    """Full boolean matrix ``leq[i, j] == (node_i <= node_j)``, checked to be an order.
+    """Full boolean matrix ``leq[i, j] == (node_i <= node_j)``.
 
     ``pair_leq`` of every ordered node pair, read at once from two matrix
     products (``SiltingWorkspace.order_matrix``):
     ``leq = (S D P^T == 0) & (S (1 - R)^T S^T == 0)``, with ``S`` the node x
     module incidence, ``D`` the module supports, ``P`` the node x
     shifted-vertex incidence and ``R`` the ``rigid`` table (Adachi-Iyama-Reiten,
-    arXiv:1210.1036, Section 2).  ``check_partial_order`` then runs on it.
+    arXiv:1210.1036, Section 2); ``cover_relations`` checks it is an order.
     """
-    leq = eq.workspace.order_matrix(eq.nodes)
-    check_partial_order(leq)
-    return leq
-
-
-def check_partial_order(leq: np.ndarray) -> None:
-    """Raise ``AssertionError`` unless ``leq`` is reflexive, antisymmetric and transitive."""
-    if not leq.diagonal().all():
-        raise AssertionError("order is not reflexive")
-    both = leq & leq.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        i, j = np.argwhere(both)[0].tolist()
-        raise AssertionError(f"order is not antisymmetric at {i}, {j}")
-    packed, two = _two_steps(leq)
-    if (two & ~packed).any():
-        raise AssertionError("order is not transitive")
+    return eq.workspace.order_matrix(eq.nodes)
 
 
 def cover_relations(leq: np.ndarray) -> set[tuple[int, int]]:
-    """Edges (u, v) with node_v strictly below node_u and nothing between."""
-    strict = np.asarray(leq, dtype=bool) & ~np.eye(leq.shape[0], dtype=bool)
-    packed, two = _two_steps(strict)
-    covers = np.unpackbits(packed & ~two, axis=1, count=leq.shape[0])
+    """Edges (u, v) with node_v strictly below node_u and nothing between.
+
+    Raises ``AssertionError`` unless ``leq`` is a partial order.  A reflexive,
+    antisymmetric relation is transitive iff its strict part ``S`` has
+    ``S∘S ⊆ S`` (``a < b < c = a`` contradicts antisymmetry), so one
+    composition, the OR of the bitset rows each row selects, both checks the
+    order and gives the covers ``S ∖ S∘S``.
+    """
+    n = leq.shape[0]
+    if not leq.diagonal().all():
+        raise AssertionError("order is not reflexive")
+    strict = np.asarray(leq, dtype=bool) & ~np.eye(n, dtype=bool)
+    both = strict & strict.T
+    if both.any():
+        i, j = np.argwhere(both)[0].tolist()
+        raise AssertionError(f"order is not antisymmetric at {i}, {j}")
+    packed = np.packbits(strict, axis=1)
+    two = np.zeros_like(packed)
+    for i in range(n):
+        two[i] = np.bitwise_or.reduce(packed[strict[i]], axis=0)
+    if (two & ~packed).any():
+        raise AssertionError("order is not transitive")
+    covers = np.unpackbits(packed & ~two, axis=1, count=n)
     return {(u, v) for v, u in np.argwhere(covers).tolist()}
 
 
-def _two_steps(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row bitsets of ``rel`` and of ``rel`` composed with itself.
-
-    Bit ``k`` of row ``i`` in the second is set when some ``j`` has
-    ``rel[i, j]`` and ``rel[j, k]``: it is the OR of the rows that row ``i``
-    selects, one vectorised reduction per row.
-    """
-    packed = np.packbits(rel, axis=1)
-    two = np.zeros_like(packed)
-    for i in range(rel.shape[0]):
-        two[i] = np.bitwise_or.reduce(packed[rel[i]], axis=0)
-    return packed, two
-
-
 def hasse_check(eq: ExchangeQuiver) -> bool:
-    """Whether the mutation edges coincide with the covers of the order."""
+    """Whether the mutation edges are the covers of the order (checked by ``cover_relations``)."""
     if not eq.complete:
         raise ValueError("Hasse comparison needs a complete exploration")
     got = {(u, v) for (u, v, _) in eq.edges}

@@ -151,43 +151,33 @@ def assemble_tors_hasse(eq: ExchangeQuiver, sincere: list[bool]) -> TorsHasse:
             edges.append((gamma_index[i], i))
     th = TorsHasse(nodes, edges,
                    stats={"nodes": len(nodes), "edges": len(edges)})
-    _check_unique_ends(len(th.nodes), th.edges)
+    _check_unique_ends(*_adjacency(len(th.nodes), th.edges))
     return th
 
 
-def _check_unique_ends(n: int, edges: list[tuple[int, int]]):
-    indeg = [0] * n
-    outdeg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
+def _adjacency(n: int, edges) -> tuple[list[set[int]], list[set[int]]]:
+    succ, pred = [set() for _ in range(n)], [set() for _ in range(n)]
     for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-        adj[u].append(v)
-    sources = [i for i in range(n) if indeg[i] == 0]
-    sinks = [i for i in range(n) if outdeg[i] == 0]
+        succ[u].add(v)
+        pred[v].add(u)
+    return succ, pred
+
+
+def _check_unique_ends(succ: list[set[int]], pred: list[set[int]]):
+    sources = [i for i, p in enumerate(pred) if not p]
+    sinks = [i for i, s in enumerate(succ) if not s]
     if len(sources) != 1 or len(sinks) != 1:
         raise AssertionError(f"expected unique ends, got sources={sources}, sinks={sinks}")
-    # antisymmetric reachability: the graph must be acyclic
-    state = [0] * n
-    stack: list[tuple[int, int]] = []
-    for start in range(n):
-        if state[start]:
-            continue
-        stack.append((start, 0))
-        state[start] = 1
-        while stack:
-            node, ptr = stack[-1]
-            if ptr == len(adj[node]):
-                state[node] = 2
-                stack.pop()
-                continue
-            stack[-1] = (node, ptr + 1)
-            nxt = adj[node][ptr]
-            if state[nxt] == 1:
-                raise AssertionError("directed cycle found; not a Hasse diagram")
-            if state[nxt] == 0:
-                state[nxt] = 1
-                stack.append((nxt, 0))
+    # Kahn's source peel, appending to the list it reads: the graph is
+    # acyclic iff every node gets peeled
+    indeg = [len(p) for p in pred]
+    for u in sources:
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                sources.append(v)
+    if len(sources) != len(pred):
+        raise AssertionError("directed cycle found; not a Hasse diagram")
 
 
 def tors_hasse_json_doc(th: TorsHasse) -> dict:
@@ -290,24 +280,21 @@ def _refine_colors(n: int, succ, pred) -> list[int]:
 
 
 def poset_isomorphic(a, b) -> bool:
-    """Digraph isomorphism of two Hasse diagrams, by refinement + backtracking."""
+    """Digraph isomorphism of two Hasse diagrams, by refinement + backtracking.
+
+    Nodes of ``a`` are placed breadth-first over the cover graph (connected:
+    it has one source) from one of the rarest colour; each later node draws
+    its candidates from the same-colour neighbours of its BFS parent's image.
+    """
     na, ea = as_cover_graph(a)
     nb, eb = as_cover_graph(b)
-    _check_unique_ends(na, ea)
-    _check_unique_ends(nb, eb)
+    succ_a, pred_a = _adjacency(na, ea)
+    succ_b, pred_b = _adjacency(nb, eb)
+    _check_unique_ends(succ_a, pred_a)
+    _check_unique_ends(succ_b, pred_b)
     if na != nb or len(ea) != len(eb):
         return False
     n = na
-    succ_a = [set() for _ in range(n)]
-    pred_a = [set() for _ in range(n)]
-    for u, v in ea:
-        succ_a[u].add(v)
-        pred_a[v].add(u)
-    succ_b = [set() for _ in range(n)]
-    pred_b = [set() for _ in range(n)]
-    for u, v in eb:
-        succ_b[u].add(v)
-        pred_b[v].add(u)
     col_a = _refine_colors(n, succ_a, pred_a)
     col_b = _refine_colors(n, succ_b, pred_b)
     if sorted(col_a) != sorted(col_b):
@@ -315,8 +302,13 @@ def poset_isomorphic(a, b) -> bool:
     by_color_b: dict[int, list[int]] = {}
     for j in range(n):
         by_color_b.setdefault(col_b[j], []).append(j)
-    # most-constrained-first: rare colors early
-    order = sorted(range(n), key=lambda i: (len(by_color_b[col_a[i]]), col_a[i], i))
+    root = min(range(n), key=lambda i: (len(by_color_b[col_a[i]]), col_a[i], i))
+    order, parent = [root], {root: root}
+    for i in order:   # breadth-first, appending to the list it reads
+        for x in sorted(succ_a[i] | pred_a[i]):
+            if x not in parent:
+                parent[x] = i
+                order.append(x)
     mapping = [-1] * n   # a -> b
     inverse = [-1] * n   # b -> a
 
@@ -339,7 +331,9 @@ def poset_isomorphic(a, b) -> bool:
         if mapping[i] != -1:   # back from a dead end below: undo and go on
             inverse[mapping[i]] = -1
             mapping[i] = -1
-        cands = by_color_b[col_a[i]]
+        up = mapping[parent[i]]   # the BFS parent's image; -1 at the root
+        cands = ([y for y in sorted(succ_b[up] | pred_b[up]) if col_b[y] == col_a[i]]
+                 if k else by_color_b[col_a[i]])
         while tried[k] < len(cands):
             j = cands[tried[k]]
             tried[k] += 1

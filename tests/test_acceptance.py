@@ -147,11 +147,13 @@ def test_criterion_5_weak_order_n3_optional():
 @pytest.mark.slow
 def test_criterion_5_weak_order_n5_optional():
     with criterion(5, "doubled-line family at n=5 (optional): 5040 nodes, "
-                      "15120 edges, exchange edges are the Hasse covers"):
+                      "15120 edges, exchange edges are the Hasse covers, "
+                      "degree-7 weak order"):
         eq = ex.explore(orders.auslander_bass_v_reduction(5))
         assert eq.complete and len(eq.nodes) == math.factorial(7) == 5040
         assert len(eq.edges) == 6 * 5040 // 2
         assert ex.hasse_check(eq)
+        assert orders.poset_isomorphic(eq, orders.weak_order_hasse(7))
 
 
 def test_criterion_6_exchange_is_hasse(runs):

@@ -108,7 +108,7 @@ def _order(n, pairs):
 ])
 def test_poset_relations_rejects_broken_orders(rel, message):
     with pytest.raises(AssertionError, match=message):
-        ex.check_partial_order(rel)
+        ex.cover_relations(rel)
 
 
 def test_hasse_check_makes_no_pair_leq_calls(monkeypatch):
@@ -145,10 +145,35 @@ def _covers_by_loops(leq):
             and not any(k not in (u, v) and leq[v, k] and leq[k, u] for k in range(n))}
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 12).flatmap(lambda n: arrays(bool, (n, n))))
+def _is_order_by_loops(leq):
+    """Reflexive, antisymmetric and transitive, straight from the definitions."""
+    r = range(leq.shape[0])
+    return (all(leq[i, i] for i in r)
+            and not any(leq[i, j] and leq[j, i] for i in r for j in r if i != j)
+            and all(leq[i, k] for i in r for j in r for k in r if leq[i, j] and leq[j, k]))
+
+
+@st.composite
+def _partial_orders(draw):
+    """The reflexive-transitive closure of a random DAG, randomly relabelled."""
+    n = draw(st.integers(0, 12))
+    leq = np.eye(n, dtype=bool) | np.triu(draw(arrays(bool, (n, n))), 1)
+    for k in range(n):   # Warshall: i <= k <= j gives i <= j
+        leq |= leq[:, [k]] & leq[[k], :]
+    perm = np.array(draw(st.permutations(range(n))), dtype=int)
+    return leq[np.ix_(perm, perm)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(_partial_orders(),
+                 st.integers(0, 12).flatmap(lambda n: arrays(bool, (n, n)))))
 def test_cover_relations_matches_loops(leq):
-    assert ex.cover_relations(leq) == _covers_by_loops(leq)
+    # an order gets the covers of the reference; anything else is refused
+    if _is_order_by_loops(leq):
+        assert ex.cover_relations(leq) == _covers_by_loops(leq)
+    else:
+        with pytest.raises(AssertionError, match="^order is not"):
+            ex.cover_relations(leq)
 
 
 def test_stats_count_cache_entries(a2_eq):

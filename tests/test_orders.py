@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -180,3 +181,60 @@ def test_poset_isomorphic_deeper_than_the_recursion_limit():
     moved = (n, [(relabel[u], relabel[v]) for u, v in reversed(edges)])
     assert orders.poset_isomorphic((n, edges), moved)
     assert not orders.poset_isomorphic(fan, (n, edges))
+
+
+def test_unique_ends_rejects_a_directed_cycle():
+    # one source (0) and one sink (3), but 1 -> 2 -> 1 is a cycle
+    looped = (4, [(0, 1), (1, 2), (2, 1), (2, 3)])
+    with pytest.raises(AssertionError, match="directed cycle found"):
+        orders.poset_isomorphic(looped, looped)
+
+
+def _move_one_edge(n, edges):
+    """Re-aim the first edge ``u -> v`` whose target keeps a predecessor at
+    a successor ``w`` of ``v``: still acyclic, same ends and edge count."""
+    succ = [set() for _ in range(n)]
+    indeg = [0] * n
+    for u, v in edges:
+        succ[u].add(v)
+        indeg[v] += 1
+    for k, (u, v) in enumerate(edges):
+        fresh = sorted(succ[v] - succ[u])
+        if indeg[v] > 1 and fresh:
+            return n, edges[:k] + [(u, fresh[0])] + edges[k + 1:]
+    raise AssertionError("no edge can be moved")
+
+
+def test_auslander4_is_s6_and_a_moved_edge_is_not():
+    # the search places nodes by adjacency, so 720 nodes take well under the bound
+    bound_s = 5.0
+    n, edges = orders.as_cover_graph(ex.explore(orders.auslander_bass_v_reduction(4)))
+    weak = orders.weak_order_hasse(6)
+    moved = _move_one_edge(n, edges)
+    for graph, expected in (((n, edges), True), (moved, False)):
+        start = time.perf_counter()
+        assert orders.poset_isomorphic(graph, weak) is expected
+        assert time.perf_counter() - start < bound_s
+
+
+def _crown(cycles):
+    # source 0 -> a_i -> b_j -> sink; each a_i covers b_i and the next b of
+    # its block, so the a-b layer is one cycle of length 2c per block size c
+    k = sum(cycles)
+    edges = [(0, 1 + i) for i in range(k)] + [(1 + k + i, 2 * k + 1) for i in range(k)]
+    start = 0
+    for c in cycles:
+        for i in range(c):
+            edges += [(1 + start + i, 1 + k + start + i),
+                      (1 + start + i, 1 + k + start + (i + 1) % c)]
+        start += c
+    return 2 * k + 2, edges
+
+
+def test_poset_isomorphic_refutes_what_refinement_cannot():
+    # one 12-cycle and two 6-cycles get the same colours, so the search decides
+    one, two = _crown([6]), _crown([3, 3])
+    assert orders.poset_isomorphic(one, one)
+    assert orders.poset_isomorphic(two, two)
+    assert not orders.poset_isomorphic(one, two)
+    assert not orders.poset_isomorphic(two, one)
