@@ -369,7 +369,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         raise InputError(f"unknown command {args.command!r}")
-    except (InputError, AlgebraBuildError, ValueError) as exc:
+    except (InputError, AlgebraBuildError, ValueError, OSError) as exc:
+        # OSError: a --cache or --out path that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

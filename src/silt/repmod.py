@@ -164,16 +164,6 @@ def rep_direct_sum(algebra: FiniteDimAlgebra, parts: list[Rep]) -> tuple[Rep, li
     return Rep(algebra, dims, maps, check=False), offsets
 
 
-def vstack_maps(target: Rep, maps: list[RepMap]) -> RepMap:
-    """Stack maps with a common source into one map to the direct sum target."""
-    if not maps:
-        raise AssertionError("need at least one map")
-    src = maps[0].source
-    comps = [np.concatenate([h.comps[v] for h in maps], axis=0)
-             for v in range(len(src.dims))]
-    return RepMap(src, target, comps)
-
-
 def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
     """Deterministic basis of ``Hom(m, n)``.
 

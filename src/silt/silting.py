@@ -23,8 +23,10 @@ registry only grows:
   The whole partial order on discovered pairs, and the rigidity step of
   validation, reduce to lookups in this table plus a support condition.
 - ``composition(x, k, t)``: the coordinates of every composite
-  ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple;
-  the approximation test reads it instead of composing maps.
+  ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple.
+  ``_strip_copies`` reads it instead of composing maps: dropping a copy
+  ``(t, b)`` from an approximation of ``x`` is one rank test, whether the
+  composites of the other copies into ``t`` span ``Hom(x, t)``.
 
 The ``Registry`` keeps two more, both per two-term complex ``t`` and keyed
 by ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
@@ -79,9 +81,6 @@ class SiltingPair:
 
     summands: tuple[int, ...]
     proj_part: tuple[int, ...]
-
-    def __repr__(self):
-        return f"SiltingPair(summands={self.summands}, proj_part={self.proj_part})"
 
 
 @dataclass(frozen=True)
@@ -389,8 +388,6 @@ class SiltingWorkspace:
         return tuple(out)
 
     def module_rep(self, pair: SiltingPair) -> rm.Rep:
-        if not pair.summands:
-            return rm.zero_rep(self.algebra)
         rep, _ = rm.rep_direct_sum(self.algebra,
                                    [self.registry.rep(i) for i in pair.summands])
         return rep
@@ -432,31 +429,29 @@ class SiltingWorkspace:
     # ---- approximations -------------------------------------------------------
 
     def left_minimal_approximation(self, x: int, target_ids):
-        """Left approximation of module ``x`` by sums of the targets.
+        """Left minimal approximation of module ``x`` by sums of the targets.
 
-        Starts from one copy per Hom-basis element and greedily strips
-        copies, re-testing the approximation property after each removal;
-        the scan order is deterministic.  Returns (copy list, map, target).
+        One copy per Hom-basis element is an approximation; ``_strip_copies``
+        drops the copies it can spare, testing each at its own target only.
+        The map stacks the kept copies into their direct sum, the zero module
+        when none is kept.  Returns (copy list, map, target).
         """
-        targets = sorted(target_ids)
-        copies = [(t, b) for t in targets for b in range(len(self.hom(x, t)))]
-        copies = self._strip_copies(x, targets, copies)
-        h, target = self._assemble_approximation(x, copies)
-        return copies, h, target
+        copies = [(t, b) for t in sorted(target_ids) for b in range(len(self.hom(x, t)))]
+        copies = self._strip_copies(x, copies)
+        source = self.registry.rep(x)
+        target, _ = rm.rep_direct_sum(self.algebra, [self.registry.rep(t) for t, _ in copies])
+        maps = [self.hom(x, t)[b] for t, b in copies]
+        comps = [np.concatenate([em.zeros(0, d)] + [f.comps[v] for f in maps])
+                 for v, d in enumerate(source.dims)]
+        return copies, rm.RepMap(source, target, comps), target
 
-    def _assemble_approximation(self, x: int, copies):
-        xrep = self.registry.rep(x)
-        if not copies:
-            z = rm.zero_rep(self.algebra)
-            return rm.zero_map(xrep, z), z
-        parts = [self.registry.rep(t) for (t, _) in copies]
-        target, _ = rm.rep_direct_sum(self.algebra, parts)
-        h = rm.vstack_maps(target, [self.hom(x, t)[b] for (t, b) in copies])
-        return h, target
-
-    def _strip_copies(self, x: int, targets, copies):
+    def _strip_copies(self, x: int, copies):
         """Drop, in one pass, each copy the approximation property can spare.
 
+        ``copies`` starts as an approximation and each removal keeps it one.
+        So dropping ``(t, b)`` keeps the property iff its own map ``x -> t``
+        factors through the other copies, one ``_spans`` test at ``t``: any
+        map that factored through ``(t, b)`` then factors through the rest.
         Adding copies only strengthens the property, so a copy that has to
         stay once stays for good: after a removal the pass goes on from the
         same position, and keeps what a scan restarting at 0 would keep.
@@ -465,23 +460,18 @@ class SiltingWorkspace:
         i = 0
         while i < len(copies):
             trial = copies[:i] + copies[i + 1:]
-            if self._is_approximation(x, targets, trial):
+            if self._spans(x, copies[i][0], trial):
                 copies = trial
             else:
                 i += 1
         return copies
 
-    def _is_approximation(self, x: int, targets, copies) -> bool:
-        p = self.algebra.p
-        for t in targets:
-            dim = len(self.hom(x, t))
-            if not dim:
-                continue
-            blocks = [self.composition(x, tk, t)[:, b] for (tk, b) in copies]
-            coords = np.concatenate([em.zeros(dim, 0)] + blocks, axis=1)
-            if em.rank(coords, p) < dim:
-                return False
-        return True
+    def _spans(self, x: int, t: int, copies) -> bool:
+        """Whether the composites of ``copies`` into ``t`` span ``Hom(x, t)``."""
+        dim = len(self.hom(x, t))
+        blocks = [self.composition(x, k, t)[:, b] for k, b in copies]
+        return em.rank(np.concatenate([em.zeros(dim, 0)] + blocks, axis=1),
+                       self.algebra.p) == dim
 
     # ---- mutation ---------------------------------------------------------------
 

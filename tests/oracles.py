@@ -1,5 +1,7 @@
 """Reference routines that only the tests call: slow, direct and exact."""
 
+from fractions import Fraction
+
 from silt import repmod as rm
 
 
@@ -27,6 +29,27 @@ def int_det(m) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def rational_inverse(cols) -> list[list[Fraction]] | None:
+    """Inverse of the square matrix with columns ``cols`` over the rationals.
+
+    Gauss-Jordan on ``Fraction`` rows; ``None`` when the matrix is singular.
+    """
+    n = len(cols)
+    a = [[Fraction(col[i]) for col in cols] + [Fraction(int(i == k)) for k in range(n)]
+         for i in range(n)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if a[r][c]), None)
+        if r is None:
+            return None
+        a[c], a[r] = a[r], a[c]
+        a[c] = [e / a[c][c] for e in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [e - f * d for e, d in zip(a[r], a[c])]
+    return [row[n:] for row in a]
 
 
 def fac_contains(generators: rm.Rep, x: rm.Rep) -> bool:

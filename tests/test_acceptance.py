@@ -18,7 +18,7 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import int_det
+from oracles import int_det, rational_inverse
 from test_algebra import a2_algebra
 
 
@@ -148,12 +148,13 @@ def test_criterion_5_weak_order_n3_optional():
 def test_criterion_5_weak_order_n5_optional():
     with criterion(5, "doubled-line family at n=5 (optional): 5040 nodes, "
                       "15120 edges, exchange edges are the Hasse covers, "
-                      "degree-7 weak order"):
+                      "degree-7 weak order, complete g-vector fan"):
         eq = ex.explore(orders.auslander_bass_v_reduction(5))
         assert eq.complete and len(eq.nodes) == math.factorial(7) == 5040
         assert len(eq.edges) == 6 * 5040 // 2
         assert ex.hasse_check(eq)
         assert orders.poset_isomorphic(eq, orders.weak_order_hasse(7))
+        _check_gvector_fan(eq)
 
 
 def test_criterion_6_exchange_is_hasse(runs):
@@ -530,6 +531,57 @@ def test_exchange_graph_is_n_regular(complete_runs):
             degree[u] += 1
             degree[v] += 1
         assert degree == [nv] * len(eq.nodes)
+
+
+def _check_gvector_fan(eq):
+    """The g-vector cones of ``eq``'s nodes form a complete simplicial fan.
+
+    Demonet-Iyama-Jasso, arXiv:1503.00285: for a tau-tilting finite algebra
+    the cones of the support tau-tilting pairs form a complete fan, and two
+    cones share a facet iff the pairs are related by mutation.  Every
+    inverse is built here with exact fractions, so the check shares no code
+    with mutation, validation, the order or the registry's cone table.
+    """
+    nv = eq.algebra.quiver.n_vertices
+    reg = eq.workspace.registry
+    cones = [[reg.gvector(s) for s in node.summands]
+             + [tuple(-int(w == v) for w in range(nv)) for v in node.proj_part]
+             for node in eq.nodes]
+    invs = [rational_inverse(cone) for cone in cones]
+    # (i) unimodular: an integer matrix with an integer inverse has det +-1
+    assert all(inv is not None and all(e.denominator == 1 for row in inv for e in row)
+               for inv in invs)
+    invs = [[[int(e) for e in row] for row in inv] for inv in invs]
+
+    def coords(a, g):
+        return [sum(e * x for e, x in zip(row, g)) for row in invs[a]]
+
+    facets = {}
+    for a, cone in enumerate(cones):
+        for k in range(nv):
+            facets.setdefault(frozenset(cone[:k] + cone[k + 1:]), []).append((a, k))
+    # (ii) every facet lies in exactly two cones, and those pairs are the edges
+    assert sorted(len(sides) for sides in facets.values()) == [2] * len(facets)
+    assert len(facets) == len(eq.edges)
+    assert {frozenset((a, b)) for (a, _), (b, _) in facets.values()} == \
+        {frozenset((u, v)) for u, v, _ in eq.edges}
+    # (iii) the exchange triangle X -> U' -> Y -> X[1] with U' in add of the
+    # facet (Aihara-Iyama, arXiv:1009.3370, Section 2): in either cone, the
+    # other one's generator has coordinate -1 at the exchanged one, >= 0 elsewhere
+    for sides in facets.values():
+        for (a, k), (b, j) in (sides, sides[::-1]):
+            c = coords(a, cones[b][j])
+            assert c[k] == -1 and all(c[i] >= 0 for i in range(nv) if i != k), (a, b)
+    # (iv) fixed generic lattice points each lie in exactly one cone
+    rng = random.Random(nv)
+    for _ in range(4):
+        g = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(nv)]
+        assert sum(min(coords(a, g)) >= 0 for a in range(len(cones))) == 1, g
+
+
+def test_gvector_cones_form_a_complete_fan(complete_runs):
+    for eq in complete_runs:
+        _check_gvector_fan(eq)
 
 
 @pytest.mark.parametrize("rows", [silting.ORDER_ROWS, 7])

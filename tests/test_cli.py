@@ -127,10 +127,29 @@ def test_cache_write_failure_leaves_nothing(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.os, "replace", refuse)
     cache = tmp_path / "cache"
-    with pytest.raises(OSError, match="disk full"):
-        main(["explore", "--builtin", "hereditary", "--n", "1",
-              "--cache", str(cache)])
+    code, _, err = run(capsys, "explore", "--builtin", "hereditary", "--n", "1",
+                       "--cache", str(cache))
+    assert code == 3 and "error: disk full" in err
     assert list(cache.iterdir()) == []
+
+
+def test_cache_path_that_is_a_file_exits_3(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    code, _, err = run(capsys, "explore", "--builtin", "hereditary", "--n", "1",
+                       "--cache", str(cache))
+    assert code == 3
+    assert err.startswith("error: ") and str(cache) in err
+    assert "Traceback" not in err
+
+
+def test_out_path_in_missing_directory_exits_3(tmp_path, capsys):
+    out_path = tmp_path / "missing_dir" / "x.json"
+    code, _, err = run(capsys, "explore", "--builtin", "hereditary", "--n", "1",
+                       "--format", "json", "--out", str(out_path))
+    assert code == 3
+    assert err.startswith("error: ") and str(out_path) in err
+    assert not out_path.exists()
 
 
 def test_dot_cache_hit_skips_exploration(tmp_path, capsys, monkeypatch):

@@ -404,12 +404,16 @@ def test_cone_table_refuses_a_singular_cone():
 
 
 def _strip_by_restarts(ws, x, targets, copies):
-    """The scan that restarts at the first copy after every removal, as a reference."""
+    """The scan that restarts at the first copy after every removal, as a reference.
+
+    Each trial checks the full definition: the composites span ``Hom(x, t)``
+    at every target, not only at the removed copy's own.
+    """
     copies = list(copies)
     i = 0
     while i < len(copies):
         trial = copies[:i] + copies[i + 1:]
-        if ws._is_approximation(x, targets, trial):
+        if all(ws._spans(x, t, trial) for t in targets):
             copies = trial
             i = 0
         else:
@@ -426,5 +430,10 @@ def test_strip_copies_matches_restart_scan(her3_ws, data):
     targets = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=4)))
     copies = [(t, b) for t in targets for b in range(len(ws.hom(x, t)))]
     copies = data.draw(st.permutations(copies))
-    assert ws._strip_copies(x, targets, copies) == \
-        _strip_by_restarts(ws, x, targets, copies)
+    kept = ws._strip_copies(x, copies)
+    assert kept == _strip_by_restarts(ws, x, targets, copies)
+    # left-minimal: an approximation at every target, and no kept copy spare
+    assert all(ws._spans(x, t, kept) for t in targets)
+    for i in range(len(kept)):
+        trial = kept[:i] + kept[i + 1:]
+        assert not all(ws._spans(x, t, trial) for t in targets), (x, kept[i])
