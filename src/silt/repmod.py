@@ -125,12 +125,6 @@ class RepMap:
         return f"RepMap({self.source.dims} -> {self.target.dims})"
 
 
-def zero_map(source: Rep, target: Rep) -> RepMap:
-    comps = [em.zeros(target.dims[v], source.dims[v])
-             for v in range(source.algebra.quiver.n_vertices)]
-    return RepMap(source, target, comps, check=False)
-
-
 def identity_map(m: Rep) -> RepMap:
     return RepMap(m, m, [em.identity(d) for d in m.dims], check=False)
 
@@ -255,24 +249,28 @@ def top(m: Rep) -> tuple[Rep, RepMap]:
     return t, RepMap(m, t, projs)
 
 
+def _top_sections(m: Rep) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
+    """Top multiplicities of ``m`` and, per vertex of the top, a matrix whose
+    columns are elements of ``m`` lifting a basis of the top there."""
+    alg = m.algebra
+    t, pi = top(m)
+    sections = {}
+    for v, k in enumerate(t.dims):
+        if k:
+            sec = em.solve_right(pi.comps[v], em.identity(k), alg.p)
+            if sec is None:
+                raise AssertionError("top projection must be surjective")
+            sections[v] = sec
+    return t.dims, sections
+
+
 def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
     """``P -> m`` lifted from a basis of the top; returns (multiplicities, P, epi)."""
     alg = m.algebra
     nv = alg.quiver.n_vertices
-    t, pi = top(m)
-    mult = t.dims
-    parts = []
-    sections = {}
-    for v in range(nv):
-        if mult[v] == 0:
-            continue
-        sec = em.solve_right(pi.comps[v], em.identity(mult[v]), alg.p)
-        if sec is None:
-            raise AssertionError("top projection must be surjective")
-        sections[v] = sec
-        parts.extend([alg.projective(v)] * mult[v])
+    mult, sections = _top_sections(m)
     order = [(v, k) for v in range(nv) for k in range(mult[v])]
-    psum, offsets = rep_direct_sum(alg, parts)
+    psum, offsets = rep_direct_sum(alg, [alg.projective(v) for v, _ in order])
     comps = [em.zeros(m.dims[w], psum.dims[w]) for w in range(nv)]
     for part_idx, (v, k) in enumerate(order):
         x = sections[v][:, k]
@@ -330,29 +328,29 @@ def cokernel(h: RepMap) -> tuple[Rep, RepMap]:
 def min_projective_presentation(m: Rep):
     """Minimal two-term presentation ``P_{-1} -> P_0`` with cokernel ``m``.
 
-    Built from two successive projective covers; the differential is
-    re-expressed with entries in the algebra, one block per pair of
-    indecomposable summands.
+    ``P_0`` covers ``m``; copy ``k`` of ``P_v`` in ``P_{-1}`` sends its
+    generator to the ``k``-th lift of a basis of the top of the kernel at
+    ``v``.  A map out of ``P_v`` is fixed by that image, and by Nakayama's
+    lemma the lifts generate the kernel.  The differential has entries in
+    the algebra, one block per pair of indecomposable summands.
     """
     from .twoterm import TwoTermComplex
 
     alg = m.algebra
     nv = alg.quiver.n_vertices
-    mult0, p0, epi = projective_cover(m)
+    mult0, _, epi = projective_cover(m)
     ker, incl = kernel(epi)
-    mult1, p1, epi2 = projective_cover(ker)
-    d = compose(incl, epi2)
+    mult1, sections = _top_sections(ker)
+    gens = {v: em.matmul(incl.comps[v], sec, alg.p) for v, sec in sections.items()}
     rows = tuple(v for v in range(nv) for _ in range(mult0[v]))
-    cols = tuple(v for v in range(nv) for _ in range(mult1[v]))
+    cols = tuple((v, k) for v in range(nv) for k in range(mult1[v]))
     row_offsets = _copy_offsets(alg, rows)
-    col_offsets = _copy_offsets(alg, cols)
     blocks = []
     for r, w in enumerate(rows):
         row = []
-        for c, v in enumerate(cols):
-            # image of the generator e_v of column copy c, read at vertex v
-            gen = col_offsets[c][v] + alg.pair_pos(alg.unit_gid(v))
-            vec = d.comps[v][:, gen]
+        for v, k in cols:
+            # image of the generator e_v of copy k of P_v, read at vertex v
+            vec = gens[v][:, k]
             coeffs = {}
             for pos, gid in enumerate(alg.pair_basis(w, v)):
                 val = int(vec[row_offsets[r][v] + pos])
@@ -360,7 +358,7 @@ def min_projective_presentation(m: Rep):
                     coeffs[gid] = val
             row.append(AlgebraElement(alg, w, v, coeffs))
         blocks.append(tuple(row))
-    return TwoTermComplex(alg, rows, cols, tuple(blocks))
+    return TwoTermComplex(alg, rows, tuple(v for v, _ in cols), tuple(blocks))
 
 
 def _copy_offsets(alg: FiniteDimAlgebra, verts: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -47,12 +47,11 @@ which is hashed once and matches its memo key by identity:
   nothing is stored, so the next call, when more cones may be recorded,
   computes afresh.
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
-  tests every ordered pair of ``twoterm.components`` through two more
-  memos, keyed by component: ``H^0`` of each, and ``hom_onto(A,
-  H^0 B)`` of each ordered pair.  Hom is additive and ``Hom(A, B[1])`` is
-  the cokernel of ``Hom(d_A, H^0 B)`` (Adachi-Iyama-Reiten, arXiv:1210.1036,
-  Section 3), so the pairs give the verdict of the whole complex, and the
-  completions share most of their components.
+  tests every ordered pair ``(A, B)`` of ``twoterm.components`` through one
+  more memo, keyed by the pair: ``twoterm.hom_shift_vanishes(A, B)``, read
+  off the shifted-Hom matrix with no ``H^0`` module built.  Hom is
+  additive, so the pairs give the verdict of the whole complex (AIR,
+  arXiv:1210.1036, Section 3), and the completions share most pairs.
 
 Next to the cone table the ``Registry`` indexes the recorded pairs by facet:
 
@@ -115,7 +114,6 @@ class Registry:
         self._decomp: dict[tt.TwoTermComplex,
                            tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._presilting: dict[tt.TwoTermComplex, bool] = {}
-        self._h0: dict[tt.TwoTermComplex, rm.Rep] = {}
         self._pair_onto: dict[tuple[tt.TwoTermComplex, tt.TwoTermComplex], bool] = {}
         nv = algebra.quiver.n_vertices
         self._cones: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
@@ -269,9 +267,9 @@ class Registry:
         """``twoterm.is_presilting(t)``, memoised per reduced complex.
 
         A contractible summand changes no Hom in the homotopy category, so
-        the reduced complex has the verdict of ``t``.  A miss tests every
-        ordered pair of its components through ``_onto``, memoised across
-        complexes.
+        the reduced complex has the verdict of ``t``.  A miss asks whether
+        ``Hom(A, B[1])`` vanishes for every ordered pair of its components
+        through ``_onto``, memoised across complexes; no ``H^0`` is built.
         """
         red = tt.minimality_reduce(t)
         got = self._presilting.get(red)
@@ -281,13 +279,10 @@ class Registry:
         return got
 
     def _onto(self, a: tt.TwoTermComplex, b: tt.TwoTermComplex) -> bool:
-        """``hom_onto(a, h0(b))`` per ordered component pair, with ``h0(b)`` memoised."""
+        """``Hom(a, b[1]) = 0``, memoised per ordered component pair."""
         got = self._pair_onto.get((a, b))
         if got is None:
-            m = self._h0.get(b)
-            if m is None:
-                m = self._h0[b] = tt.h0(b)
-            got = self._pair_onto[a, b] = tt.hom_onto(a, m)
+            got = self._pair_onto[a, b] = tt.hom_shift_vanishes(a, b)
         return got
 
 

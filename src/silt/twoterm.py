@@ -114,7 +114,8 @@ def _glue(parts: tuple[TwoTermComplex, ...],
     alg = parts[0].algebra
     rows = tuple(v for t in parts for v in t.rows)
     cols = tuple(v for t in parts for v in t.cols)
-    blocks = [[alg.zero_elem(rv, cv) for cv in cols] for rv in rows]
+    zero_rows = {rv: [alg.zero_elem(rv, cv) for cv in cols] for rv in set(rows)}
+    blocks = [zero_rows[rv].copy() for rv in rows]
     r0 = c0 = 0
     for t in parts:
         for r, row in enumerate(t.d):
@@ -184,9 +185,9 @@ def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int
     landing in ``Hom(P_-1, Q_0)``.  The coordinates outside the pivots of
     that image span a complement of it, so their unit vectors are the basis
     returned.  This is the one place the shifted-Hom matrix is built: the
-    silting order reads its emptiness, and both completions read their
-    approximation copies off it (Adachi-Iyama-Reiten, arXiv:1210.1036,
-    Sections 2-3).
+    silting order and the registry's presilting verdict per component pair
+    read its emptiness, and both completions read their approximation
+    copies off it (Adachi-Iyama-Reiten, arXiv:1210.1036, Sections 2-3).
     """
     if p.algebra is not q.algebra:
         raise ValueError("complexes live over different algebras")
@@ -197,23 +198,24 @@ def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int
     cod_pos = {key: n for n, key in enumerate(cod)}
     dom_f = _hom_entries(alg, q.cols, p.cols)   # f : P_-1 -> Q_-1
     dom_g = _hom_entries(alg, q.rows, p.rows)   # g : P_0  -> Q_0
-    # the image matrix transposed: one row per domain basis element
+    # the image matrix transposed: one row per domain basis element, summed
+    # from the structure constants of the basis paths
+    mult, mod = alg.mult_basis, alg.p
     image = [[0] * len(cod) for _ in range(len(dom_f) + len(dom_g))]
-    for n, (i, j, gid) in enumerate(dom_f):
-        # beta . f lands in block (k, j) as d_q[k][i] * elem
-        elem = alg.basis_elem(gid)
-        for k in range(len(q.rows)):
-            prod = q.d[k][i] * elem
-            for g2, c in prod.coeffs.items():
-                image[n][cod_pos[(k, j, g2)]] = (-c) % alg.p
-    off = len(dom_f)
-    for n, (i, j, gid) in enumerate(dom_g):
-        # g . alpha lands in block (i, m) as elem * d_p[j][m]
-        elem = alg.basis_elem(gid)
-        for m in range(len(p.cols)):
-            prod = elem * p.d[j][m]
-            for g2, c in prod.coeffs.items():
-                image[off + n][cod_pos[(i, m, g2)]] = c % alg.p
+    for row, (i, j, gid) in zip(image, dom_f):
+        # beta . f lands in block (k, j) as -d_q[k][i] * e_gid
+        for k, d_row in enumerate(q.d):
+            for g1, c1 in d_row[i].coeffs.items():
+                for g, c in mult(g1, gid).items():
+                    pos = cod_pos[(k, j, g)]
+                    row[pos] = (row[pos] - c1 * c) % mod
+    for row, (i, j, gid) in zip(image[len(dom_f):], dom_g):
+        # g . alpha lands in block (i, m) as e_gid * d_p[j][m]
+        for m, entry in enumerate(p.d[j]):
+            for g2, c2 in entry.coeffs.items():
+                for g, c in mult(gid, g2).items():
+                    pos = cod_pos[(i, m, g)]
+                    row[pos] = (row[pos] + c * c2) % mod
     pivots = set(em._eliminate(image, len(cod), alg.p, False))
     return [key for n, key in enumerate(cod) if n not in pivots]
 
@@ -222,8 +224,8 @@ def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     """Whether every degree-1 morphism ``p -> q[1]`` is null-homotopic.
 
     That is, ``shift_hom_basis(p, q)`` is empty.  It is ``silt_leq``, and
-    the tier-1 reference for ``is_presilting``, which reads the same space
-    off ``H^0(q)``.
+    ``Registry.is_presilting`` asks it of each ordered pair of components;
+    ``is_presilting`` reads the same space off ``H^0(q)`` instead.
     """
     return not shift_hom_basis(p, q)
 
@@ -256,10 +258,9 @@ def is_presilting(p: TwoTermComplex) -> bool:
     ``Hom(p, p[1])`` is the cokernel of ``Hom(d_p, H^0 p)``.  With ``p`` the
     minimal presentation of ``M`` plus ``Q[1]``, the test is that ``M`` is
     tau-rigid and ``Hom(Q, M) = 0`` at once (Adachi-Iyama-Reiten,
-    arXiv:1210.1036, Section 3).  Hom is additive in both arguments, so
-    ``p`` is presilting exactly when ``hom_onto(A, h0(B))`` holds for every
-    ordered pair of its ``components``; ``Registry.is_presilting`` reads
-    it that way, with the pairs memoised, since completions share them.
+    arXiv:1210.1036, Section 3).  It builds no shifted-Hom matrix and is
+    the tier-1 reference of ``Registry.is_presilting``, which asks
+    ``hom_shift_vanishes(A, B)`` of every ordered pair of ``components``.
     """
     return hom_onto(p, h0(p))
 

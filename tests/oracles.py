@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+from silt import exactmat as em
 from silt import repmod as rm
+from silt import twoterm as tt
+from silt.algebra import AlgebraElement
 
 
 def int_det(m) -> int:
@@ -55,3 +58,69 @@ def rational_inverse(cols) -> list[list[Fraction]] | None:
 def fac_contains(generators: rm.Rep, x: rm.Rep) -> bool:
     """Whether ``x`` is a factor of a finite direct sum of the generators."""
     return rm.images_span(rm.hom_basis(generators, x), x)
+
+
+def shift_hom_basis_by_products(p, q) -> list[tuple[int, int, int]]:
+    """``twoterm.shift_hom_basis(p, q)`` with its image built from products.
+
+    Every image entry comes from one ``AlgebraElement`` product of a basis
+    element with a block of a differential, so the structure constants are
+    read through the element arithmetic, not summed by hand.
+    """
+    if p.algebra is not q.algebra:
+        raise ValueError("complexes live over different algebras")
+    alg = p.algebra
+    cod = tt._hom_entries(alg, q.rows, p.cols)
+    if not cod:
+        return []
+    cod_pos = {key: n for n, key in enumerate(cod)}
+    dom_f = tt._hom_entries(alg, q.cols, p.cols)   # f : P_-1 -> Q_-1
+    dom_g = tt._hom_entries(alg, q.rows, p.rows)   # g : P_0  -> Q_0
+    image = [[0] * len(cod) for _ in range(len(dom_f) + len(dom_g))]
+    for n, (i, j, gid) in enumerate(dom_f):
+        # beta . f lands in block (k, j) as d_q[k][i] * elem
+        elem = alg.basis_elem(gid)
+        for k in range(len(q.rows)):
+            prod = q.d[k][i] * elem
+            for g2, c in prod.coeffs.items():
+                image[n][cod_pos[(k, j, g2)]] = (-c) % alg.p
+    off = len(dom_f)
+    for n, (i, j, gid) in enumerate(dom_g):
+        # g . alpha lands in block (i, m) as elem * d_p[j][m]
+        elem = alg.basis_elem(gid)
+        for m in range(len(p.cols)):
+            prod = elem * p.d[j][m]
+            for g2, c in prod.coeffs.items():
+                image[off + n][cod_pos[(i, m, g2)]] = c % alg.p
+    pivots = set(em._eliminate(image, len(cod), alg.p, False))
+    return [key for n, key in enumerate(cod) if n not in pivots]
+
+
+def min_projective_presentation_by_covers(m: rm.Rep) -> tt.TwoTermComplex:
+    """``repmod.min_projective_presentation(m)`` from two full covers.
+
+    The kernel of the cover of ``m`` gets a projective cover of its own, and
+    the differential is the composite of that cover with the kernel's
+    inclusion, both built and square-checked as maps of representations.
+    """
+    alg = m.algebra
+    nv = alg.quiver.n_vertices
+    mult0, _, epi = rm.projective_cover(m)
+    ker, incl = rm.kernel(epi)
+    mult1, _, epi2 = rm.projective_cover(ker)
+    d = rm.compose(incl, epi2)
+    rows = tuple(v for v in range(nv) for _ in range(mult0[v]))
+    cols = tuple(v for v in range(nv) for _ in range(mult1[v]))
+    row_offsets = rm._copy_offsets(alg, rows)
+    col_offsets = rm._copy_offsets(alg, cols)
+    blocks = []
+    for r, w in enumerate(rows):
+        row = []
+        for c, v in enumerate(cols):
+            # image of the generator e_v of column copy c, read at vertex v
+            vec = d.comps[v][:, col_offsets[c][v] + alg.pair_pos(alg.unit_gid(v))]
+            coeffs = {gid: int(vec[row_offsets[r][v] + pos])
+                      for pos, gid in enumerate(alg.pair_basis(w, v))}
+            row.append(AlgebraElement(alg, w, v, coeffs))
+        blocks.append(tuple(row))
+    return tt.TwoTermComplex(alg, rows, cols, tuple(blocks))

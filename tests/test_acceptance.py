@@ -18,7 +18,8 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import int_det, rational_inverse
+from oracles import (int_det, min_projective_presentation_by_covers, rational_inverse,
+                     shift_hom_basis_by_products)
 from test_algebra import a2_algebra
 
 
@@ -633,3 +634,54 @@ def test_cone_reading_equals_split_reading(complete_runs):
         for t in sums:
             with pytest.raises(ValueError, match="not presilting"):
                 reg.decompose(t)
+
+
+def test_registry_presilting_equals_h0_reference(complete_runs):
+    # AIR Section 3: Hom(A, B[1]) = 0 iff Hom(d_A, H^0 B) is onto.  The
+    # registry tests Hom(A, B[1]) per ordered pair of components with
+    # shift_hom_basis; twoterm.is_presilting builds H^0 of the whole complex
+    # and no shifted-Hom matrix.  The product-built image is the reference
+    # of shift_hom_basis's own image rows.
+    verdicts, pairs = [], set()
+    for eq in complete_runs:
+        ws, reg = eq.workspace, eq.workspace.registry
+        completions = set()
+        for sub, _ in _almost_complete_pairs(eq):
+            cx = ws.complex_of(sub)
+            completions.update((tt.bongartz_completion(cx, reg),
+                                tt.co_bongartz_completion(cx, reg)))
+        # non-presilting sums of neighbouring nodes get the reference verdict too
+        sums = [tt.direct_sum(ws.complex_of(a), ws.complex_of(b))
+                for a, b in zip(eq.nodes, eq.nodes[1:])]
+        for t in completions:
+            assert reg.is_presilting(t) is tt.is_presilting(t) is True, t
+        for t in sums:
+            verdicts.append(reg.is_presilting(t))
+            assert verdicts[-1] == tt.is_presilting(t), t
+        for t in completions | set(sums):
+            parts = tt.components(t)
+            pairs.update((a, b) for a in parts for b in parts)
+    assert verdicts.count(False) > len(verdicts) // 2
+    bases = [tt.shift_hom_basis(a, b) for a, b in pairs]
+    assert bases == [shift_hom_basis_by_products(a, b) for a, b in pairs]
+    assert sum(map(bool, bases)) > 0
+
+
+def test_presentation_at_generators_equals_two_covers(complete_runs):
+    # a map out of P_v is fixed by the image of its generator, and the lifts
+    # of a basis of the kernel's top generate the kernel (Nakayama), so the
+    # differential read at the generators is the composite of the kernel's
+    # inclusion with its full, square-checked projective cover.  No registered
+    # module has two copies of one projective in a term, so the sums of
+    # neighbouring registered modules, and of each with itself, are read too
+    repeated = 0
+    for eq in complete_runs:
+        reg = eq.workspace.registry
+        mods = [reg.rep(i) for i in range(len(reg))]
+        sums = [rm.rep_direct_sum(eq.algebra, list(pair))[0]
+                for m, n in zip(mods, mods[1:] + mods[:1]) for pair in ((m, m), (m, n))]
+        for m in mods + sums:
+            got, want = rm.min_projective_presentation(m), min_projective_presentation_by_covers(m)
+            assert (got.rows, got.cols, got.d) == (want.rows, want.cols, want.d), m
+            repeated += len(set(got.cols)) < len(got.cols)
+    assert repeated > 0

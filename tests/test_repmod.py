@@ -135,7 +135,8 @@ def test_kernel_cokernel(a2):
     assert ker.is_zero()
     cok, _ = rm.cokernel(rm.identity_map(p1))
     assert cok.is_zero()
-    cok, _ = rm.cokernel(rm.zero_map(p2, p1))
+    zero = rm.RepMap(p2, p1, [em.zeros(d1, d2) for d1, d2 in zip(p1.dims, p2.dims)])
+    cok, _ = rm.cokernel(zero)
     assert rm.is_isomorphic(cok, p1)
 
 

@@ -10,6 +10,7 @@ from silt import twoterm as tt
 from silt.algebra import AlgebraElement
 from silt.silting import Registry, SiltingWorkspace
 
+from oracles import shift_hom_basis_by_products
 from test_algebra import a2_algebra, cyclic_2_algebra
 
 
@@ -223,24 +224,23 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     eq = ex.explore(orders.auslander_bass_v_reduction(2))
     ws = eq.workspace
     reg = ws.registry
-    checked, tops, pairs = [], {}, []
-    real, real_h0, real_onto = tt.components, tt.h0, tt.hom_onto
+    checked, pairs = [], []
+    real, real_vanishes = tt.components, tt.hom_shift_vanishes
 
     def counted(t):
         checked.append(t)
         return real(t)
 
-    def counted_h0(t):
-        tops[id(m := real_h0(t))] = t
-        return m
+    def counted_vanishes(a, b):
+        pairs.append((a, b))
+        return real_vanishes(a, b)
 
-    def counted_onto(a, m):
-        pairs.append((a, tops[id(m)]))
-        return real_onto(a, m)
+    def no_h0(t):
+        raise AssertionError("the registry's verdict builds no H^0 module")
 
     monkeypatch.setattr(tt, "components", counted)
-    monkeypatch.setattr(tt, "h0", counted_h0)
-    monkeypatch.setattr(tt, "hom_onto", counted_onto)
+    monkeypatch.setattr(tt, "hom_shift_vanishes", counted_vanishes)
+    monkeypatch.setattr(tt, "h0", no_h0)
     completions = [f(t, reg) for t in _almost_complete(eq)
                    for f in (tt.bongartz_completion, tt.co_bongartz_completion)]
     assert len(completions) == 144
@@ -249,7 +249,6 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     # each distinct ordered pair of components is computed once, over all checks
     assert len(pairs) == len(set(pairs)) == len(
         {(a, b) for t in checked for a in real(t) for b in real(t)})
-    assert len(tops) == len({b for t in checked for b in real(t)})
     # a contractible summand P_0 -> P_0 leaves the reduced key, and the verdict
     alg = eq.algebra
     cone = tt.TwoTermComplex(alg, (0,), (0,), ((alg.unit_elem(0),),))
@@ -257,13 +256,14 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     assert all(reg.is_presilting(tt.direct_sum(t, cone)) for t in completions)
     assert len(checked) == before
     monkeypatch.undo()
+    # the whole-complex H^0 route is the reference
     for t in completions:
-        assert reg.is_presilting(t) is tt.hom_shift_vanishes(t, t) is True
+        assert reg.is_presilting(t) is tt.is_presilting(t) is True
     # non-presilting sums of neighbouring nodes get the reference verdict too
     sums = [tt.direct_sum(ws.complex_of(a), ws.complex_of(b))
             for a, b in zip(eq.nodes, eq.nodes[1:])]
     verdicts = [reg.is_presilting(t) for t in sums]
-    assert verdicts == [tt.hom_shift_vanishes(t, t) for t in sums]
+    assert verdicts == [tt.is_presilting(t) for t in sums]
     assert not all(verdicts)
 
 
@@ -410,6 +410,18 @@ def test_presilting_verdict_equals_shifted_hom(families, data):
     reg = families[data.draw(st.sampled_from(sorted(families)))]
     t = data.draw(summed_complexes(reg))
     assert tt.is_presilting(t) == tt.hom_shift_vanishes(t, t)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_shift_hom_basis_equals_product_build(families, data):
+    # the image rows summed from structure constants equal the ones read off
+    # one AlgebraElement product per entry, so the same entries survive
+    reg = families[data.draw(st.sampled_from(sorted(families)))]
+    draws = st.one_of(summed_complexes(reg), block_complexes(reg.algebra))
+    t, u = data.draw(draws), data.draw(draws)
+    for p, q in ((t, t), (t, u), (u, t)):
+        assert tt.shift_hom_basis(p, q) == shift_hom_basis_by_products(p, q)
 
 
 def _h0_tau_rigid(t):
