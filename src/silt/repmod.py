@@ -16,6 +16,7 @@ import numpy as np
 
 from . import exactmat as em
 from .algebra import AlgebraElement, FiniteDimAlgebra
+from .twoterm import TwoTermComplex
 
 
 class Rep:
@@ -78,16 +79,6 @@ def path_matrix(rep: Rep, src: int, path: tuple[int, ...]) -> np.ndarray:
     for a in path:
         m = em.matmul(rep.arrow_maps[a], m, rep.algebra.p)
     return m
-
-
-def elem_matrix(rep: Rep, elem: AlgebraElement) -> np.ndarray:
-    """Action ``M_src -> M_tgt`` of an algebra element on the representation."""
-    alg = rep.algebra
-    out = em.zeros(rep.dims[elem.tgt], rep.dims[elem.src])
-    for gid, c in elem.coeffs.items():
-        b = alg.basis[gid]
-        out = (out + c * path_matrix(rep, b.src, b.path)) % alg.p
-    return out
 
 
 class RepMap:
@@ -334,8 +325,6 @@ def min_projective_presentation(m: Rep):
     lemma the lifts generate the kernel.  The differential has entries in
     the algebra, one block per pair of indecomposable summands.
     """
-    from .twoterm import TwoTermComplex
-
     alg = m.algebra
     nv = alg.quiver.n_vertices
     mult0, _, epi = projective_cover(m)

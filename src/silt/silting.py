@@ -17,11 +17,12 @@ registry only grows:
 - ``hom(i, j)``: the Hom-space basis, per ordered id pair.  ``mutate_left``
   reads ``Hom(U, X)`` only for an ``X`` without a registered partner, the
   one case in which it may build a module.
-- ``rigid(i, j)``: the rigidity pairing, ``twoterm.hom_onto`` of the
-  minimal presentation of ``i`` against the module ``j``, per ordered id
-  pair; ``twoterm.is_presilting`` runs the same test on whole complexes.
-  The whole partial order on discovered pairs, and the rigidity step of
-  validation, reduce to lookups in this table plus a support condition.
+- ``rigid(i, j)``: the rigidity pairing, ``twoterm.hom_shift_vanishes`` of
+  the minimal presentations of ``i`` and ``j``, per ordered id pair; no
+  module is read.  ``twoterm.is_presilting`` asks the same of whole
+  complexes.  The whole partial order on discovered pairs, and the rigidity
+  step of validation, reduce to lookups in this table plus a support
+  condition.
 - ``composition(x, k, t)``: the coordinates of every composite
   ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple.
   ``_strip_copies`` reads it instead of composing maps: dropping a copy
@@ -48,9 +49,8 @@ which is hashed once and matches its memo key by identity:
   computes afresh.
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
   tests every ordered pair ``(A, B)`` of ``twoterm.components`` through one
-  more memo, keyed by the pair: ``twoterm.hom_shift_vanishes(A, B)``, read
-  off the shifted-Hom matrix with no ``H^0`` module built.  Hom is
-  additive, so the pairs give the verdict of the whole complex (AIR,
+  more memo, keyed by the pair: ``twoterm.hom_shift_vanishes(A, B)``.  Hom
+  is additive, so the pairs give the verdict of the whole complex (AIR,
   arXiv:1210.1036, Section 3), and the completions share most pairs.
 
 Next to the cone table the ``Registry`` indexes the recorded pairs by facet:
@@ -269,7 +269,7 @@ class Registry:
         A contractible summand changes no Hom in the homotopy category, so
         the reduced complex has the verdict of ``t``.  A miss asks whether
         ``Hom(A, B[1])`` vanishes for every ordered pair of its components
-        through ``_onto``, memoised across complexes; no ``H^0`` is built.
+        through ``_onto``, memoised across complexes.
         """
         red = tt.minimality_reduce(t)
         got = self._presilting.get(red)
@@ -310,11 +310,18 @@ class SiltingWorkspace:
         return got
 
     def rigid(self, i: int, j: int) -> bool:
-        """Surjectivity of Hom(d_i, m_j); the two-term shifted-Hom vanishing."""
+        """Whether ``Hom(P_i, P_j[1])`` vanishes, ``P_i`` and ``P_j`` the
+        minimal presentations of modules ``i`` and ``j``.
+
+        That is ``Hom(M_j, tau M_i) = 0`` (Adachi-Iyama-Reiten,
+        arXiv:1210.1036, Lemma 3.4), read off the shifted-Hom matrix of the
+        two presentations; no module is read.
+        """
         got = self._rigid.get((i, j))
         if got is None:
-            got = self._rigid[i, j] = tt.hom_onto(self.registry.presentation(i),
-                                                  self.module(j))
+            reg = self.registry
+            got = self._rigid[i, j] = tt.hom_shift_vanishes(reg.presentation(i),
+                                                            reg.presentation(j))
         return got
 
     def composition(self, x: int, k: int, t: int) -> np.ndarray:

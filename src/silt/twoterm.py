@@ -5,18 +5,17 @@ projective summand vertices in each degree together with a block matrix of
 algebra elements: the ``(r, c)`` block lies in ``e_{rows[r]} . A . e_{cols[c]}``
 and acts on ``P_{cols[c]} -> P_{rows[r]}`` by left multiplication.  Keeping
 the differential at the algebra level is what makes block cancellation and
-the mapping-cone constructions exact and cheap; the representation-level
-view is derived on demand.
+the mapping-cone constructions exact and cheap.  Every rigidity question,
+the presilting verdict, the silting order and the registry's rigidity table,
+is read off one shifted-Hom matrix (``shift_hom_basis``), and no
+representation of a complex is built here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exactmat as em
-from . import repmod as rm
 from .algebra import AlgebraElement, FiniteDimAlgebra
 
 
@@ -126,44 +125,6 @@ def _glue(parts: tuple[TwoTermComplex, ...],
     return TwoTermComplex(alg, rows, cols, blocks)
 
 
-# ---- representation view ------------------------------------------------------
-
-
-def left_mult_matrix(alg: FiniteDimAlgebra, u: AlgebraElement, w: int) -> np.ndarray:
-    """Matrix of ``q -> u * q`` from ``(P_{u.tgt})_w`` to ``(P_{u.src})_w``."""
-    src_basis = alg.pair_basis(u.tgt, w)
-    tgt_basis = alg.pair_basis(u.src, w)
-    out = em.zeros(len(tgt_basis), len(src_basis))
-    for col, q in enumerate(src_basis):
-        acc: dict[int, int] = {}
-        for g, cu in u.coeffs.items():
-            for g2, c in alg.mult_basis(g, q).items():
-                acc[g2] = acc.get(g2, 0) + cu * c
-        for g2, c in acc.items():
-            out[alg.pair_pos(g2), col] = c % alg.p
-    return out
-
-
-def complex_repmap(t: TwoTermComplex) -> tuple[rm.Rep, rm.Rep, rm.RepMap]:
-    """Evaluate the differential as a map of representations."""
-    alg = t.algebra
-    nv = alg.quiver.n_vertices
-    neg1, col_offs = rm.rep_direct_sum(alg, [alg.projective(v) for v in t.cols])
-    deg0, row_offs = rm.rep_direct_sum(alg, [alg.projective(v) for v in t.rows])
-    comps = [em.zeros(deg0.dims[w], neg1.dims[w]) for w in range(nv)]
-    for r in range(len(t.rows)):
-        for c in range(len(t.cols)):
-            entry = t.d[r][c]
-            if entry.is_zero():
-                continue
-            for w in range(nv):
-                block = left_mult_matrix(alg, entry, w)
-                if block.size:
-                    ro, co = row_offs[r][w], col_offs[c][w]
-                    comps[w][ro:ro + block.shape[0], co:co + block.shape[1]] = block
-    return neg1, deg0, rm.RepMap(neg1, deg0, comps)
-
-
 # ---- rigidity ------------------------------------------------------------------
 
 
@@ -223,46 +184,25 @@ def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int
 def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     """Whether every degree-1 morphism ``p -> q[1]`` is null-homotopic.
 
-    That is, ``shift_hom_basis(p, q)`` is empty.  It is ``silt_leq``, and
-    ``Registry.is_presilting`` asks it of each ordered pair of components;
-    ``is_presilting`` reads the same space off ``H^0(q)`` instead.
+    That is, ``shift_hom_basis(p, q)`` is empty.  It is the one rigidity
+    test: ``silt_leq``, ``is_presilting``, ``Registry.is_presilting`` (per
+    ordered pair of components) and ``SiltingWorkspace.rigid`` (per ordered
+    pair of registered presentations) all ask it.
     """
     return not shift_hom_basis(p, q)
 
 
-def hom_onto(pres: TwoTermComplex, m: rm.Rep) -> bool:
-    """Whether ``Hom(d, m)`` is onto, for the differential ``d`` of ``pres``.
-
-    Since both terms of ``pres`` are projective, its cokernel is
-    ``Hom(pres, Q[1])`` in the homotopy category for every 2-term complex
-    of projectives ``Q`` with ``H^0(Q) = m``.  The matrix has one block per
-    entry of ``d``, acting on ``m``.
-    """
-    dom = sum(m.dims[v] for v in pres.rows)
-    cod = sum(m.dims[v] for v in pres.cols)
-    if cod == 0:
-        return True
-    mat = em.zeros(cod, dom)
-    roff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.rows])]).astype(int)
-    coff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.cols])]).astype(int)
-    for r in range(len(pres.rows)):
-        for c in range(len(pres.cols)):
-            mat[coff[c]:coff[c + 1], roff[r]:roff[r + 1]] = rm.elem_matrix(m, pres.d[r][c])
-    return em.rank(mat, m.algebra.p) == cod
-
-
 def is_presilting(p: TwoTermComplex) -> bool:
-    """Self-rigidity, as ``hom_onto(p, h0(p))``.
+    """Self-rigidity, as ``hom_shift_vanishes(p, p)``.
 
-    For two-term complexes only the first shift can obstruct, and
-    ``Hom(p, p[1])`` is the cokernel of ``Hom(d_p, H^0 p)``.  With ``p`` the
-    minimal presentation of ``M`` plus ``Q[1]``, the test is that ``M`` is
-    tau-rigid and ``Hom(Q, M) = 0`` at once (Adachi-Iyama-Reiten,
-    arXiv:1210.1036, Section 3).  It builds no shifted-Hom matrix and is
-    the tier-1 reference of ``Registry.is_presilting``, which asks
-    ``hom_shift_vanishes(A, B)`` of every ordered pair of ``components``.
+    For two-term complexes only the first shift can obstruct.  With ``p``
+    the minimal presentation of ``M`` plus ``Q[1]``, ``Hom(p, p[1])`` is the
+    cokernel of ``Hom(d_p, M)``, so the test is that ``M`` is tau-rigid and
+    ``Hom(Q, M) = 0`` at once (Adachi-Iyama-Reiten, arXiv:1210.1036,
+    Section 3).  ``Registry.is_presilting`` gives the same verdict one
+    ordered pair of ``components`` at a time, memoised.
     """
-    return hom_onto(p, h0(p))
+    return hom_shift_vanishes(p, p)
 
 
 def components(t: TwoTermComplex) -> list[TwoTermComplex]:
@@ -346,14 +286,6 @@ def minimality_reduce(t: TwoTermComplex) -> TwoTermComplex:
     if len(rows) == len(t.rows):   # no step taken
         return t
     return TwoTermComplex(t.algebra, rows, cols, d)
-
-
-def h0(t: TwoTermComplex) -> rm.Rep:
-    """Cokernel of the (reduced) differential as a representation."""
-    red = minimality_reduce(t)
-    _, _, dmap = complex_repmap(red)
-    cok, _ = rm.cokernel(dmap)
-    return cok
 
 
 # ---- completions ---------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
+
 from silt import exactmat as em
 from silt import repmod as rm
 from silt import twoterm as tt
-from silt.algebra import AlgebraElement
+from silt.algebra import AlgebraElement, FiniteDimAlgebra
 
 
 def int_det(m) -> int:
@@ -124,3 +126,88 @@ def min_projective_presentation_by_covers(m: rm.Rep) -> tt.TwoTermComplex:
             row.append(AlgebraElement(alg, w, v, coeffs))
         blocks.append(tuple(row))
     return tt.TwoTermComplex(alg, rows, cols, tuple(blocks))
+
+
+# ---- the H^0 reference of the shifted-Hom rigidity test ---------------------------
+#
+# For 2-term complexes of projectives P and Q, Hom(P, Q[1]) in the homotopy
+# category is the cokernel of Hom(d_P, H^0 Q) (Adachi-Iyama-Reiten,
+# arXiv:1210.1036, Section 3).  The routines below decide it on the module
+# side, through representations, and share no code with shift_hom_basis.
+
+
+def elem_matrix(rep: rm.Rep, elem: AlgebraElement) -> np.ndarray:
+    """Action ``M_src -> M_tgt`` of an algebra element on the representation."""
+    alg = rep.algebra
+    out = em.zeros(rep.dims[elem.tgt], rep.dims[elem.src])
+    for gid, c in elem.coeffs.items():
+        b = alg.basis[gid]
+        out = (out + c * rm.path_matrix(rep, b.src, b.path)) % alg.p
+    return out
+
+
+def left_mult_matrix(alg: FiniteDimAlgebra, u: AlgebraElement, w: int) -> np.ndarray:
+    """Matrix of ``q -> u * q`` from ``(P_{u.tgt})_w`` to ``(P_{u.src})_w``."""
+    src_basis = alg.pair_basis(u.tgt, w)
+    tgt_basis = alg.pair_basis(u.src, w)
+    out = em.zeros(len(tgt_basis), len(src_basis))
+    for col, q in enumerate(src_basis):
+        acc: dict[int, int] = {}
+        for g, cu in u.coeffs.items():
+            for g2, c in alg.mult_basis(g, q).items():
+                acc[g2] = acc.get(g2, 0) + cu * c
+        for g2, c in acc.items():
+            out[alg.pair_pos(g2), col] = c % alg.p
+    return out
+
+
+def complex_repmap(t: tt.TwoTermComplex) -> tuple[rm.Rep, rm.Rep, rm.RepMap]:
+    """Evaluate the differential as a map of representations."""
+    alg = t.algebra
+    nv = alg.quiver.n_vertices
+    neg1, col_offs = rm.rep_direct_sum(alg, [alg.projective(v) for v in t.cols])
+    deg0, row_offs = rm.rep_direct_sum(alg, [alg.projective(v) for v in t.rows])
+    comps = [em.zeros(deg0.dims[w], neg1.dims[w]) for w in range(nv)]
+    for r in range(len(t.rows)):
+        for c in range(len(t.cols)):
+            entry = t.d[r][c]
+            if entry.is_zero():
+                continue
+            for w in range(nv):
+                block = left_mult_matrix(alg, entry, w)
+                if block.size:
+                    ro, co = row_offs[r][w], col_offs[c][w]
+                    comps[w][ro:ro + block.shape[0], co:co + block.shape[1]] = block
+    return neg1, deg0, rm.RepMap(neg1, deg0, comps)
+
+
+def h0(t: tt.TwoTermComplex) -> rm.Rep:
+    """Cokernel of the (reduced) differential as a representation."""
+    _, _, dmap = complex_repmap(tt.minimality_reduce(t))
+    cok, _ = rm.cokernel(dmap)
+    return cok
+
+
+def hom_onto(pres: tt.TwoTermComplex, m: rm.Rep) -> bool:
+    """Whether ``Hom(d, m)`` is onto, for the differential ``d`` of ``pres``.
+
+    Its cokernel is ``Hom(pres, Q[1])`` for every 2-term complex of
+    projectives ``Q`` with ``H^0(Q) = m``.  The matrix has one block per
+    entry of ``d``, acting on ``m``.
+    """
+    dom = sum(m.dims[v] for v in pres.rows)
+    cod = sum(m.dims[v] for v in pres.cols)
+    if cod == 0:
+        return True
+    mat = em.zeros(cod, dom)
+    roff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.rows])]).astype(int)
+    coff = np.concatenate([[0], np.cumsum([m.dims[v] for v in pres.cols])]).astype(int)
+    for r in range(len(pres.rows)):
+        for c in range(len(pres.cols)):
+            mat[coff[c]:coff[c + 1], roff[r]:roff[r + 1]] = elem_matrix(m, pres.d[r][c])
+    return em.rank(mat, m.algebra.p) == cod
+
+
+def presilting_by_h0(t: tt.TwoTermComplex) -> bool:
+    """The whole-complex verdict ``hom_onto(t, h0(t))``: ``Hom(t, t[1]) = 0``."""
+    return hom_onto(t, h0(t))

@@ -18,8 +18,8 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import (int_det, min_projective_presentation_by_covers, rational_inverse,
-                     shift_hom_basis_by_products)
+from oracles import (h0, hom_onto, int_det, min_projective_presentation_by_covers,
+                     presilting_by_h0, rational_inverse, shift_hom_basis_by_products)
 from test_algebra import a2_algebra
 
 
@@ -193,11 +193,8 @@ def test_criterion_8_cross_level_consistency(runs, complete_runs, nakayama46):
                     assert ws.pair_leq(a, b) == tt.hom_shift_vanishes(
                         complexes[j], complexes[i])
 
-            # module rigidity vs presentation rigidity, every known module
-            for mid in range(len(ws.registry)):
-                pres = ws.registry.presentation(mid)
-                want = tt.hom_shift_vanishes(pres, pres)
-                assert ws.rigid(mid, mid) == tt.is_presilting(pres) == want
+            # the rigidity table vs the module side, every ordered module pair
+            _check_rigid_table(ws)
 
             # completion laws on every almost-complete subcomplex
             for node in eq.nodes:
@@ -320,6 +317,32 @@ def complete_runs(runs, nakayama46):
     eqs = list(runs.values()) + extra
     assert all(eq.complete for eq in eqs)
     return eqs
+
+
+def _check_rigid_table(ws):
+    """Compare every ``rigid(i, j)`` with ``Hom(d_i, M_j)`` onto; return the
+    number of entries that differ from their transpose.
+
+    ``rigid`` reads ``Hom(P_i, P_j[1])`` off the shifted-Hom matrix of the
+    two presentations; the reference acts with ``d_i`` on the module ``M_j``
+    and shares no code with it (Adachi-Iyama-Reiten, arXiv:1210.1036, Lemma
+    3.4).  The memo keeps one entry per ordered id pair.
+    """
+    reg = ws.registry
+    ids = range(len(reg))
+    table = {(i, j): ws.rigid(i, j) for i in ids for j in ids}
+    want = {(i, j): hom_onto(reg.presentation(i), reg.rep(j)) for i in ids for j in ids}
+    assert [k for k in table if table[k] != want[k]] == []
+    assert ws.cache_sizes()["rigid"] == len(reg) ** 2
+    return sum(table[i, j] != table[j, i] for i, j in table)
+
+
+def test_rigid_table_equals_module_side(complete_runs):
+    # every table with more than one module is asymmetric, so a rigid that
+    # read its pair the other way round fails here
+    for eq in complete_runs:
+        asymmetric = _check_rigid_table(eq.workspace)
+        assert asymmetric > 0 or len(eq.workspace.registry) == 1
 
 
 def _mutation_by_cokernel(ws, pair, at):
@@ -604,7 +627,7 @@ def _split_reading(reg, t):
     the shifted stalks the sum of their g-vectors minus its g-vector.
     """
     red = tt.minimality_reduce(t)
-    pieces = reg.split(tt.h0(red))
+    pieces = reg.split(h0(red))
     assert pieces is not None
     stalks = [sum(reg.gvector(i)[v] for i in pieces) - g
               for v, g in enumerate(tt.g_vector(red))]
@@ -639,8 +662,8 @@ def test_cone_reading_equals_split_reading(complete_runs):
 def test_registry_presilting_equals_h0_reference(complete_runs):
     # AIR Section 3: Hom(A, B[1]) = 0 iff Hom(d_A, H^0 B) is onto.  The
     # registry tests Hom(A, B[1]) per ordered pair of components with
-    # shift_hom_basis; twoterm.is_presilting builds H^0 of the whole complex
-    # and no shifted-Hom matrix.  The product-built image is the reference
+    # shift_hom_basis; the reference builds H^0 of the whole complex and no
+    # shifted-Hom matrix.  The product-built image is the reference
     # of shift_hom_basis's own image rows.
     verdicts, pairs = [], set()
     for eq in complete_runs:
@@ -654,10 +677,10 @@ def test_registry_presilting_equals_h0_reference(complete_runs):
         sums = [tt.direct_sum(ws.complex_of(a), ws.complex_of(b))
                 for a, b in zip(eq.nodes, eq.nodes[1:])]
         for t in completions:
-            assert reg.is_presilting(t) is tt.is_presilting(t) is True, t
+            assert reg.is_presilting(t) is presilting_by_h0(t) is True, t
         for t in sums:
             verdicts.append(reg.is_presilting(t))
-            assert verdicts[-1] == tt.is_presilting(t), t
+            assert verdicts[-1] == presilting_by_h0(t), t
         for t in completions | set(sums):
             parts = tt.components(t)
             pairs.update((a, b) for a in parts for b in parts)

@@ -148,32 +148,64 @@ def test_shift_hom_matrix_built_once():
     assert sum(_called(call, "_hom_entries") for _, call in _scoped_calls(tree)) == 3
 
 
-def _h0_calls_off_the_presilting_route(tree):
-    # the registry's pair test reads Hom(A, B[1]) off shift_hom_basis and
-    # builds no H^0; the only caller is the whole-complex reference
-    # ``twoterm.is_presilting``
+MODULE_SIDE_RIGIDITY = ("hom_onto", "h0", "complex_repmap", "left_mult_matrix",
+                        "elem_matrix")
+
+
+def _module_side_rigidity(tree):
+    # the rigidity table, the presilting gate, the silting order and both
+    # completions read Hom(A, B[1]) off shift_hom_basis; the H^0 route that
+    # decides the same space on the module side lives in tests/oracles.py
     for scope, call in _scoped_calls(tree):
-        if _called(call, "h0") and scope != ("is_presilting",):
-            yield ".".join(scope), call.lineno
+        name = next((n for n in MODULE_SIDE_RIGIDITY if _called(call, n)), None)
+        if name:
+            yield f"call {name} in {'.'.join(scope)}", call.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name in MODULE_SIDE_RIGIDITY:
+            yield f"def {node.name}", node.lineno
 
 
 def test_h0_callers():
     probe = ("def is_presilting(p):\n"
-             "    return h0(p)\n"
+             "    return hom_onto(p, h0(p))\n"
              "class Registry:\n"
              "    def _onto(self, a, b):\n"
              "        return tt.h0(b)\n"
-             "    def decompose(self, t):\n"
-             "        return tt.h0(t)\n"
-             "def pair_of(t):\n"
-             "    return split(h0(t))\n")
-    assert list(_h0_calls_off_the_presilting_route(ast.parse(probe))) == [
-        ("Registry._onto", 5), ("Registry.decompose", 7), ("pair_of", 9)]
-    found, allowed = [], 0
+             "def hom_onto(pres, m):\n"
+             "    return rm.elem_matrix(m, pres.d[0][0])\n"
+             "def shift_hom_basis(p, q):\n"
+             "    return _hom_entries(a, q.rows, p.cols)\n")
+    assert sorted(_module_side_rigidity(ast.parse(probe))) == [
+        ("call elem_matrix in hom_onto", 7), ("call h0 in Registry._onto", 5),
+        ("call h0 in is_presilting", 2), ("call hom_onto in is_presilting", 2),
+        ("def hom_onto", 6)]
+    found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} in {where}"
-                  for where, line in _h0_calls_off_the_presilting_route(tree)]
-        allowed += sum(_called(call, "h0") for _, call in _scoped_calls(tree))
+        found += [f"{path.name}:{line} {what}" for what, line in _module_side_rigidity(tree)]
     assert found == []
-    assert allowed == 1     # the whole-complex reference alone
+
+
+def _imported_modules(tree):
+    # the last dotted part of each imported module, and the names taken
+    # from a package (``from . import repmod``)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rpartition(".")[2]
+            if node.module in (None, "silt"):
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+
+
+def test_twoterm_imports_no_repmod():
+    # complexes decide rigidity without representations, so repmod may
+    # import twoterm at module level with no cycle
+    probe = ("from . import exactmat as em\nfrom . import repmod as rm\n"
+             "from .repmod import Rep\nimport silt.repmod\nfrom .algebra import Quiver\n")
+    assert list(_imported_modules(ast.parse(probe))) == [
+        "exactmat", "repmod", "repmod", "repmod", "algebra"]
+    path = ROOT / "src" / "silt" / "twoterm.py"
+    assert "repmod" not in set(_imported_modules(ast.parse(path.read_text())))

@@ -11,6 +11,8 @@ from silt.algebra import build_algebra, presentation, Quiver
 from silt.orders import auslander_bass_v_reduction, cyclic_nakayama, \
     triangular_example_reduction
 
+from oracles import h0, hom_onto, presilting_by_h0
+
 
 @pytest.fixture(scope="module")
 def algebras():
@@ -71,7 +73,7 @@ def test_presentation_cokernel_dims(algebras, data):
     alg_idx, n_tgt, n_src, seed = data
     m = _random_module(algebras[alg_idx], n_tgt, n_src, seed)
     pres = rm.min_projective_presentation(m)
-    cok = tt.h0(pres)
+    cok = h0(pres)
     assert cok.dims == m.dims
     # minimality: no block of the differential has a unit part
     for r, rv in enumerate(pres.rows):
@@ -86,8 +88,8 @@ def test_rigidity_matches_complex_level(algebras, data):
     alg = algebras[alg_idx]
     m = _random_module(alg, n_tgt, n_src, seed)
     pres = rm.min_projective_presentation(m)
-    assert tt.hom_onto(pres, m) == tt.is_presilting(pres) == \
-        tt.hom_shift_vanishes(pres, pres)
+    # the module itself, H^0 of its presentation, and the shifted-Hom matrix
+    assert hom_onto(pres, m) == presilting_by_h0(pres) == tt.is_presilting(pres)
 
 
 @settings(deadline=None, max_examples=30)

@@ -5,7 +5,7 @@ from silt import exactmat as em
 from silt import repmod as rm
 from silt.algebra import projective_module, simple_module
 
-from oracles import fac_contains
+from oracles import complex_repmap, fac_contains
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
 
@@ -153,7 +153,6 @@ def test_min_projective_presentation(a2):
 
 
 def test_presentation_cokernel_recovers_module(a2, cyc2):
-    from silt.twoterm import complex_repmap
     for alg in (a2, cyc2):
         for v in range(alg.quiver.n_vertices):
             s = simple_module(alg, v)

@@ -10,7 +10,7 @@ from silt import twoterm as tt
 from silt.algebra import Quiver, build_algebra, presentation
 from silt.silting import Registry, SiltingPair, SiltingWorkspace, Validation
 
-from oracles import fac_contains
+from oracles import fac_contains, hom_onto
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
 
@@ -51,7 +51,9 @@ def test_registry_dedup(a2):
 
 
 def module_presilting(m):
-    return tt.is_presilting(rm.min_projective_presentation(m))
+    # tau-rigidity on the module side: Hom(d, M) is onto for the minimal
+    # presentation d of M, with no shifted-Hom matrix built
+    return hom_onto(rm.min_projective_presentation(m), m)
 
 
 def test_presilting_projective_and_zero(a2):

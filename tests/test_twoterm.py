@@ -10,7 +10,7 @@ from silt import twoterm as tt
 from silt.algebra import AlgebraElement
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import shift_hom_basis_by_products
+from oracles import complex_repmap, h0, hom_onto, presilting_by_h0, shift_hom_basis_by_products
 from test_algebra import a2_algebra, cyclic_2_algebra
 
 
@@ -109,12 +109,12 @@ def test_minimality_reduce_block_example(a2):
 
 def test_h0_and_decompose(a2, reg):
     s1 = reg.get_or_insert(a2.simple(0))
-    assert rm.is_isomorphic(tt.h0(tt.stalk(a2, 0)), a2.projective(0))
+    assert rm.is_isomorphic(h0(tt.stalk(a2, 0)), a2.projective(0))
     assert reg.decompose(tt.stalk(a2, 0)) == ((), (0,))
     sh = tt.shifted_stalk(a2, 1)
-    assert tt.h0(sh).is_zero()
+    assert h0(sh).is_zero()
     assert reg.decompose(sh) == ((1,), ())
-    assert rm.is_isomorphic(tt.h0(pres_s1(a2)), a2.simple(0))
+    assert rm.is_isomorphic(h0(pres_s1(a2)), a2.simple(0))
     assert reg.decompose(pres_s1(a2)) == ((), (s1,))
 
 
@@ -214,7 +214,7 @@ def _almost_complete(eq):
 
 def test_complex_repmap_validates(a2):
     # the evaluated differential is a genuine homomorphism of representations
-    neg1, deg0, dmap = tt.complex_repmap(pres_s1(a2))
+    neg1, deg0, dmap = complex_repmap(pres_s1(a2))
     assert neg1.dims == a2.projective(1).dims
     assert deg0.dims == a2.projective(0).dims
     assert not dmap.is_zero()
@@ -235,12 +235,12 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
         pairs.append((a, b))
         return real_vanishes(a, b)
 
-    def no_h0(t):
+    def no_h0(h):
         raise AssertionError("the registry's verdict builds no H^0 module")
 
     monkeypatch.setattr(tt, "components", counted)
     monkeypatch.setattr(tt, "hom_shift_vanishes", counted_vanishes)
-    monkeypatch.setattr(tt, "h0", no_h0)
+    monkeypatch.setattr(rm, "cokernel", no_h0)
     completions = [f(t, reg) for t in _almost_complete(eq)
                    for f in (tt.bongartz_completion, tt.co_bongartz_completion)]
     assert len(completions) == 144
@@ -258,12 +258,12 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     monkeypatch.undo()
     # the whole-complex H^0 route is the reference
     for t in completions:
-        assert reg.is_presilting(t) is tt.is_presilting(t) is True
+        assert reg.is_presilting(t) is presilting_by_h0(t) is True
     # non-presilting sums of neighbouring nodes get the reference verdict too
     sums = [tt.direct_sum(ws.complex_of(a), ws.complex_of(b))
             for a, b in zip(eq.nodes, eq.nodes[1:])]
     verdicts = [reg.is_presilting(t) for t in sums]
-    assert verdicts == [tt.is_presilting(t) for t in sums]
+    assert verdicts == [presilting_by_h0(t) for t in sums]
     assert not all(verdicts)
 
 
@@ -310,11 +310,11 @@ def test_shift_hom_basis_against_h0_and_hom_onto(explorations):
     for eq in explorations.values():
         alg = eq.algebra
         for t in _almost_complete(eq):
-            dims = tt.h0(t).dims
+            dims = h0(t).dims
             for v in range(alg.quiver.n_vertices):
                 assert len(tt.shift_hom_basis(tt.shifted_stalk(alg, v), t)) == dims[v]
                 assert bool(tt.shift_hom_basis(t, tt.stalk(alg, v))) == \
-                    (not tt.hom_onto(t, alg.projective(v)))
+                    (not hom_onto(t, alg.projective(v)))
                 checks += 2
     assert checks == 1152
 
@@ -406,10 +406,11 @@ def summed_complexes(draw, reg):
 @given(data=st.data())
 def test_presilting_verdict_equals_shifted_hom(families, data):
     # Hom(T, T[1]) is the cokernel of Hom(d_T, H^0 T), since both terms of T
-    # are projective; hom_shift_vanishes builds the homotopy quotient itself
+    # are projective; is_presilting builds the homotopy quotient itself, the
+    # reference builds H^0 and no shifted-Hom matrix
     reg = families[data.draw(st.sampled_from(sorted(families)))]
     t = data.draw(summed_complexes(reg))
-    assert tt.is_presilting(t) == tt.hom_shift_vanishes(t, t)
+    assert presilting_by_h0(t) == tt.is_presilting(t)
 
 
 @settings(deadline=None, max_examples=80)
@@ -425,7 +426,7 @@ def test_shift_hom_basis_equals_product_build(families, data):
 
 
 def _h0_tau_rigid(t):
-    pres = rm.min_projective_presentation(tt.h0(t))
+    pres = rm.min_projective_presentation(h0(t))
     return tt.hom_shift_vanishes(pres, pres)
 
 
@@ -438,7 +439,7 @@ def test_summed_complexes_reach_both_obstructions(families, name):
     for h0_rigid in (False, True):
         t = find(draws, lambda t: not tt.hom_shift_vanishes(t, t)
                  and _h0_tau_rigid(t) == h0_rigid, settings=quiet)
-        assert not tt.is_presilting(t)
+        assert not presilting_by_h0(t)
 
 
 # ---- minimality_reduce against the full Schur update ----------------------------
