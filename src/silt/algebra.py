@@ -353,11 +353,6 @@ class FiniteDimAlgebra:
         b = self.basis[gid]
         return AlgebraElement(self, b.src, b.tgt, {gid: 1})
 
-    def path_elem(self, src: int, path) -> AlgebraElement:
-        path = tuple(self.quiver.arrow_index(a) for a in path)
-        tgt = self.quiver.path_target(src, path)
-        return AlgebraElement(self, src, tgt, self.expand_path(src, path))
-
     # ---- canonical modules ---------------------------------------------------
 
     def projective(self, v) -> "Rep":  # noqa: F821 - deferred import below

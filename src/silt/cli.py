@@ -90,6 +90,11 @@ def _resolve_algebra(args) -> FiniteDimAlgebra:
         check_field_prime(p)
     if args.builtin and args.file:
         raise InputError("choose either --builtin or --file, not both")
+    parametrised = ("hereditary", "auslander_bass_v")
+    if args.n is not None and (args.file or args.builtin) and args.builtin not in parametrised:
+        source = f"--builtin {args.builtin}" if args.builtin else "--file"
+        raise InputError(f"--n applies to --builtin hereditary and auslander_bass_v only, "
+                         f"not {source}")
     if args.builtin:
         return orders.builtin_algebra(args.builtin, args.n,
                                       p if p is not None else DEFAULT_PRIME)

@@ -70,13 +70,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def asmat(data, p: int) -> np.ndarray:
-    a = np.asarray(data, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("expected a two-dimensional array")
-    return a % p
-
-
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
@@ -164,18 +157,13 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def left_kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
-    """Basis of ``{x : x @ m == 0}``; rows are the basis vectors."""
-    return kernel_basis(m.T, p).T
-
-
 def quotient_projection(span_cols: np.ndarray, p: int) -> np.ndarray:
     """Projection ``V -> V / W`` where ``W`` is the column span.
 
-    The rows form a left-kernel basis of the span, so the kernel of the
-    returned map is exactly ``W``.
+    The rows are a basis of ``{x : x @ span_cols == 0}``, so the kernel of
+    the returned map is exactly ``W``.
     """
-    return left_kernel_basis(span_cols, p)
+    return kernel_basis(span_cols.T, p).T
 
 
 def is_invertible(m: np.ndarray, p: int) -> bool:

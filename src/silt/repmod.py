@@ -1,10 +1,14 @@
 """Representations of a built algebra and their module-level linear algebra.
 
 Everything here reduces to exact eliminations over the prime field: Hom
-spaces are kernels of commuting-square systems, tops and cokernels are
-quotient projections, projective covers lift bases of the top.  All values
-are immutable after construction and all operations are pure, so any number
-of registries and workspaces may share them.
+spaces are kernels of commuting-square systems, cokernels are quotient
+projections, and projective covers lift bases of the top, read straight off
+the arrow matrices with no quotient module built.  A map whose squares
+commute by construction (a cover, a kernel's inclusion, a cokernel's
+projection) is built without ``RepMap``'s square check; the tier-1 oracles
+rebuild each one with it.  All values are immutable after construction and
+all operations are pure, so any number of registries and workspaces may
+share them.
 
 The zero module (all dimensions zero) is a first-class citizen; every
 operation accepts it.
@@ -66,13 +70,6 @@ class Rep:
         return f"Rep(dims={self.dims})"
 
 
-def zero_rep(algebra: FiniteDimAlgebra) -> Rep:
-    q = algebra.quiver
-    dims = (0,) * q.n_vertices
-    maps = tuple(em.zeros(0, 0) for _ in range(q.n_arrows))
-    return Rep(algebra, dims, maps, check=False)
-
-
 def path_matrix(rep: Rep, src: int, path: tuple[int, ...]) -> np.ndarray:
     """Action of a path on the representation (walking order)."""
     m = em.identity(rep.dims[src])
@@ -114,10 +111,6 @@ class RepMap:
 
     def __repr__(self):
         return f"RepMap({self.source.dims} -> {self.target.dims})"
-
-
-def identity_map(m: Rep) -> RepMap:
-    return RepMap(m, m, [em.identity(d) for d in m.dims], check=False)
 
 
 def compose(g: RepMap, f: RepMap) -> RepMap:
@@ -223,59 +216,51 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
     return False
 
 
-def top(m: Rep) -> tuple[Rep, RepMap]:
-    """``m / rad m`` together with the quotient map; all arrow maps vanish."""
+def _top_sections(m: Rep) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
+    """Top multiplicities of ``m`` and, per vertex ``v`` of the top, lifts of
+    a basis of ``m_v`` modulo the images of the arrows into ``v``: columns
+    that solve that quotient projection for the identity, free variables zero."""
     alg = m.algebra
     q = alg.quiver
-    nv = q.n_vertices
-    projs = []
-    for j in range(nv):
-        incoming = [m.arrow_maps[k] for k in range(q.n_arrows) if q.arrow_target(k) == j]
-        rad = np.concatenate(incoming, axis=1) if incoming else em.zeros(m.dims[j], 0)
-        projs.append(em.quotient_projection(rad, alg.p))
-    dims = tuple(pr.shape[0] for pr in projs)
-    maps = tuple(em.zeros(dims[q.arrow_target(k)], dims[q.arrow_source(k)])
-                 for k in range(q.n_arrows))
-    t = Rep(alg, dims, maps, check=False)
-    return t, RepMap(m, t, projs)
-
-
-def _top_sections(m: Rep) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
-    """Top multiplicities of ``m`` and, per vertex of the top, a matrix whose
-    columns are elements of ``m`` lifting a basis of the top there."""
-    alg = m.algebra
-    t, pi = top(m)
-    sections = {}
-    for v, k in enumerate(t.dims):
-        if k:
-            sec = em.solve_right(pi.comps[v], em.identity(k), alg.p)
+    mult, sections = [], {}
+    for v in range(q.n_vertices):
+        incoming = [m.arrow_maps[k] for k in range(q.n_arrows) if q.arrow_target(k) == v]
+        proj = em.quotient_projection(
+            np.concatenate([em.zeros(m.dims[v], 0)] + incoming, axis=1), alg.p)
+        mult.append(proj.shape[0])
+        if mult[v]:
+            sec = em.solve_right(proj, em.identity(mult[v]), alg.p)
             if sec is None:
                 raise AssertionError("top projection must be surjective")
             sections[v] = sec
-    return t.dims, sections
+    return tuple(mult), sections
 
 
 def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
-    """``P -> m`` lifted from a basis of the top; returns (multiplicities, P, epi)."""
+    """``P -> m`` lifted from a basis of the top; returns (multiplicities, P, epi).
+
+    Copy ``k`` of ``P_v`` sends its generator ``e_v`` to the ``k``-th lift at
+    ``v``, so each basis path of ``P_v`` acts on all the lifts at once.  By
+    Nakayama's lemma ``epi`` is onto; ``min_projective_presentation`` checks
+    that against the kernel's dimensions.
+    """
     alg = m.algebra
     nv = alg.quiver.n_vertices
     mult, sections = _top_sections(m)
-    order = [(v, k) for v in range(nv) for k in range(mult[v])]
-    psum, offsets = rep_direct_sum(alg, [alg.projective(v) for v, _ in order])
+    verts = [v for v in range(nv) for _ in range(mult[v])]
+    psum, offsets = rep_direct_sum(alg, [alg.projective(v) for v in verts])
     comps = [em.zeros(m.dims[w], psum.dims[w]) for w in range(nv)]
-    for part_idx, (v, k) in enumerate(order):
-        x = sections[v][:, k]
-        off = offsets[part_idx]
+    for v, sec in sections.items():
+        first = offsets[verts.index(v)]
         for w in range(nv):
+            d = alg.pair_dim(v, w)
             for col, gid in enumerate(alg.pair_basis(v, w)):
-                vec = em.matmul(path_matrix(m, v, alg.basis[gid].path),
-                                x.reshape(-1, 1), alg.p)
-                comps[w][:, off[w] + col] = vec[:, 0]
-    epi = RepMap(psum, m, comps)
-    for w in range(nv):
-        if em.rank(epi.comps[w], alg.p) != m.dims[w]:
-            raise AssertionError("cover is not surjective")
-    return mult, psum, epi
+                # column ``col`` of every copy of P_v: the copies are adjacent
+                img = em.matmul(path_matrix(m, v, alg.basis[gid].path), sec, alg.p)
+                comps[w][:, first[w] + col:first[w] + mult[v] * d:d] = img
+    # a map out of P_v is fixed by the image of e_v, and every image gives a
+    # homomorphism (Yoneda)
+    return mult, psum, RepMap(psum, m, comps, check=False)
 
 
 def kernel(h: RepMap) -> tuple[Rep, RepMap]:
@@ -294,7 +279,8 @@ def kernel(h: RepMap) -> tuple[Rep, RepMap]:
             raise AssertionError("kernel is not arrow-stable")
         maps.append(sol)
     ker = Rep(alg, dims, maps, check=False)
-    return ker, RepMap(ker, h.source, bases)
+    # the arrow matrices solve exactly the squares of the inclusion
+    return ker, RepMap(ker, h.source, bases, check=False)
 
 
 def cokernel(h: RepMap) -> tuple[Rep, RepMap]:
@@ -313,7 +299,8 @@ def cokernel(h: RepMap) -> tuple[Rep, RepMap]:
             raise AssertionError("image is not arrow-stable")
         maps.append(solT.T)
     cok = Rep(alg, dims, maps, check=False)
-    return cok, RepMap(h.target, cok, projs)
+    # the arrow matrices solve exactly the squares of the projection
+    return cok, RepMap(h.target, cok, projs, check=False)
 
 
 def min_projective_presentation(m: Rep):
@@ -327,37 +314,25 @@ def min_projective_presentation(m: Rep):
     """
     alg = m.algebra
     nv = alg.quiver.n_vertices
-    mult0, _, epi = projective_cover(m)
+    mult0, p0, epi = projective_cover(m)
     ker, incl = kernel(epi)
+    if any(k + d != c for k, d, c in zip(ker.dims, m.dims, p0.dims)):
+        raise AssertionError("cover is not surjective")
     mult1, sections = _top_sections(ker)
-    gens = {v: em.matmul(incl.comps[v], sec, alg.p) for v, sec in sections.items()}
     rows = tuple(v for v in range(nv) for _ in range(mult0[v]))
-    cols = tuple((v, k) for v in range(nv) for k in range(mult1[v]))
-    row_offsets = _copy_offsets(alg, rows)
-    blocks = []
-    for r, w in enumerate(rows):
-        row = []
-        for v, k in cols:
-            # image of the generator e_v of copy k of P_v, read at vertex v
-            vec = gens[v][:, k]
-            coeffs = {}
-            for pos, gid in enumerate(alg.pair_basis(w, v)):
-                val = int(vec[row_offsets[r][v] + pos])
-                if val:
-                    coeffs[gid] = val
-            row.append(AlgebraElement(alg, w, v, coeffs))
-        blocks.append(tuple(row))
-    return TwoTermComplex(alg, rows, tuple(v for v, _ in cols), tuple(blocks))
-
-
-def _copy_offsets(alg: FiniteDimAlgebra, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    nv = alg.quiver.n_vertices
-    out = []
-    run = [0] * nv
-    for v in verts:
-        out.append(tuple(run))
-        run = [run[w] + alg.pair_dim(v, w) for w in range(nv)]
-    return out
+    cols = tuple(v for v in range(nv) for _ in range(mult1[v]))
+    # the image of the generator e_v of each copy of P_v in P_{-1}, read at v
+    gens = [vec for v, sec in sections.items()
+            for vec in em.matmul(incl.comps[v], sec, alg.p).T.tolist()]
+    blocks = [[None] * len(cols) for _ in rows]
+    for c, (v, vec) in enumerate(zip(cols, gens)):
+        pos = 0     # the coordinates run through the copies of P_0 in row order
+        for r, w in enumerate(rows):
+            basis = alg.pair_basis(w, v)
+            coeffs = {gid: x for gid, x in zip(basis, vec[pos:pos + len(basis)]) if x}
+            blocks[r][c] = AlgebraElement(alg, w, v, coeffs)
+            pos += len(basis)
+    return TwoTermComplex(alg, rows, cols, tuple(tuple(row) for row in blocks))
 
 
 def images_span(maps: list[RepMap], x: Rep) -> bool:

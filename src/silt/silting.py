@@ -378,9 +378,6 @@ class SiltingWorkspace:
     def lambda_pair(self) -> SiltingPair:
         return self.make_pair(range(self.algebra.quiver.n_vertices), ())
 
-    def zero_pair(self) -> SiltingPair:
-        return self.make_pair((), range(self.algebra.quiver.n_vertices))
-
     def summand_dims(self, ids) -> tuple[int, ...]:
         nv = self.algebra.quiver.n_vertices
         out = [0] * nv
@@ -388,11 +385,6 @@ class SiltingWorkspace:
             for v, d in enumerate(self.registry.dims(i)):
                 out[v] += d
         return tuple(out)
-
-    def module_rep(self, pair: SiltingPair) -> rm.Rep:
-        rep, _ = rm.rep_direct_sum(self.algebra,
-                                   [self.registry.rep(i) for i in pair.summands])
-        return rep
 
     # ---- predicates ----------------------------------------------------------
 
@@ -445,7 +437,8 @@ class SiltingWorkspace:
         maps = [self.hom(x, t)[b] for t, b in copies]
         comps = [np.concatenate([em.zeros(0, d)] + [f.comps[v] for f in maps])
                  for v, d in enumerate(source.dims)]
-        return copies, rm.RepMap(source, target, comps), target
+        # the blocks are hom_basis maps, whose squares hom_basis checks in bulk
+        return copies, rm.RepMap(source, target, comps, check=False), target
 
     def _strip_copies(self, x: int, copies):
         """Drop, in one pass, each copy the approximation property can spare.

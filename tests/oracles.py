@@ -57,6 +57,19 @@ def rational_inverse(cols) -> list[list[Fraction]] | None:
     return [row[n:] for row in a]
 
 
+def zero_rep(algebra: FiniteDimAlgebra) -> rm.Rep:
+    q = algebra.quiver
+    maps = tuple(em.zeros(0, 0) for _ in range(q.n_arrows))
+    return rm.Rep(algebra, (0,) * q.n_vertices, maps, check=False)
+
+
+def path_elem(alg: FiniteDimAlgebra, src: int, path) -> AlgebraElement:
+    """The element of ``alg`` given by a path of arrow labels out of ``src``."""
+    path = tuple(alg.quiver.arrow_index(a) for a in path)
+    tgt = alg.quiver.path_target(src, path)
+    return AlgebraElement(alg, src, tgt, alg.expand_path(src, path))
+
+
 def fac_contains(generators: rm.Rep, x: rm.Rep) -> bool:
     """Whether ``x`` is a factor of a finite direct sum of the generators."""
     return rm.images_span(rm.hom_basis(generators, x), x)
@@ -103,18 +116,26 @@ def min_projective_presentation_by_covers(m: rm.Rep) -> tt.TwoTermComplex:
 
     The kernel of the cover of ``m`` gets a projective cover of its own, and
     the differential is the composite of that cover with the kernel's
-    inclusion, both built and square-checked as maps of representations.
+    inclusion.  ``repmod`` builds both epimorphisms and the inclusion
+    unchecked, since their squares hold by construction; here each is rebuilt
+    as a square-checked map, and each cover is checked to be onto.
     """
     alg = m.algebra
     nv = alg.quiver.n_vertices
     mult0, _, epi = rm.projective_cover(m)
+    epi = checked_repmap(epi)
     ker, incl = rm.kernel(epi)
+    incl = checked_repmap(incl)
     mult1, _, epi2 = rm.projective_cover(ker)
+    epi2 = checked_repmap(epi2)
+    for cover in (epi, epi2):
+        if not rm.images_span([cover], cover.target):
+            raise AssertionError("a projective cover is not onto")
     d = rm.compose(incl, epi2)
     rows = tuple(v for v in range(nv) for _ in range(mult0[v]))
     cols = tuple(v for v in range(nv) for _ in range(mult1[v]))
-    row_offsets = rm._copy_offsets(alg, rows)
-    col_offsets = rm._copy_offsets(alg, cols)
+    _, row_offsets = rm.rep_direct_sum(alg, [alg.projective(v) for v in rows])
+    _, col_offsets = rm.rep_direct_sum(alg, [alg.projective(v) for v in cols])
     blocks = []
     for r, w in enumerate(rows):
         row = []
@@ -126,6 +147,12 @@ def min_projective_presentation_by_covers(m: rm.Rep) -> tt.TwoTermComplex:
             row.append(AlgebraElement(alg, w, v, coeffs))
         blocks.append(tuple(row))
     return tt.TwoTermComplex(alg, rows, cols, tuple(blocks))
+
+
+def checked_repmap(h: rm.RepMap) -> rm.RepMap:
+    """``h`` rebuilt with ``RepMap``'s own square check, which raises
+    ``ValueError`` at the first square that does not commute."""
+    return rm.RepMap(h.source, h.target, h.comps)
 
 
 # ---- the H^0 reference of the shifted-Hom rigidity test ---------------------------

@@ -6,6 +6,7 @@ failure).  Shared explorations are computed once per session.
 
 import math
 import random
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,8 +19,9 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import (h0, hom_onto, int_det, min_projective_presentation_by_covers,
-                     presilting_by_h0, rational_inverse, shift_hom_basis_by_products)
+from oracles import (checked_repmap, h0, hom_onto, int_det,
+                     min_projective_presentation_by_covers, presilting_by_h0, rational_inverse,
+                     shift_hom_basis_by_products)
 from test_algebra import a2_algebra
 
 
@@ -708,3 +710,60 @@ def test_presentation_at_generators_equals_two_covers(complete_runs):
             assert (got.rows, got.cols, got.d) == (want.rows, want.cols, want.d), m
             repeated += len(set(got.cols)) < len(got.cols)
     assert repeated > 0
+
+
+def test_maps_built_unchecked_commute(complete_runs):
+    # repmod builds these maps with check=False, since their squares hold by
+    # construction: a cover's epimorphism by Yoneda (a map out of P_v is
+    # fixed by the image of e_v), a kernel's inclusion and a cokernel's
+    # projection because their arrow matrices solve exactly those squares,
+    # and the approximation map because its blocks are hom_basis maps.  Each
+    # is rebuilt here with RepMap's own check: the covers and the kernel of
+    # every registered module, and the approximation of each summand of every
+    # node by the other summands, with its cokernel
+    nonzero = 0
+    for eq in complete_runs:
+        ws = eq.workspace
+        reg = ws.registry
+        for i in range(len(reg)):
+            _, _, epi = rm.projective_cover(reg.rep(i))
+            ker, incl = rm.kernel(checked_repmap(epi))
+            checked_repmap(incl)
+            checked_repmap(rm.projective_cover(ker)[2])
+        facets = {(x, pair.summands[:at] + pair.summands[at + 1:])
+                  for pair in eq.nodes for at, x in enumerate(pair.summands)}
+        for x, rest in sorted(facets):
+            _, h, _ = ws.left_minimal_approximation(x, rest)
+            _, proj = rm.cokernel(checked_repmap(h))
+            checked_repmap(proj)
+            nonzero += not proj.is_zero()
+    assert nonzero > 0
+
+
+def test_explore_builds_no_checked_repmap(complete_runs, monkeypatch):
+    # the square checks run in the oracle above, not in an exploration; and a
+    # presentation builds two modules, its P_0 and the kernel of the cover,
+    # with the tops read off arrow matrices
+    checked, made = [], []
+    repmap_init, rep_init = rm.RepMap.__init__, rm.Rep.__init__
+
+    def counting_repmap(self, source, target, comps, check=True):
+        if check:
+            checked.append(sys._getframe(1).f_code.co_name)
+        repmap_init(self, source, target, comps, check)
+
+    def counting_rep(self, algebra, dims, arrow_maps, check=True):
+        made.append(sys._getframe(1).f_code.co_name)
+        rep_init(self, algebra, dims, arrow_maps, check)
+
+    monkeypatch.setattr(rm.RepMap, "__init__", counting_repmap)
+    monkeypatch.setattr(rm.Rep, "__init__", counting_rep)
+    for eq in complete_runs:
+        again = ex.explore(eq.algebra)
+        assert len(again.nodes) == len(eq.nodes)
+        reg = eq.workspace.registry
+        for i in range(len(reg)):
+            made.clear()
+            rm.min_projective_presentation(reg.rep(i))
+            assert made == ["rep_direct_sum", "kernel"], i
+    assert checked == []

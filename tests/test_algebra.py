@@ -13,6 +13,8 @@ from silt.algebra import (
     simple_module,
 )
 
+from oracles import path_elem
+
 
 def a2_algebra(p=32003):
     q = Quiver(("1", "2"), (("a", "1", "2"),))
@@ -102,14 +104,14 @@ def test_unit_sum_acts_as_identity():
 
 def test_local_inverse():
     alg = cyclic_2_algebra()
-    u = alg.unit_elem(0) + alg.path_elem(0, ("a1", "a2"))  # = e1, since a1a2 = 0
+    u = alg.unit_elem(0) + path_elem(alg, 0, ("a1", "a2"))  # = e1, since a1a2 = 0
     inv = u.local_inverse()
     assert (u * inv) == alg.unit_elem(0)
     with pytest.raises(ValueError):
-        alg.path_elem(0, ("a1",)).local_inverse()  # wrong shape
+        path_elem(alg, 0, ("a1",)).local_inverse()  # wrong shape
     q = Quiver(("1",), (("x", "1", "1"),))
     loop = build_algebra(presentation(q, [[(1, ("x", "x", "x"))]], 3))
-    v = loop.unit_elem(0) + loop.path_elem(0, ("x",))
+    v = loop.unit_elem(0) + path_elem(loop, 0, ("x",))
     assert (v * v.local_inverse()) == loop.unit_elem(0)
 
 
@@ -120,8 +122,8 @@ def test_zero_elem_is_shared_and_left_unchanged():
     z = alg.zero_elem(0, 1)
     assert z is alg.zero_elem(0, 1)
     assert z is not alg.zero_elem(1, 0)
-    x = alg.path_elem(0, ("a1",))
-    y = alg.path_elem(1, ("a2",))
+    x = path_elem(alg, 0, ("a1",))
+    y = path_elem(alg, 1, ("a2",))
     assert z + x == x and (x - x).is_zero() and (z * y).is_zero()
     assert (x - x) is not z and (x * x) is alg.zero_elem(0, 1)
     assert x - alg.unit_elem(0) * x.scale(3) == x.scale(-2)
@@ -138,7 +140,7 @@ def test_element_hash_is_computed_once():
     for x in elems:
         want = hash((id(alg), x.src, x.tgt, tuple(sorted(x.coeffs.items()))))
         assert hash(x) == want == hash(x)
-    x = alg.path_elem(0, ("a1",))
+    x = path_elem(alg, 0, ("a1",))
     assert hash(x.scale(2) - x) == hash(x)
     z = alg.zero_elem(0, 1)
     seen = {hash(alg.zero_elem(0, 1)) for _ in range(3)}

@@ -61,8 +61,23 @@ def test_bad_relation_reports_index(tmp_path, capsys):
     assert "non-composable" in err or "relation" in err
 
 
+@pytest.mark.parametrize("command", [("algebra", "show"), ("explore",)])
+@pytest.mark.parametrize("source", [("--builtin", "bass_v"), ("--builtin", "triangular_a2"),
+                                    ("--file", "algebra.json")])
+def test_n_refused_where_it_does_not_apply(capsys, command, source):
+    # a family without a parameter, or a file, would ignore --n yet name it
+    # in the banner; no file is read, so the path need not exist
+    code, out, err = run(capsys, *command, *source, "--n", "7")
+    assert code == 3 and out == ""
+    assert err.startswith("error: --n applies to --builtin hereditary and auslander_bass_v "
+                          f"only, not {source[0]}")
+
+
 def test_missing_source(capsys):
     code, _, err = run(capsys, "explore")
+    assert code == 3
+    assert "algebra source" in err
+    code, _, err = run(capsys, "explore", "--n", "2")
     assert code == 3
     assert "algebra source" in err
 

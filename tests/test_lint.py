@@ -209,3 +209,41 @@ def test_twoterm_imports_no_repmod():
         "exactmat", "repmod", "repmod", "repmod", "algebra"]
     path = ROOT / "src" / "silt" / "twoterm.py"
     assert "repmod" not in set(_imported_modules(ast.parse(path.read_text())))
+
+
+REFERENCE_ONLY = ("identity_map", "zero_rep", "module_rep", "zero_pair", "path_elem",
+                  "asmat", "top", "left_kernel_basis")
+
+
+def _reference_only(tree):
+    # names only tests use live in tests/, and a presentation reads the tops
+    # it needs off arrow matrices, with no quotient module
+    for scope, call in _scoped_calls(tree):
+        name = next((n for n in REFERENCE_ONLY if _called(call, n)), None)
+        if name:
+            yield f"call {name} in {'.'.join(scope)}", call.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name in REFERENCE_ONLY:
+            yield f"def {node.name}", node.lineno
+
+
+def test_reference_only_code_out_of_src():
+    probe = ("def top(m):\n"
+             "    return m\n"
+             "class SiltingWorkspace:\n"
+             "    def zero_pair(self):\n"
+             "        return self.make_pair((), ())\n"
+             "def cover(m):\n"
+             "    t, pi = top(m)\n"
+             "    return em.asmat(alg.path_elem(0, ()), 5)\n"
+             "def _top_sections(m):\n"
+             "    return rm.top_of(m)\n")
+    assert sorted(_reference_only(ast.parse(probe))) == [
+        ("call asmat in cover", 8), ("call path_elem in cover", 8), ("call top in cover", 7),
+        ("def top", 1), ("def zero_pair", 4)]
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {what}" for what, line in _reference_only(tree)]
+    assert found == []

@@ -5,7 +5,7 @@ from silt import exactmat as em
 from silt import repmod as rm
 from silt.algebra import projective_module, simple_module
 
-from oracles import complex_repmap, fac_contains
+from oracles import complex_repmap, fac_contains, zero_rep
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
 
@@ -40,7 +40,7 @@ def test_hom_dimensions(a2):
     assert len(rm.hom_basis(s1, p1)) == 0
     assert len(rm.hom_basis(p1, p2)) == 0
     assert len(rm.hom_basis(p2, p1)) == 1
-    assert rm.hom_basis(p1, rm.zero_rep(a2)) == []
+    assert rm.hom_basis(p1, zero_rep(a2)) == []
 
 
 def test_hom_contains_identity(a2):
@@ -94,21 +94,41 @@ def test_is_isomorphic(a2):
     assert rm.is_isomorphic(p1, p1)
     assert not rm.is_isomorphic(s1, s2)
     assert rm.is_isomorphic(p2, s2)  # both concentrated at vertex 2
-    assert rm.is_isomorphic(rm.zero_rep(a2), rm.zero_rep(a2))
+    assert rm.is_isomorphic(zero_rep(a2), zero_rep(a2))
     assert not rm.is_isomorphic(p1, s1)
 
 
+def _lifts_top_basis(m, mult, sections):
+    # each vertex's lifts are independent modulo the images of the arrows
+    # into it, and together with those images they span the vertex
+    q = m.algebra.quiver
+    for v in range(q.n_vertices):
+        incoming = [m.arrow_maps[k] for k in range(q.n_arrows) if q.arrow_target(k) == v]
+        rad = em.rank(np.concatenate([em.zeros(m.dims[v], 0)] + incoming, axis=1), m.algebra.p)
+        sec = sections.get(v, em.zeros(m.dims[v], 0))
+        assert sec.shape == (m.dims[v], mult[v])
+        both = np.concatenate([sec] + incoming, axis=1) if incoming else sec
+        assert rad + mult[v] == em.rank(both, m.algebra.p) == m.dims[v]
+
+
 def test_top(a2, cyc2):
+    # the top of a module is read off its arrow matrices: multiplicities and
+    # lifts of a basis, no quotient module
     for alg in (a2, cyc2):
         for v in range(alg.quiver.n_vertices):
-            t, pi = rm.top(projective_module(alg, v))
-            assert rm.is_isomorphic(t, simple_module(alg, v))
-            assert not pi.is_zero()
-    t, _ = rm.top(rm.zero_rep(a2))
-    assert t.is_zero()
+            p = projective_module(alg, v)
+            mult, sections = rm._top_sections(p)
+            assert mult == simple_module(alg, v).dims
+            _lifts_top_basis(p, mult, sections)
+    assert rm._top_sections(zero_rep(a2)) == ((0, 0), {})
     s1 = simple_module(a2, "1")
-    t, _ = rm.top(s1)
-    assert rm.is_isomorphic(t, s1)
+    mult, sections = rm._top_sections(s1)
+    assert mult == s1.dims
+    _lifts_top_basis(s1, mult, sections)
+    big, _ = rm.rep_direct_sum(a2, [projective_module(a2, "1"), s1, s1])
+    mult, sections = rm._top_sections(big)
+    assert mult == (3, 0)
+    _lifts_top_basis(big, mult, sections)
 
 
 def test_projective_cover(a2):
@@ -121,7 +141,7 @@ def test_projective_cover(a2):
     assert mult == (1, 0)
     ker, _ = rm.kernel(epi)
     assert ker.total_dim + s1.total_dim == cover.total_dim
-    mult, cover, epi = rm.projective_cover(rm.zero_rep(a2))
+    mult, cover, epi = rm.projective_cover(zero_rep(a2))
     assert mult == (0, 0) and cover.is_zero() and epi.is_zero()
 
 
@@ -133,7 +153,7 @@ def test_kernel_cokernel(a2):
     assert rm.is_isomorphic(cok, simple_module(a2, "1"))
     ker, _ = rm.kernel(incl)
     assert ker.is_zero()
-    cok, _ = rm.cokernel(rm.identity_map(p1))
+    cok, _ = rm.cokernel(rm.RepMap(p1, p1, [em.identity(d) for d in p1.dims]))
     assert cok.is_zero()
     zero = rm.RepMap(p2, p1, [em.zeros(d1, d2) for d1, d2 in zip(p1.dims, p2.dims)])
     cok, _ = rm.cokernel(zero)
@@ -148,7 +168,7 @@ def test_min_projective_presentation(a2):
     p1 = projective_module(a2, "1")
     pres = rm.min_projective_presentation(p1)
     assert pres.rows == (0,) and pres.cols == ()
-    pres = rm.min_projective_presentation(rm.zero_rep(a2))
+    pres = rm.min_projective_presentation(zero_rep(a2))
     assert pres.rows == () and pres.cols == ()
 
 
@@ -174,7 +194,7 @@ def test_fac_contains(a2):
     p1 = projective_module(a2, "1")
     s1 = simple_module(a2, "1")
     assert fac_contains(p1, p1)
-    assert fac_contains(p1, rm.zero_rep(a2))
+    assert fac_contains(p1, zero_rep(a2))
     assert not fac_contains(s1, p1)
     assert fac_contains(p1, s1)  # S1 is the top of P1
 

@@ -10,7 +10,8 @@ from silt import twoterm as tt
 from silt.algebra import AlgebraElement
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import complex_repmap, h0, hom_onto, presilting_by_h0, shift_hom_basis_by_products
+from oracles import (complex_repmap, h0, hom_onto, path_elem, presilting_by_h0,
+                     shift_hom_basis_by_products)
 from test_algebra import a2_algebra, cyclic_2_algebra
 
 
@@ -98,7 +99,7 @@ def test_minimality_reduce_cancels_identity(a2):
 
 def test_minimality_reduce_block_example(a2):
     # (P2 + P2) -> (P1 + P2) with [inclusion, identity on the second copy]
-    arrow = a2.path_elem(0, ("a",))
+    arrow = path_elem(a2, 0, ("a",))
     d = ((arrow, a2.zero_elem(0, 1)),
          (a2.zero_elem(1, 1), a2.unit_elem(1)))
     c = tt.TwoTermComplex(a2, (0, 1), (1, 1), d)
@@ -121,7 +122,7 @@ def test_h0_and_decompose(a2, reg):
 def test_stalk_behind_a_nonzero_column(a2, reg):
     # (P2 + P2 -[a a]-> P1) is (P2 -> P1) + P2[1]: no column of the reduced
     # differential is zero, yet one P2 is a shifted stalk
-    arrow = a2.path_elem(0, ("a",))
+    arrow = path_elem(a2, 0, ("a",))
     t = tt.TwoTermComplex(a2, (0,), (1, 1), ((arrow, arrow),))
     assert tt.minimality_reduce(t) == t
     s1 = reg.get_or_insert(a2.simple(0))
