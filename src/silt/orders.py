@@ -85,6 +85,8 @@ def builtin_algebra(name: str, n: int | None = None, p: int = DEFAULT_PRIME) -> 
         if n is None:
             raise ValueError("family 'auslander_bass_v' needs a parameter n >= 0")
         return auslander_bass_v_reduction(n, p)
+    if name in ("bass_v", "triangular_a2") and n is not None:
+        raise ValueError(f"family {name!r} takes no parameter n, got {n}")
     if name == "bass_v":
         return bass_v_reduction(p)
     if name == "triangular_a2":

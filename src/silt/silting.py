@@ -22,20 +22,31 @@ registry only grows:
   module is read.  ``twoterm.is_presilting`` asks the same of whole
   complexes.  The whole partial order on discovered pairs, and the rigidity
   step of validation, reduce to lookups in this table plus a support
-  condition.
+  condition.  The table is kept by rows, as Python-int bitsets: each id
+  has an out-row over ``j`` and an in-row over ``i``, each a pair (entries
+  known, entries that vanish).  Validation, ``pair_leq``, the partner scan
+  and ``order_matrix`` read a row with one mask test when every entry they
+  need from it is known; otherwise they run the per-entry loop for that
+  row, which computes the missing entries in its own order.  So the
+  ``hom_shift_vanishes`` calls, and their order, are those of the
+  per-entry loops, and every check decides the same predicate.
 - ``composition(x, k, t)``: the coordinates of every composite
   ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple.
   ``_strip_copies`` reads it instead of composing maps: dropping a copy
   ``(t, b)`` from an approximation of ``x`` is one rank test, whether the
   composites of the other copies into ``t`` span ``Hom(x, t)``.
 
-The ``Registry`` keeps two more, both per two-term complex ``t`` and keyed
-by ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
-in the homotopy category.  ``minimality_reduce`` hands an already reduced
-complex back as it is, and a complex computes its hash once, on first use.
-So a completion is reduced once, when it is built: the ``is_silting`` gate
-and ``pair_of`` find nothing left to cancel and key on the same object,
-which is hashed once and matches its memo key by identity:
+The ``Registry`` stores, per module id, its ``(dims, g-vector)`` key, its
+vertex support and the vertices where its g-vector is positive and
+negative, the last three as bitsets, so that the support tests and the
+scan's sign filter are mask tests.  It keeps two more caches, both per
+two-term complex ``t`` and keyed by ``minimality_reduce(t)``; cancelling
+contractible summands changes no Hom in the homotopy category.
+``minimality_reduce`` hands an already reduced complex back as it is, and a
+complex computes its hash once, on first use.  So a completion is reduced
+once, when it is built: the ``is_silting`` gate and ``pair_of`` find
+nothing left to cancel and key on the same object, which is hashed once and
+matches its memo key by identity:
 
 - ``decompose(t)``: the shifted-projective vertices and the H^0 summand
   ids, the one route from a complex to its pair.  A presilting complex is
@@ -94,6 +105,7 @@ class Validation:
 MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
                      "registry_lookup", "cokernel_built")
 ORDER_ROWS = 256
+_NO_ROW = (0, 0)
 
 
 class Registry:
@@ -110,6 +122,9 @@ class Registry:
         self._reps: list[rm.Rep] = []
         self._pres: list[tt.TwoTermComplex] = []
         self._gvec: list[tuple[int, ...]] = []
+        self._keys: list[tuple] = []
+        self._support: list[int] = []
+        self._signs: list[tuple[int, int]] = []
         self._by_key: dict[tuple, list[int]] = {}
         self._decomp: dict[tt.TwoTermComplex,
                            tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -141,7 +156,15 @@ class Registry:
         return self._reps[i].dims
 
     def key(self, i: int) -> tuple:
-        return (self._reps[i].dims, self._gvec[i])
+        return self._keys[i]
+
+    def support(self, i: int) -> int:
+        """The vertices where module ``i`` is nonzero, as a bitset."""
+        return self._support[i]
+
+    def signs(self, i: int) -> tuple[int, int]:
+        """The vertices where the g-vector of ``i`` is positive, and negative, as bitsets."""
+        return self._signs[i]
 
     def get_or_insert(self, rep: rm.Rep) -> int:
         if rep.is_zero():
@@ -156,6 +179,10 @@ class Registry:
         self._reps.append(rep)
         self._pres.append(pres)
         self._gvec.append(gvec)
+        self._keys.append(key)
+        self._support.append(_bits(v for v, d in enumerate(rep.dims) if d))
+        self._signs.append((_bits(v for v, g in enumerate(gvec) if g > 0),
+                            _bits(v for v, g in enumerate(gvec) if g < 0)))
         self._by_key.setdefault(key, []).append(i)
         return i
 
@@ -293,7 +320,11 @@ class SiltingWorkspace:
         self.algebra = algebra
         self.registry = registry if registry is not None else Registry(algebra)
         self._hom: dict[tuple[int, int], list[rm.RepMap]] = {}
-        self._rigid: dict[tuple[int, int], bool] = {}
+        # id -> (known, ok) bitsets: ``rigid(i, j)`` is known when bit ``j`` of
+        # ``_out[i]`` and bit ``i`` of ``_in[j]`` are set, and holds when the ok
+        # bits are set too
+        self._out: dict[int, tuple[int, int]] = {}
+        self._in: dict[int, tuple[int, int]] = {}
         self._comp: dict[tuple[int, int, int], np.ndarray] = {}
         self.mutation_counts = dict.fromkeys(MUTATION_OUTCOMES, 0)
         self.partner_lookups = {"indexed": 0, "scanned": 0}
@@ -315,14 +346,35 @@ class SiltingWorkspace:
 
         That is ``Hom(M_j, tau M_i) = 0`` (Adachi-Iyama-Reiten,
         arXiv:1210.1036, Lemma 3.4), read off the shifted-Hom matrix of the
-        two presentations; no module is read.
+        two presentations; no module is read.  The answer is stored in the
+        out-row of ``i`` and the in-row of ``j``.
         """
-        got = self._rigid.get((i, j))
-        if got is None:
-            reg = self.registry
-            got = self._rigid[i, j] = tt.hom_shift_vanishes(reg.presentation(i),
-                                                            reg.presentation(j))
+        known, ok = self._out.get(i, _NO_ROW)
+        if known >> j & 1:
+            return bool(ok >> j & 1)
+        reg = self.registry
+        got = tt.hom_shift_vanishes(reg.presentation(i), reg.presentation(j))
+        self._out[i] = (known | 1 << j, ok | got << j)
+        known, ok = self._in.get(j, _NO_ROW)
+        self._in[j] = (known | 1 << i, ok | got << i)
         return got
+
+    def _rows_rigid(self, sources, targets) -> bool:
+        """``all(rigid(i, j) for i in sources for j in targets)``, read by rows.
+
+        A source row that knows every target entry answers with one mask
+        test; one that does not runs the per-entry loop for that row.  So the
+        entries computed, and their order, are those of the nested loop.
+        """
+        need = _bits(targets)
+        for i in sources:
+            known, ok = self._out.get(i, _NO_ROW)
+            if known & need == need:
+                if ok & need != need:
+                    return False
+            elif not all(self.rigid(i, j) for j in targets):
+                return False
+        return True
 
     def composition(self, x: int, k: int, t: int) -> np.ndarray:
         """Coordinates of the composites ``psi . h`` in the basis of ``Hom(x, t)``.
@@ -358,7 +410,8 @@ class SiltingWorkspace:
 
     def cache_sizes(self) -> dict[str, int]:
         """Entry counts of the three caches."""
-        return {"hom": len(self._hom), "rigid": len(self._rigid),
+        return {"hom": len(self._hom),
+                "rigid": sum(known.bit_count() for known, _ in self._out.values()),
                 "composition": len(self._comp)}
 
     # ---- pair plumbing ------------------------------------------------------
@@ -378,19 +431,27 @@ class SiltingWorkspace:
     def lambda_pair(self) -> SiltingPair:
         return self.make_pair(range(self.algebra.quiver.n_vertices), ())
 
-    def summand_dims(self, ids) -> tuple[int, ...]:
-        nv = self.algebra.quiver.n_vertices
-        out = [0] * nv
+    def _support_of(self, ids) -> int:
+        """The vertices where some module of ``ids`` is nonzero, as a bitset."""
+        mask = 0
         for i in ids:
-            for v, d in enumerate(self.registry.dims(i)):
-                out[v] += d
-        return tuple(out)
+            mask |= self.registry.support(i)
+        return mask
+
+    def _vertex_mask(self, vertices) -> int:
+        """The bitset of ``vertices``; one outside the quiver sets no bit."""
+        nv = self.algebra.quiver.n_vertices
+        mask = 0
+        for v in vertices:
+            if 0 <= v < nv:
+                mask |= 1 << v
+        return mask
 
     # ---- predicates ----------------------------------------------------------
 
     def is_presilting_ids(self, ids) -> bool:
-        ids = list(ids)
-        return all(self.rigid(i, j) for i in ids for j in ids)
+        ids = tuple(ids)
+        return self._rows_rigid(ids, ids)
 
     def validate_silting_pair(self, pair: SiltingPair) -> Validation:
         """Whether ``pair`` is a support tau-tilting pair, by the definition.
@@ -401,18 +462,18 @@ class SiltingWorkspace:
         support (``v`` is in ``P`` iff ``M`` vanishes at ``v``: one way is
         ``Hom(P, M) = 0``, the other holds since such an ``M`` is sincere over
         the quotient by ``P``) and rigidity through the ``rigid`` table; a
-        failure names the first that fails.  Nothing is registered.  That each
-        ``P_v`` has an ``add M``-approximation with cokernel in ``add M`` is
-        then a theorem, checked by a tier-1 oracle and not at run time.
+        failure names the first that fails.  Support is one test of the
+        summands' support masks against the shifted vertices, rigidity one
+        row test per summand.  Nothing is registered.  That each ``P_v`` has
+        an ``add M``-approximation with cokernel in ``add M`` is then a
+        theorem, checked by a tier-1 oracle and not at run time.
         """
         nv = self.algebra.quiver.n_vertices
         if len(pair.summands) + len(pair.proj_part) != nv:
             return Validation(False, "count")
-        dims = self.summand_dims(pair.summands)
-        proj = set(pair.proj_part)
-        for v in range(nv):
-            if (dims[v] == 0) != (v in proj):
-                return Validation(False, "support")
+        exact = self._support_of(pair.summands) ^ self._vertex_mask(pair.proj_part)
+        if exact != (1 << nv) - 1:
+            return Validation(False, "support")
         if not self.is_presilting_ids(pair.summands):
             return Validation(False, "rigidity")
         return Validation(True)
@@ -502,8 +563,9 @@ class SiltingWorkspace:
         rest = tuple(i for k, i in enumerate(pair.summands) if k != at)
         counts = self.mutation_counts
         counts["attempted"] += 1
-        vacant = [v for v, d in enumerate(self.summand_dims(rest))
-                  if d == 0 and v not in pair.proj_part]
+        nv = self.algebra.quiver.n_vertices
+        bare = ~(self._support_of(rest) | self._vertex_mask(pair.proj_part))
+        vacant = [v for v in range(nv) if bare >> v & 1]
         if len(vacant) > 1:
             raise RuntimeError(f"vertices {vacant} all lose support; "
                                "the input is not a silting pair")
@@ -553,7 +615,9 @@ class SiltingWorkspace:
         ``y`` whose g-vector takes a sign at a vertex opposite to one of the
         g-vectors of ``rest`` or ``-e_v`` (``v`` in ``proj_part``), since the
         summands of a 2-term silting complex are sign-coherent
-        (Demonet-Iyama-Jasso, arXiv:1503.00285).  ``None`` means ``y`` is
+        (Demonet-Iyama-Jasso, arXiv:1503.00285).  Sign, support and rigidity
+        tests read bitsets: the registry's sign and support masks, then the
+        ``rigid`` rows of ``y`` (``_rigid_with``).  ``None`` means ``y`` is
         not registered yet; a second ``y`` found by the scan raises.
         ``partner_lookups`` counts the index answers and the scans.
         """
@@ -566,21 +630,37 @@ class SiltingWorkspace:
             self.partner_lookups["indexed"] += 1
             return known[0]
         self.partner_lookups["scanned"] += 1
-        nv = self.algebra.quiver.n_vertices
-        gs = [reg.gvector(u) for u in rest]
-        gs += [tuple(-int(w == v) for w in range(nv)) for v in proj_part]
-        bounds = [(min(col), max(col)) for col in zip(*gs)]
-        found = [y for y in range(len(reg))
-                 if y != x and y not in rest
-                 and all(g * lo >= 0 and g * hi >= 0
-                         for g, (lo, hi) in zip(reg.gvector(y), bounds))
-                 and not any(reg.dims(y)[v] for v in proj_part)
-                 and self.rigid(y, y)
-                 and all(self.rigid(y, u) and self.rigid(u, y) for u in rest)]
+        shifted = self._vertex_mask(proj_part)
+        pos, neg = 0, shifted
+        for u in rest:
+            u_pos, u_neg = reg.signs(u)
+            pos, neg = pos | u_pos, neg | u_neg
+        others = _bits(rest)
+        taken = others | 1 << x
+        found = []
+        for y in range(len(reg)):
+            y_pos, y_neg = reg.signs(y)
+            if not (taken >> y & 1 or y_pos & neg or y_neg & pos
+                    or reg.support(y) & shifted) and self._rigid_with(y, rest, others):
+                found.append(y)
         if len(found) > 1:
             raise RuntimeError(f"registered modules {found} all complete the pair; "
                                "one is decomposable or two are isomorphic")
         return found[0] if found else None
+
+    def _rigid_with(self, y: int, rest, others: int) -> bool:
+        """``rigid(y, y)`` and ``rigid(y, u)``, ``rigid(u, y)`` for every ``u`` in ``rest``.
+
+        ``others`` is the bitset of ``rest``.  When the out-row and the
+        in-row of ``y`` know every entry, two mask tests answer; otherwise
+        the per-entry loop does, in its own order.
+        """
+        out_known, out_ok = self._out.get(y, _NO_ROW)
+        in_known, in_ok = self._in.get(y, _NO_ROW)
+        row = others | 1 << y
+        if out_known & row == row and in_known & others == others:
+            return out_ok & row == row and in_ok & others == others
+        return self.rigid(y, y) and all(self.rigid(y, u) and self.rigid(u, y) for u in rest)
 
     # ---- order --------------------------------------------------------------------
 
@@ -593,20 +673,21 @@ class SiltingWorkspace:
         Over many pairs, with ``S`` the pair x module incidence, ``D`` the
         module supports, ``P`` the pair x shifted-vertex incidence and ``R``
         the ``rigid`` table, they are the matrices ``S D P^T`` and
-        ``S (1 - R)^T S^T``; ``order_matrix`` computes them.
+        ``S (1 - R)^T S^T``; ``order_matrix`` computes them.  Here the first
+        is one test of support masks, the second one row test per summand
+        of ``b``.
         """
-        for v in b.proj_part:
-            for i in a.summands:
-                if self.registry.dims(i)[v]:
-                    return False
-        return all(self.rigid(i, j) for i in b.summands for j in a.summands)
+        if self._support_of(a.summands) & self._vertex_mask(b.proj_part):
+            return False
+        return self._rows_rigid(b.summands, a.summands)
 
     def order_matrix(self, pairs) -> np.ndarray:
         """``leq[a, b] == pair_leq(pairs[a], pairs[b])`` for every ordered pair.
 
         Both counts of ``pair_leq`` are non-negative, so ``leq`` is where
-        ``S (D P^T + (1 - R)^T S^T)`` vanishes, with ``R`` filled through the
-        ``rigid`` cache over the modules that occur.  Every entry is an
+        ``S (D P^T + (1 - R)^T S^T)`` vanishes, with ``R`` read off the
+        out-rows of the modules that occur.  A row that misses an entry is
+        first filled through ``rigid``, in column order.  Every entry is an
         integer below (modules + vertices)^2, so the float64 products, which
         numpy hands to BLAS, are exact.  The last one runs ``ORDER_ROWS``
         rows at a time, which keeps its float64 block small next to ``leq``.
@@ -620,7 +701,14 @@ class SiltingWorkspace:
             s[a, [col[i] for i in pair.summands]] = 1
             p[a, list(pair.proj_part)] = 1
         d = np.array([self.registry.dims(i) for i in ids]).reshape(len(ids), nv) > 0
-        unrigid = np.array([[not self.rigid(i, j) for j in ids] for i in ids],
+        need = _bits(ids)
+        rows = []
+        for i in ids:
+            if self._out.get(i, _NO_ROW)[0] & need != need:
+                for j in ids:
+                    self.rigid(i, j)
+            rows.append(self._out[i][1])
+        unrigid = np.array([[not ok >> j & 1 for j in ids] for ok in rows],
                            dtype=float).reshape(len(ids), len(ids))
         right = d @ p.T + unrigid.T @ s.T
         leq = np.empty((len(pairs), len(pairs)), dtype=bool)
@@ -641,6 +729,14 @@ class SiltingWorkspace:
         """The pair of the additive equivalence class: summands deduplicated."""
         shifted, pieces = self.registry.decompose(t)
         return self.make_pair(set(pieces), shifted)
+
+
+def _bits(items) -> int:
+    """The bitset of the non-negative integers ``items``."""
+    mask = 0
+    for k in items:
+        mask |= 1 << k
+    return mask
 
 
 def _vec_map(h: rm.RepMap) -> np.ndarray:

@@ -238,3 +238,49 @@ def hom_onto(pres: tt.TwoTermComplex, m: rm.Rep) -> bool:
 def presilting_by_h0(t: tt.TwoTermComplex) -> bool:
     """The whole-complex verdict ``hom_onto(t, h0(t))``: ``Hom(t, t[1]) = 0``."""
     return hom_onto(t, h0(t))
+
+
+# ---- per-entry references of the rigidity rows ----------------------------------
+# ``SiltingWorkspace`` reads validation and the silting order off bitset rows of
+# its ``rigid`` memo and off registry support masks; these compute every entry
+# afresh from the registered presentations and dimension vectors instead.
+
+
+def summand_dims(ws, ids) -> tuple[int, ...]:
+    """The dimension vector of the direct sum of the registered modules ``ids``."""
+    out = [0] * ws.algebra.quiver.n_vertices
+    for i in ids:
+        for v, d in enumerate(ws.registry.dims(i)):
+            out[v] += d
+    return tuple(out)
+
+
+def rigid_entry(reg, i: int, j: int) -> bool:
+    """``Hom(P_i, P_j[1]) = 0`` for the registered presentations, with no memo."""
+    return tt.hom_shift_vanishes(reg.presentation(i), reg.presentation(j))
+
+
+def validation_by_entries(ws, pair) -> str:
+    """The reason ``validate_silting_pair(pair)`` fails with, ``""`` if it passes.
+
+    The count, exact support read off the summed dimension vector, then every
+    ordered pair of summands, in the order of the definition (AIR Def. 0.3).
+    """
+    nv = ws.algebra.quiver.n_vertices
+    if len(pair.summands) + len(pair.proj_part) != nv:
+        return "count"
+    dims = summand_dims(ws, pair.summands)
+    if any((dims[v] == 0) != (v in pair.proj_part) for v in range(nv)):
+        return "support"
+    if not all(rigid_entry(ws.registry, i, j) for i in pair.summands for j in pair.summands):
+        return "rigidity"
+    return ""
+
+
+def pair_leq_by_entries(ws, a, b) -> bool:
+    """``a <= b``: no summand of ``a`` lives at a shifted vertex of ``b``, and
+    ``Hom(P_i, P_j[1]) = 0`` for ``i`` in ``b`` and ``j`` in ``a`` (AIR Section 2)."""
+    reg = ws.registry
+    if any(reg.dims(i)[v] for v in b.proj_part for i in a.summands):
+        return False
+    return all(rigid_entry(reg, i, j) for i in b.summands for j in a.summands)

@@ -20,8 +20,9 @@ from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
 from oracles import (checked_repmap, h0, hom_onto, int_det,
-                     min_projective_presentation_by_covers, presilting_by_h0, rational_inverse,
-                     shift_hom_basis_by_products)
+                     min_projective_presentation_by_covers, pair_leq_by_entries,
+                     presilting_by_h0, rational_inverse, shift_hom_basis_by_products,
+                     summand_dims, validation_by_entries)
 from test_algebra import a2_algebra
 
 
@@ -347,6 +348,37 @@ def test_rigid_table_equals_module_side(complete_runs):
         assert asymmetric > 0 or len(eq.workspace.registry) == 1
 
 
+def _rigid_rows(rows):
+    """The entries ``(i, j) -> ok`` a dict of (known, ok) bitset rows holds."""
+    return {(i, j): bool(ok >> j & 1) for i, (known, ok) in rows.items()
+            for j in range(known.bit_length()) if known >> j & 1}
+
+
+def _check_rows_against_entries(ws, eq):
+    """Validation of every node and the order both ways along every edge,
+    against the per-entry references; then the in-rows against the out-rows."""
+    for pair in eq.nodes:
+        assert ws.validate_silting_pair(pair).reason == validation_by_entries(ws, pair) == ""
+    for u, v, _ in eq.edges:
+        a, b = eq.nodes[u], eq.nodes[v]
+        assert ws.pair_leq(b, a) == pair_leq_by_entries(ws, b, a) is True, (u, v)
+        assert ws.pair_leq(a, b) == pair_leq_by_entries(ws, a, b) is False, (u, v)
+    out = _rigid_rows(ws._out)
+    assert {(j, i): ok for (i, j), ok in _rigid_rows(ws._in).items()} == out
+    assert len(out) == ws.cache_sizes()["rigid"]
+
+
+def test_row_reads_equal_per_entry_references(complete_runs):
+    # validate_silting_pair and pair_leq read bitset rows of the rigid memo
+    # and registry support masks.  A fresh workspace over the explored
+    # registry starts with empty rows, so it runs the per-entry fallback and
+    # then the mask reads; the explored workspace has most rows filled.
+    for eq in complete_runs:
+        fresh = SiltingWorkspace(eq.algebra, eq.workspace.registry)
+        for ws in (fresh, eq.workspace):
+            _check_rows_against_entries(ws, eq)
+
+
 def _mutation_by_cokernel(ws, pair, at):
     """The left mutation built from the approximation cokernel, as a reference."""
     x = pair.summands[at]
@@ -354,7 +386,7 @@ def _mutation_by_cokernel(ws, pair, at):
     _, h, _ = ws.left_minimal_approximation(x, rest)
     cok, _ = rm.cokernel(h)
     if cok.is_zero():
-        vacant = [v for v, d in enumerate(ws.summand_dims(rest))
+        vacant = [v for v, d in enumerate(summand_dims(ws, rest))
                   if d == 0 and v not in pair.proj_part]
         assert len(vacant) == 1
         return ws.make_pair(rest, pair.proj_part + (vacant[0],))
@@ -428,7 +460,7 @@ def test_partner_index_equals_registry_scan(complete_runs, monkeypatch):
             for x in pair.summands:
                 rest = tuple(i for i in pair.summands if i != x)
                 if any(d == 0 and v not in pair.proj_part
-                       for v, d in enumerate(ws.summand_dims(rest))):
+                       for v, d in enumerate(summand_dims(ws, rest))):
                     continue    # the other completion is a shifted projective
                 (y,) = _partner_by_registry_scan(ws, x, rest, pair.proj_part)
                 # both completions are nodes, so both are filed under the facet
@@ -442,27 +474,31 @@ def test_partner_index_equals_registry_scan(complete_runs, monkeypatch):
         assert ws.registered_partner(x, rest, proj_part) == y, (x, rest, proj_part)
 
 
-@pytest.mark.parametrize("build, args, counts, lookups", [
+@pytest.mark.parametrize("build, args, counts, lookups, rigid", [
     (orders.hereditary_reduction, (4,),
      dict(attempted=224, fac_rejected=84, shifted_projective=56,
           registry_lookup=72, cokernel_built=12),
-     dict(indexed=134, scanned=34)),
+     dict(indexed=134, scanned=34), (216, 256)),
     (orders.auslander_bass_v_reduction, (2,),
      dict(attempted=56, fac_rejected=20, shifted_projective=16,
           registry_lookup=12, cokernel_built=8),
-     dict(indexed=27, scanned=13)),
+     dict(indexed=27, scanned=13), (85, 121)),
     (orders.cyclic_nakayama, (3, 5),
      dict(attempted=45, fac_rejected=15, shifted_projective=15,
           registry_lookup=9, cokernel_built=6),
-     dict(indexed=21, scanned=9)),
+     dict(indexed=21, scanned=9), (69, 81)),
 ], ids=["hereditary4", "auslander2", "nakayama35"])
-def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lookups):
+def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lookups,
+                                            rigid):
     # Hom(U, X) and its images are computed only for the attempts that find
     # neither a vacant vertex nor a registered partner; here each of them
     # builds a module.  The counts equal those of deciding every attempt by
     # the Fac test.  The registry is scanned for a partner only where no
     # recorded pair has the facet; the routes are told apart by the index
-    # itself, not by the workspace counters.
+    # itself, not by the workspace counters.  The shifted-Hom entries that
+    # explore and then hasse_check compute are pinned as well: a row read
+    # that computed an entry the per-entry loops skip, or skipped one they
+    # compute, changes them.
     spans, misses = [], []
     routes = {"indexed": 0, "scanned": 0}
     images_span = rm.images_span
@@ -487,6 +523,9 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lo
     assert eq.stats["mutations"] == counts
     assert len(spans) == len(misses) == counts["cokernel_built"]
     assert routes == eq.stats["partner_lookups"] == lookups
+    assert eq.stats["cache_entries"]["rigid"] == rigid[0]
+    assert ex.hasse_check(eq)
+    assert eq.workspace.cache_sizes()["rigid"] == rigid[1]
     # every pair is recorded now, so each facet has both completions
     again = ex.explore(eq.algebra, workspace=eq.workspace)
     assert again.stats["partner_lookups"] == {"indexed": sum(lookups.values()),

@@ -63,6 +63,15 @@ def test_builtin_dispatch():
         orders.auslander_bass_v_reduction(-1)
 
 
+@pytest.mark.parametrize("name", ["bass_v", "triangular_a2"])
+def test_builtin_refuses_n_where_it_does_not_apply(name):
+    # these two algebras have no parameter, so an n would be dropped unread
+    with pytest.raises(ValueError, match="takes no parameter n"):
+        orders.builtin_algebra(name, 7)
+    assert orders.builtin_algebra(name, None).dimension == \
+        orders.builtin_algebra(name).dimension
+
+
 def test_classify_sincere_hereditary_2():
     eq = ex.explore(orders.hereditary_reduction(2))
     flags = orders.classify_sincere(eq)

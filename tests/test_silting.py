@@ -10,7 +10,8 @@ from silt import twoterm as tt
 from silt.algebra import Quiver, build_algebra, presentation
 from silt.silting import Registry, SiltingPair, SiltingWorkspace, Validation
 
-from oracles import fac_contains, hom_onto, zero_rep
+from oracles import (fac_contains, hom_onto, pair_leq_by_entries, validation_by_entries,
+                     zero_rep)
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
 
@@ -107,6 +108,10 @@ def test_validate_a2_examples(a2):
     # support must be exact: P2 vanishes at vertex 0 but 0 not in proj part
     v = a2.validate_silting_pair(a2.make_pair((1,), (1,)))
     assert not v and v.reason == "support"
+    # the row and mask reads give the per-entry reference's verdicts
+    for pair in (good, bad, a2.make_pair((1,), (1,)), a2.make_pair((s1,), (0,)),
+                 a2.make_pair((0,), (1,))):
+        assert a2.validate_silting_pair(pair).reason == validation_by_entries(a2, pair)
 
 
 def test_rejection_reason_is_stable():
@@ -115,6 +120,7 @@ def test_rejection_reason_is_stable():
     first = ws.validate_silting_pair(ws.make_pair((1, s1_id(ws)), ()))
     again = ws.validate_silting_pair(ws.make_pair((s1_id(ws), 1), ()))
     assert not first and first.reason == again.reason == "rigidity"
+    assert validation_by_entries(ws, ws.make_pair((1, s1_id(ws)), ())) == "rigidity"
 
 
 def test_left_minimal_approximation(a2):
@@ -244,6 +250,10 @@ def test_pair_leq_examples(a2):
         assert a2.pair_leq(zero, x)
     assert not a2.pair_leq(p2_pair, mid)
     assert a2.pair_leq(s1_pair, mid)
+    pairs = (lam, zero, mid, p2_pair, s1_pair)
+    for x in pairs:
+        for y in pairs:
+            assert a2.pair_leq(x, y) == pair_leq_by_entries(a2, x, y), (x, y)
 
 
 def test_pair_leq_matches_fac_inclusion(a2):
