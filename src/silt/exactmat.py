@@ -8,7 +8,8 @@ everything downstream relies on that for canonical output.
 Elimination (``rref``, ``rank``, ``kernel_basis``, ``solve_right``) runs
 on rows of Python ints, so it is exact for any prime.  The bound that
 ``check_field_prime`` enforces protects the ``int64`` products: ``matmul``,
-the broadcast products in ``repmod.hom_basis`` and
+the check of ``kernel_coordinates``, the square check of
+``repmod.hom_basis``, the broadcast products of
 ``SiltingWorkspace._composition_compute``, and
 ``SiltingWorkspace.order_matrix``.  A product of two reduced matrices with
 inner dimension ``k`` sums ``k`` terms below ``(p - 1)**2``, so it is exact
@@ -155,6 +156,27 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     if pivots and free:
         out[pivots] = [[-row[f] % p for f in free] for row in rows[:len(pivots)]]
     return out
+
+
+def kernel_coordinates(basis: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """The ``X`` with ``basis @ X == b`` for a ``kernel_basis`` output, or ``None``.
+
+    Each column's last nonzero entry is a 1 at its free variable, a row where
+    every other column vanishes, so the entries of ``b`` in those rows are
+    the only candidate coordinates, and one product checks them.  ``None``
+    means some column of ``b`` lies outside the span.  The columns are
+    independent, so this is ``solve_right(basis, b, p)`` without elimination.
+    """
+    if basis.shape[0] != b.shape[0]:
+        raise ValueError(f"row mismatch: {basis.shape} vs {b.shape}")
+    if basis.shape[1]:
+        free = basis.shape[0] - 1 - np.argmax(basis[::-1] != 0, axis=0)
+    else:
+        free = np.zeros(0, dtype=np.intp)
+    x = b[free] % p
+    if not np.array_equal(basis @ x % p, b % p):
+        return None
+    return x
 
 
 def quotient_projection(span_cols: np.ndarray, p: int) -> np.ndarray:

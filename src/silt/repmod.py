@@ -3,12 +3,16 @@
 Everything here reduces to exact eliminations over the prime field: Hom
 spaces are kernels of commuting-square systems, cokernels are quotient
 projections, and projective covers lift bases of the top, read straight off
-the arrow matrices with no quotient module built.  A map whose squares
-commute by construction (a cover, a kernel's inclusion, a cokernel's
-projection) is built without ``RepMap``'s square check; the tier-1 oracles
-rebuild each one with it.  All values are immutable after construction and
-all operations are pure, so any number of registries and workspaces may
-share them.
+the arrow matrices with no quotient module built.  A cover acts with each
+basis path as its last arrow's matrix times its prefix's action, computed
+once per prefix.  The induced arrow matrices of a kernel or a cokernel are
+coordinates in a ``kernel_basis`` output, read off its free rows and
+checked by one product (``exactmat.kernel_coordinates``).  A map whose
+squares commute by construction (a cover, a kernel's inclusion, a
+cokernel's projection) is built without ``RepMap``'s square check; the
+tier-1 oracles rebuild each one with it.  All values are immutable after
+construction and all operations are pure, so any number of registries and
+workspaces may share them.
 
 The zero module (all dimensions zero) is a first-class citizen; every
 operation accepts it.
@@ -146,38 +150,45 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
     """Deterministic basis of ``Hom(m, n)``.
 
     Unknowns are the vertex components flattened row-major and concatenated
-    in vertex order; each arrow contributes one commuting-square block.  The
-    squares of all basis maps are then checked at once, one stacked product
-    per arrow, so the maps skip ``RepMap``'s own check; a failure raises
-    ``AssertionError``, under ``python -O`` too.
+    in vertex order; each arrow contributes one commuting-square block, set
+    from the nonzeros of its two arrow matrices.  The squares of all basis
+    maps are then checked at once, one stacked product per arrow, so the
+    maps skip ``RepMap``'s own check; a failure raises ``AssertionError``,
+    under ``python -O`` too.
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
     alg = m.algebra
     q = alg.quiver
     nv = q.n_vertices
-    sizes = [n.dims[v] * m.dims[v] for v in range(nv)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offs[-1])
+    offs = [0]
+    for v in range(nv):
+        offs.append(offs[-1] + n.dims[v] * m.dims[v])
+    total = offs[-1]
     if total == 0:
         return []
-    blocks = []
+    rows: list[list[int]] = []
     for k in range(q.n_arrows):
         i, j = q.arrow_source(k), q.arrow_target(k)
-        rows = n.dims[j] * m.dims[i]
-        if rows == 0:
-            continue
-        block = em.zeros(rows, total)
+        mi, mj, nj = m.dims[i], m.dims[j], n.dims[j]
+        block = [[0] * total for _ in range(nj * mi)]
         # entry (a, c) of N_k @ phi_i is sum_b N_k[a, b] phi_i[b, c]: the
-        # coefficient of unknown (b, d) in row (a, c) is N_k[a, b] I[c, d]
-        block[:, offs[i]:offs[i + 1]] = _kron(n.arrow_maps[k], em.identity(m.dims[i]))
+        # coefficient of unknown (b, c) in row (a, c) is N_k[a, b]
+        for a, row in enumerate(n.arrow_maps[k].tolist()):
+            for b, x in enumerate(row):
+                if x:
+                    for c in range(mi):
+                        block[a * mi + c][offs[i] + b * mi + c] = x
         # entry (a, c) of phi_j @ M_k is sum_d phi_j[a, d] M_k[d, c]: the
-        # coefficient of unknown (b, d) is I[a, b] M_k[d, c], subtracted
-        block[:, offs[j]:offs[j + 1]] = (block[:, offs[j]:offs[j + 1]]
-                                         - _kron(em.identity(n.dims[j]),
-                                                 m.arrow_maps[k].T)) % alg.p
-        blocks.append(block)
-    system = np.concatenate(blocks, axis=0) if blocks else em.zeros(0, total)
+        # coefficient of unknown (a, d) in row (a, c) is M_k[d, c], subtracted;
+        # kernel_basis reduces the entries mod p
+        for d, row in enumerate(m.arrow_maps[k].tolist()):
+            for c, x in enumerate(row):
+                if x:
+                    for a in range(nj):
+                        block[a * mi + c][offs[j] + a * mj + d] -= x
+        rows += block
+    system = np.array(rows, dtype=np.int64).reshape(len(rows), total)
     basis = em.kernel_basis(system, alg.p)
     nb = basis.shape[1]
     phis = [basis[offs[v]:offs[v + 1]].T.reshape(nb, n.dims[v], m.dims[v])
@@ -187,12 +198,6 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
         if np.any((n.arrow_maps[k] @ phis[i] - phis[j] @ m.arrow_maps[k]) % alg.p):
             raise AssertionError(f"a Hom basis map fails the square at arrow {k}")
     return [RepMap(m, n, [phi[b] for phi in phis], check=False) for b in range(nb)]
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices as one broadcast product."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def is_isomorphic(m: Rep, n: Rep) -> bool:
@@ -240,7 +245,8 @@ def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
     """``P -> m`` lifted from a basis of the top; returns (multiplicities, P, epi).
 
     Copy ``k`` of ``P_v`` sends its generator ``e_v`` to the ``k``-th lift at
-    ``v``, so each basis path of ``P_v`` acts on all the lifts at once.  By
+    ``v``, so each basis path of ``P_v`` acts on all the lifts at once, as
+    its last arrow's matrix times its prefix's action.  By
     Nakayama's lemma ``epi`` is onto; ``min_projective_presentation`` checks
     that against the kernel's dimensions.
     """
@@ -252,15 +258,26 @@ def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
     comps = [em.zeros(m.dims[w], psum.dims[w]) for w in range(nv)]
     for v, sec in sections.items():
         first = offsets[verts.index(v)]
+        acts = {(): sec}
         for w in range(nv):
             d = alg.pair_dim(v, w)
             for col, gid in enumerate(alg.pair_basis(v, w)):
                 # column ``col`` of every copy of P_v: the copies are adjacent
-                img = em.matmul(path_matrix(m, v, alg.basis[gid].path), sec, alg.p)
+                img = _path_action(m, alg.basis[gid].path, acts)
                 comps[w][:, first[w] + col:first[w] + mult[v] * d:d] = img
     # a map out of P_v is fixed by the image of e_v, and every image gives a
     # homomorphism (Yoneda)
     return mult, psum, RepMap(psum, m, comps, check=False)
+
+
+def _path_action(m: Rep, path: tuple[int, ...], acts: dict) -> np.ndarray:
+    """The action of ``path`` on the lifts in ``acts[()]``: its last arrow's
+    matrix times its prefix's action, each stored in ``acts``."""
+    got = acts.get(path)
+    if got is None:
+        got = acts[path] = em.matmul(m.arrow_maps[path[-1]],
+                                     _path_action(m, path[:-1], acts), m.algebra.p)
+    return got
 
 
 def kernel(h: RepMap) -> tuple[Rep, RepMap]:
@@ -274,7 +291,7 @@ def kernel(h: RepMap) -> tuple[Rep, RepMap]:
     for k in range(q.n_arrows):
         i, j = q.arrow_source(k), q.arrow_target(k)
         img = em.matmul(h.source.arrow_maps[k], bases[i], alg.p)
-        sol = em.solve_right(bases[j], img, alg.p)
+        sol = em.kernel_coordinates(bases[j], img, alg.p)
         if sol is None:
             raise AssertionError("kernel is not arrow-stable")
         maps.append(sol)
@@ -294,7 +311,7 @@ def cokernel(h: RepMap) -> tuple[Rep, RepMap]:
     for k in range(q.n_arrows):
         i, j = q.arrow_source(k), q.arrow_target(k)
         rhs = em.matmul(projs[j], h.target.arrow_maps[k], alg.p)
-        solT = em.solve_right(projs[i].T, rhs.T, alg.p)
+        solT = em.kernel_coordinates(projs[i].T, rhs.T, alg.p)
         if solT is None:
             raise AssertionError("image is not arrow-stable")
         maps.append(solT.T)

@@ -112,9 +112,12 @@ class Registry:
     """Shared store of discovered indecomposable modules with stable ids.
 
     Projectives are registered first, in vertex order, so the ids
-    ``0..n_vertices-1`` always denote them.  Isomorphic modules receive
-    the same id.  A registry, like the ``SiltingWorkspace`` over it, is not
-    safe to share between threads.
+    ``0..n_vertices-1`` always denote them.  Each is filed with its stalk
+    ``0 -> P_v`` (``twoterm.stalk``), which is its minimal presentation, so
+    ``min_projective_presentation`` runs only for the modules that
+    ``get_or_insert`` registers.  Isomorphic modules receive the same id.  A
+    registry, like the ``SiltingWorkspace`` over it, is not safe to share
+    between threads.
     """
 
     def __init__(self, algebra: FiniteDimAlgebra):
@@ -136,7 +139,8 @@ class Registry:
         self._cone_inv = np.zeros((0, nv, nv), dtype=np.int64)
         self._facets: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
         for v in range(nv):
-            self.get_or_insert(algebra.projective(v))
+            pres = tt.stalk(algebra, v)
+            self._insert(algebra.projective(v), pres, tt.g_vector(pres))
         self.record_cone(range(nv), ())
         self.record_cone((), range(nv))
 
@@ -171,10 +175,14 @@ class Registry:
             raise ValueError("the zero module is not registrable")
         pres = rm.min_projective_presentation(rep)
         gvec = tt.g_vector(pres)
-        key = (rep.dims, gvec)
-        for i in self._by_key.get(key, []):
+        for i in self._by_key.get((rep.dims, gvec), []):
             if rm.is_isomorphic(self._reps[i], rep):
                 return i
+        return self._insert(rep, pres, gvec)
+
+    def _insert(self, rep: rm.Rep, pres: tt.TwoTermComplex, gvec: tuple[int, ...]) -> int:
+        """File ``rep`` under a new id, with its minimal presentation ``pres``."""
+        key = (rep.dims, gvec)
         i = len(self._reps)
         self._reps.append(rep)
         self._pres.append(pres)
@@ -400,10 +408,11 @@ class SiltingWorkspace:
         composites = np.concatenate(blocks, axis=1).T % p
         basis = np.array([_vec_map(f) for f in hxt], dtype=np.int64)
         basis = basis.reshape(len(hxt), composites.shape[0]).T
-        # A solution proves that each composite is a homomorphism x -> t, so
-        # this check stands in for RepMap's commuting squares and must not
-        # vanish under ``python -O``.
-        coords = em.solve_right(basis, composites, p)
+        # The columns of ``basis`` are the kernel_basis columns that hom_basis
+        # reshaped into maps.  A solution proves that each composite is a
+        # homomorphism x -> t, so this check stands in for RepMap's commuting
+        # squares and must not vanish under ``python -O``.
+        coords = em.kernel_coordinates(basis, composites, p)
         if coords is None:
             raise AssertionError("composite escaped the Hom space")
         return coords.reshape(len(hxt), len(hxk), len(hkt))
@@ -417,7 +426,19 @@ class SiltingWorkspace:
     # ---- pair plumbing ------------------------------------------------------
 
     def make_pair(self, summands, proj_part) -> SiltingPair:
+        """The canonical pair of registry ids ``summands`` and vertices ``proj_part``.
+
+        An id outside the registry or a vertex outside the quiver raises
+        ``ValueError``, as do repeated summands.
+        """
         ids = list(summands)
+        verts = sorted(set(int(v) for v in proj_part))
+        if ids and not 0 <= min(ids) <= max(ids) < len(self.registry):
+            raise ValueError(f"summand ids {ids} are not all registry ids "
+                             f"0..{len(self.registry) - 1}")
+        if verts and not 0 <= verts[0] <= verts[-1] < self.algebra.quiver.n_vertices:
+            raise ValueError(f"shifted vertices {verts} are not all vertices "
+                             f"0..{self.algebra.quiver.n_vertices - 1}")
         if len(set(ids)) != len(ids):
             raise ValueError("pair summands must be pairwise distinct")
         keys = [self.registry.key(i) for i in ids]
@@ -425,8 +446,7 @@ class SiltingWorkspace:
             raise RuntimeError("two summands share dimension and g-vector; "
                                "registry corruption?")
         order = sorted(range(len(ids)), key=lambda k: keys[k])
-        return SiltingPair(tuple(ids[k] for k in order),
-                           tuple(sorted(set(int(v) for v in proj_part))))
+        return SiltingPair(tuple(ids[k] for k in order), tuple(verts))
 
     def lambda_pair(self) -> SiltingPair:
         return self.make_pair(range(self.algebra.quiver.n_vertices), ())

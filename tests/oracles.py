@@ -111,6 +111,66 @@ def shift_hom_basis_by_products(p, q) -> list[tuple[int, int, int]]:
     return [key for n, key in enumerate(cod) if n not in pivots]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def hom_basis_by_kron(m: rm.Rep, n: rm.Rep) -> list[rm.RepMap]:
+    """``repmod.hom_basis(m, n)`` with each commuting-square block assembled
+    as two Kronecker products, one per side of the square, and every map
+    built with ``RepMap``'s own square check."""
+    alg = m.algebra
+    q = alg.quiver
+    nv = q.n_vertices
+    offs = np.concatenate([[0], np.cumsum([n.dims[v] * m.dims[v] for v in range(nv)])])
+    total = int(offs[-1])
+    if total == 0:
+        return []
+    blocks = []
+    for k in range(q.n_arrows):
+        i, j = q.arrow_source(k), q.arrow_target(k)
+        rows = n.dims[j] * m.dims[i]
+        if rows == 0:
+            continue
+        block = em.zeros(rows, total)
+        # entry (a, c) of N_k @ phi_i is sum_b N_k[a, b] phi_i[b, c]: the
+        # coefficient of unknown (b, d) in row (a, c) is N_k[a, b] I[c, d]
+        block[:, offs[i]:offs[i + 1]] = _kron(n.arrow_maps[k], em.identity(m.dims[i]))
+        # entry (a, c) of phi_j @ M_k is sum_d phi_j[a, d] M_k[d, c]: the
+        # coefficient of unknown (b, d) is I[a, b] M_k[d, c], subtracted
+        block[:, offs[j]:offs[j + 1]] = (block[:, offs[j]:offs[j + 1]]
+                                         - _kron(em.identity(n.dims[j]),
+                                                 m.arrow_maps[k].T)) % alg.p
+        blocks.append(block)
+    system = np.concatenate(blocks, axis=0) if blocks else em.zeros(0, total)
+    basis = em.kernel_basis(system, alg.p)
+    return [rm.RepMap(m, n, [basis[offs[v]:offs[v + 1], b].reshape(n.dims[v], m.dims[v])
+                             for v in range(nv)])
+            for b in range(basis.shape[1])]
+
+
+def projective_cover_by_paths(m: rm.Rep) -> tuple[tuple[int, ...], rm.Rep, rm.RepMap]:
+    """``repmod.projective_cover(m)`` with the action of each basis path on
+    the lifts computed afresh from the identity (``path_matrix``), and the
+    epimorphism built with ``RepMap``'s own square check."""
+    alg = m.algebra
+    nv = alg.quiver.n_vertices
+    mult, sections = rm._top_sections(m)
+    verts = [v for v in range(nv) for _ in range(mult[v])]
+    psum, offsets = rm.rep_direct_sum(alg, [alg.projective(v) for v in verts])
+    comps = [em.zeros(m.dims[w], psum.dims[w]) for w in range(nv)]
+    for v, sec in sections.items():
+        first = offsets[verts.index(v)]
+        for w in range(nv):
+            d = alg.pair_dim(v, w)
+            for col, gid in enumerate(alg.pair_basis(v, w)):
+                img = em.matmul(rm.path_matrix(m, v, alg.basis[gid].path), sec, alg.p)
+                comps[w][:, first[w] + col:first[w] + mult[v] * d:d] = img
+    return mult, psum, rm.RepMap(psum, m, comps)
+
+
 def min_projective_presentation_by_covers(m: rm.Rep) -> tt.TwoTermComplex:
     """``repmod.min_projective_presentation(m)`` from two full covers.
 

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from silt import exactmat as em
 from silt import explorer as ex
 from silt import orders
 from silt import repmod as rm
@@ -19,10 +20,10 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import (checked_repmap, h0, hom_onto, int_det,
+from oracles import (checked_repmap, h0, hom_basis_by_kron, hom_onto, int_det,
                      min_projective_presentation_by_covers, pair_leq_by_entries,
-                     presilting_by_h0, rational_inverse, shift_hom_basis_by_products,
-                     summand_dims, validation_by_entries)
+                     presilting_by_h0, projective_cover_by_paths, rational_inverse,
+                     shift_hom_basis_by_products, summand_dims, validation_by_entries)
 from test_algebra import a2_algebra
 
 
@@ -498,11 +499,14 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lo
     # itself, not by the workspace counters.  The shifted-Hom entries that
     # explore and then hasse_check compute are pinned as well: a row read
     # that computed an entry the per-entry loops skip, or skipped one they
-    # compute, changes them.
-    spans, misses = [], []
+    # compute, changes them.  A minimal presentation is computed once per
+    # registered module that is not projective: a projective is filed with
+    # its stalk.
+    spans, misses, presented = [], [], []
     routes = {"indexed": 0, "scanned": 0}
     images_span = rm.images_span
     partner = SiltingWorkspace.registered_partner
+    presentation = rm.min_projective_presentation
 
     def counting_span(maps, x):
         spans.append(x)
@@ -516,10 +520,16 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lo
             misses.append(x)
         return got
 
+    def counting_presentation(m):
+        presented.append(m)
+        return presentation(m)
+
     monkeypatch.setattr(rm, "images_span", counting_span)
     monkeypatch.setattr(SiltingWorkspace, "registered_partner", counting_partner)
+    monkeypatch.setattr(rm, "min_projective_presentation", counting_presentation)
     eq = ex.explore(build(*args))
     assert eq.complete
+    assert len(presented) == len(eq.workspace.registry) - eq.algebra.quiver.n_vertices
     assert eq.stats["mutations"] == counts
     assert len(spans) == len(misses) == counts["cokernel_built"]
     assert routes == eq.stats["partner_lookups"] == lookups
@@ -749,6 +759,71 @@ def test_presentation_at_generators_equals_two_covers(complete_runs):
             assert (got.rows, got.cols, got.d) == (want.rows, want.cols, want.d), m
             repeated += len(set(got.cols)) < len(got.cols)
     assert repeated > 0
+
+
+def _same_maps(got, want):
+    return len(got) == len(want) and all(
+        len(f.comps) == len(g.comps) and all(
+            a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            for a, b in zip(f.comps, g.comps))
+        for f, g in zip(got, want))
+
+
+def test_module_layer_equals_references(complete_runs):
+    # hom_basis sets its commuting squares from the nonzeros of the arrow
+    # matrices, a cover acts with each basis path as its last arrow times its
+    # prefix, and a registry files each projective with its stalk; on every
+    # registered module the Kronecker assembly, the per-path cover and the
+    # minimal presentation give the same arrays, Hom bases for every ordered
+    # pair of modules included
+    pairs = 0
+    for eq in complete_runs:
+        alg = eq.algebra
+        reg = eq.workspace.registry
+        mods = [reg.rep(i) for i in range(len(reg))]
+        for v in range(alg.quiver.n_vertices):
+            assert reg.presentation(v) is tt.stalk(alg, v)
+        for i, m in enumerate(mods):
+            assert reg.presentation(i) == rm.min_projective_presentation(m)
+            mult, psum, epi = rm.projective_cover(m)
+            want_mult, want_psum, want_epi = projective_cover_by_paths(m)
+            assert mult == want_mult and psum.dims == want_psum.dims
+            assert _same_maps([epi], [want_epi])
+            for n in mods:
+                assert _same_maps(rm.hom_basis(m, n), hom_basis_by_kron(m, n))
+                pairs += 1
+    assert pairs > 500
+
+
+def test_coordinate_reads_equal_solve_right(complete_runs, monkeypatch):
+    # kernel, cokernel and the composition table read the coordinates of
+    # vectors in a kernel_basis output off its free rows; every read that an
+    # exploration, a presentation of each registered module and the
+    # cokernel of each approximation makes equals solve_right's solution
+    read = em.kernel_coordinates
+    calls = []
+
+    def checked(basis, b, p):
+        got, want = read(basis, b, p), em.solve_right(basis, b, p)
+        assert want is not None
+        assert got is not None and got.shape == want.shape and np.array_equal(got, want)
+        calls.append(got.size)
+        return got
+
+    monkeypatch.setattr(em, "kernel_coordinates", checked)
+    for eq in complete_runs:
+        again = ex.explore(eq.algebra)
+        assert again.nodes == eq.nodes
+        ws = eq.workspace
+        reg = ws.registry
+        for i in range(len(reg)):
+            rm.min_projective_presentation(reg.rep(i))
+        for pair in eq.nodes:
+            for at, x in enumerate(pair.summands):
+                _, h, _ = ws.left_minimal_approximation(x, pair.summands[:at]
+                                                        + pair.summands[at + 1:])
+                rm.cokernel(h)
+    assert len(calls) > 1000 and sum(calls) > 0
 
 
 def test_maps_built_unchecked_commute(complete_runs):

@@ -241,3 +241,30 @@ def test_solve_right_exact(mp, data):
     x = em.solve_right(a, b, p)
     assert x is not None
     assert np.array_equal(em.matmul(a, x, p), b)
+
+
+@settings(deadline=None)
+@given(_matrices(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example((em.zeros(0, 0), 5), 1, 0)
+@example((em.identity(3), 7), 2, 0)
+@example((em.zeros(2, 4), 5), 0, 0)
+def test_kernel_coordinates_equal_solve_right(mp, cols, seed):
+    # the coordinates read off the free rows of a kernel basis are the unique
+    # solution, so they equal solve_right's, and a column outside the span
+    # gives None from both
+    m, p = mp
+    basis = em.kernel_basis(m, p)
+    n, k = basis.shape
+    x_true = np.random.default_rng(seed).integers(0, p, size=(k, cols), dtype=np.int64)
+    b = em.matmul(basis, x_true, p)
+    x = em.kernel_coordinates(basis, b, p)
+    assert x is not None and _same(x, em.solve_right(basis, b, p)) and _same(x, x_true)
+    # every kernel vector with a nonzero entry at a pivot column of m has a
+    # nonzero free entry too, so the unit vector there lies outside the span
+    _, piv = em.rref(m, p)
+    if piv:
+        out = np.concatenate([b, em.identity(n)[:, piv[:1]]], axis=1)
+        assert em.solve_right(basis, out, p) is None
+        assert em.kernel_coordinates(basis, out, p) is None
+    with pytest.raises(ValueError, match="row mismatch"):
+        em.kernel_coordinates(basis, em.zeros(n + 1, 1), p)

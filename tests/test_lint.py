@@ -214,12 +214,13 @@ def test_twoterm_imports_no_repmod():
 
 
 REFERENCE_ONLY = ("identity_map", "zero_rep", "module_rep", "zero_pair", "path_elem",
-                  "asmat", "top", "left_kernel_basis", "summand_dims")
+                  "asmat", "top", "left_kernel_basis", "summand_dims", "_kron")
 
 
 def _reference_only(tree):
-    # names only tests use live in tests/, and a presentation reads the tops
-    # it needs off arrow matrices, with no quotient module
+    # names only tests use live in tests/, a presentation reads the tops it
+    # needs off arrow matrices, with no quotient module, and hom_basis sets
+    # its commuting squares from nonzeros, with no Kronecker product
     for scope, call in _scoped_calls(tree):
         name = next((n for n in REFERENCE_ONLY if _called(call, n)), None)
         if name:

@@ -5,7 +5,7 @@ from silt import exactmat as em
 from silt import repmod as rm
 from silt.algebra import projective_module, simple_module
 
-from oracles import complex_repmap, fac_contains, zero_rep
+from oracles import _kron, complex_repmap, fac_contains, zero_rep
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
 
@@ -52,8 +52,9 @@ def test_hom_contains_identity(a2):
 
 
 def test_kron_blocks_equal_numpy_kron():
-    # the commuting-square blocks are Kronecker products of an arrow matrix
-    # and an identity, in either order; every shape, zero sides included
+    # the reference commuting-square blocks are Kronecker products of an
+    # arrow matrix and an identity, in either order; every shape, zero sides
+    # included
     rng = np.random.default_rng(7)
     shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (4, 2)]
     for sa in shapes:
@@ -63,7 +64,7 @@ def test_kron_blocks_equal_numpy_kron():
         for b in others:
             for x, y in ((a, b), (b, a.T)):
                 want = np.kron(x, y)
-                got = rm._kron(x, y)
+                got = _kron(x, y)
                 assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -84,6 +85,19 @@ def test_hom_basis_checks_every_square(a2, monkeypatch):
     monkeypatch.setattr(em, "kernel_basis", with_bad_column)
     with pytest.raises(AssertionError, match="square at arrow 0"):
         rm.hom_basis(p1, p1)
+
+
+def test_kernel_and_cokernel_raise_outside_the_span(a2, monkeypatch):
+    # both read the coordinates of the induced arrow matrices off the free
+    # rows of a kernel basis; a column outside the span raises under
+    # ``python -O`` too
+    h = rm.hom_basis(projective_module(a2, "1"), simple_module(a2, "1"))[0]
+    assert rm.kernel(h)[0].dims == (0, 1) and rm.cokernel(h)[0].dims == (0, 0)
+    monkeypatch.setattr(em, "kernel_coordinates", lambda basis, b, p: None)
+    with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
+        rm.kernel(h)
+    with pytest.raises(AssertionError, match="image is not arrow-stable"):
+        rm.cokernel(h)
 
 
 def test_is_isomorphic(a2):

@@ -114,6 +114,32 @@ def test_validate_a2_examples(a2):
         assert a2.validate_silting_pair(pair).reason == validation_by_entries(a2, pair)
 
 
+def test_make_pair_refuses_ids_and_vertices_out_of_range():
+    # over A2 the registry holds the projectives 0, 1 and nothing else: a
+    # vertex outside 0..1 is no shifted projective, and an id outside the
+    # registry, negative ones included, names no module
+    ws = SiltingWorkspace(a2_algebra())
+    assert ws.make_pair((0,), (1,)) == SiltingPair((0,), (1,))
+    for proj_part in ((7,), (-1,), (2,), (0, 2)):
+        with pytest.raises(ValueError, match="shifted vertices"):
+            ws.make_pair((0,), proj_part)
+    for summands in ((-1,), (2,), (0, 5), (-2, 1)):
+        with pytest.raises(ValueError, match="summand ids"):
+            ws.make_pair(summands, ())
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        ws.make_pair((0, 0), ())
+
+
+def test_composition_raises_outside_the_hom_space(monkeypatch):
+    # the composites' coordinates are read off the free rows of the Hom
+    # basis; a column outside its span raises under ``python -O`` too
+    ws = SiltingWorkspace(a2_algebra())
+    assert ws.composition(0, 0, 0).shape == (1, 1, 1)
+    monkeypatch.setattr(em, "kernel_coordinates", lambda basis, b, p: None)
+    with pytest.raises(AssertionError, match="escaped the Hom space"):
+        SiltingWorkspace(a2_algebra()).composition(0, 0, 0)
+
+
 def test_rejection_reason_is_stable():
     # S2 + S1 over A2 has the right count and support but is not rigid
     ws = SiltingWorkspace(a2_algebra())
