@@ -247,10 +247,6 @@ class BasisPath:
     tgt: int
     path: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.path)
-
 
 class FiniteDimAlgebra:
     """``kQ/I`` with a chosen path basis and structure constants.

@@ -9,7 +9,7 @@ a module only when a mutation exists and its partner is not registered yet,
 so a registry that ``explore`` filled holds only summands of the pairs it
 produced.
 
-A ``SiltingWorkspace`` keeps three caches, plain dicts filled without locks,
+A ``SiltingWorkspace`` keeps two caches, plain dicts filled without locks,
 so a workspace belongs to one thread.  Each fills on first use, is never
 invalidated, and is keyed by registry ids, which are stable because the
 registry only grows:
@@ -17,19 +17,6 @@ registry only grows:
 - ``hom(i, j)``: the Hom-space basis, per ordered id pair.  ``mutate_left``
   reads ``Hom(U, X)`` only for an ``X`` without a registered partner, the
   one case in which it may build a module.
-- ``rigid(i, j)``: the rigidity pairing, ``twoterm.hom_shift_vanishes`` of
-  the minimal presentations of ``i`` and ``j``, per ordered id pair; no
-  module is read.  ``twoterm.is_presilting`` asks the same of whole
-  complexes.  The whole partial order on discovered pairs, and the rigidity
-  step of validation, reduce to lookups in this table plus a support
-  condition.  The table is kept by rows, as Python-int bitsets: each id
-  has an out-row over ``j`` and an in-row over ``i``, each a pair (entries
-  known, entries that vanish).  Validation, ``pair_leq``, the partner scan
-  and ``order_matrix`` read a row with one mask test when every entry they
-  need from it is known; otherwise they run the per-entry loop for that
-  row, which computes the missing entries in its own order.  So the
-  ``hom_shift_vanishes`` calls, and their order, are those of the
-  per-entry loops, and every check decides the same predicate.
 - ``composition(x, k, t)``: the coordinates of every composite
   ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple.
   ``_strip_copies`` reads it instead of composing maps: dropping a copy
@@ -37,13 +24,26 @@ registry only grows:
   composites of the other copies into ``t`` span ``Hom(x, t)``.
 
 The ``Registry`` stores, per module id, its ``(dims, g-vector)`` key, its
-vertex support and the vertices where its g-vector is positive and
-negative, the last three as bitsets, so that the support tests and the
-scan's sign filter are mask tests.  It keeps two more caches, both per
-two-term complex ``t`` and keyed by ``minimality_reduce(t)``; cancelling
-contractible summands changes no Hom in the homotopy category.
-``minimality_reduce`` hands an already reduced complex back as it is, and a
-complex computes its hash once, on first use.  So a completion is reduced
+vertex support, the degree -1 vertices of its minimal presentation, and
+its row of the rigidity table, the last three as bitsets:
+
+- ``rigid_row(i)``: the ids ``j`` with ``Hom(P_i, P_j[1]) = 0``, ``P_i``
+  and ``P_j`` the minimal presentations; no module is read.
+  ``twoterm.is_presilting`` asks the same of whole complexes.  The table
+  is always whole: filing a module fills its row, its column and its
+  diagonal against every registered id.  An entry is a quotient of
+  ``Hom(P_i^{-1}, M_j)`` (AIR Section 3), so it vanishes when ``M_j`` is
+  zero at every degree -1 vertex of ``P_i``, one mask test; only the other
+  entries run ``twoterm.hom_shift_vanishes``.  The partial order on
+  discovered pairs, the rigidity step of validation and the partner scan
+  reduce to one mask test per row plus a support condition, and
+  ``order_matrix`` reads the rows as they are.
+
+It keeps two more caches, both per two-term complex ``t`` and keyed by
+``minimality_reduce(t)``; cancelling contractible summands changes no Hom
+in the homotopy category.  ``minimality_reduce`` hands an already reduced
+complex back as it is, and a complex computes its hash once, on first use.
+So a completion is reduced
 once, when it is built: the ``is_silting`` gate and ``pair_of`` find
 nothing left to cancel and key on the same object, which is hashed once and
 matches its memo key by identity:
@@ -105,7 +105,6 @@ class Validation:
 MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
                      "registry_lookup", "cokernel_built")
 ORDER_ROWS = 256
-_NO_ROW = (0, 0)
 
 
 class Registry:
@@ -115,7 +114,9 @@ class Registry:
     ``0..n_vertices-1`` always denote them.  Each is filed with its stalk
     ``0 -> P_v`` (``twoterm.stalk``), which is its minimal presentation, so
     ``min_projective_presentation`` runs only for the modules that
-    ``get_or_insert`` registers.  Isomorphic modules receive the same id.  A
+    ``get_or_insert`` registers.  Isomorphic modules receive the same id.
+    Every id is filed with its row and column of the rigidity table, so
+    each ordered pair of registered ids has its entry.  A
     registry, like the ``SiltingWorkspace`` over it, is not safe to share
     between threads.
     """
@@ -127,7 +128,8 @@ class Registry:
         self._gvec: list[tuple[int, ...]] = []
         self._keys: list[tuple] = []
         self._support: list[int] = []
-        self._signs: list[tuple[int, int]] = []
+        self._cols: list[int] = []
+        self._rigid: list[int] = []
         self._by_key: dict[tuple, list[int]] = {}
         self._decomp: dict[tt.TwoTermComplex,
                            tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -166,9 +168,9 @@ class Registry:
         """The vertices where module ``i`` is nonzero, as a bitset."""
         return self._support[i]
 
-    def signs(self, i: int) -> tuple[int, int]:
-        """The vertices where the g-vector of ``i`` is positive, and negative, as bitsets."""
-        return self._signs[i]
+    def rigid_row(self, i: int) -> int:
+        """The ids ``j`` with ``Hom(P_i, P_j[1]) = 0``, as a bitset."""
+        return self._rigid[i]
 
     def get_or_insert(self, rep: rm.Rep) -> int:
         if rep.is_zero():
@@ -189,10 +191,25 @@ class Registry:
         self._gvec.append(gvec)
         self._keys.append(key)
         self._support.append(_bits(v for v, d in enumerate(rep.dims) if d))
-        self._signs.append((_bits(v for v, g in enumerate(gvec) if g > 0),
-                            _bits(v for v, g in enumerate(gvec) if g < 0)))
+        self._cols.append(_bits(pres.cols))
         self._by_key.setdefault(key, []).append(i)
+        row = 0
+        for j in range(i):
+            row |= self._vanishes(i, j) << j
+            self._rigid[j] |= self._vanishes(j, i) << i
+        self._rigid.append(row | self._vanishes(i, i) << i)
         return i
+
+    def _vanishes(self, i: int, j: int) -> bool:
+        """``Hom(P_i, P_j[1]) = 0`` for the presentations of modules ``i`` and ``j``.
+
+        It is the cokernel of ``Hom(d_i, M_j)`` (AIR Section 3), a quotient
+        of ``Hom(P_i^{-1}, M_j)``; so it vanishes when ``M_j`` is zero at
+        every degree -1 vertex of ``P_i``, and the shifted-Hom matrix
+        decides the rest.
+        """
+        return not self._cols[i] & self._support[j] or tt.hom_shift_vanishes(
+            self._pres[i], self._pres[j])
 
     def split(self, rep: rm.Rep) -> list[int] | None:
         """Peel registered indecomposables off ``rep``; ids with multiplicity.
@@ -328,11 +345,6 @@ class SiltingWorkspace:
         self.algebra = algebra
         self.registry = registry if registry is not None else Registry(algebra)
         self._hom: dict[tuple[int, int], list[rm.RepMap]] = {}
-        # id -> (known, ok) bitsets: ``rigid(i, j)`` is known when bit ``j`` of
-        # ``_out[i]`` and bit ``i`` of ``_in[j]`` are set, and holds when the ok
-        # bits are set too
-        self._out: dict[int, tuple[int, int]] = {}
-        self._in: dict[int, tuple[int, int]] = {}
         self._comp: dict[tuple[int, int, int], np.ndarray] = {}
         self.mutation_counts = dict.fromkeys(MUTATION_OUTCOMES, 0)
         self.partner_lookups = {"indexed": 0, "scanned": 0}
@@ -353,36 +365,15 @@ class SiltingWorkspace:
         minimal presentations of modules ``i`` and ``j``.
 
         That is ``Hom(M_j, tau M_i) = 0`` (Adachi-Iyama-Reiten,
-        arXiv:1210.1036, Lemma 3.4), read off the shifted-Hom matrix of the
-        two presentations; no module is read.  The answer is stored in the
-        out-row of ``i`` and the in-row of ``j``.
+        arXiv:1210.1036, Lemma 3.4): bit ``j`` of the registry's row of ``i``,
+        filled when the later of the two was registered.
         """
-        known, ok = self._out.get(i, _NO_ROW)
-        if known >> j & 1:
-            return bool(ok >> j & 1)
-        reg = self.registry
-        got = tt.hom_shift_vanishes(reg.presentation(i), reg.presentation(j))
-        self._out[i] = (known | 1 << j, ok | got << j)
-        known, ok = self._in.get(j, _NO_ROW)
-        self._in[j] = (known | 1 << i, ok | got << i)
-        return got
+        return bool(self.registry.rigid_row(i) >> j & 1)
 
     def _rows_rigid(self, sources, targets) -> bool:
-        """``all(rigid(i, j) for i in sources for j in targets)``, read by rows.
-
-        A source row that knows every target entry answers with one mask
-        test; one that does not runs the per-entry loop for that row.  So the
-        entries computed, and their order, are those of the nested loop.
-        """
+        """``all(rigid(i, j) for i in sources for j in targets)``: one mask test per row."""
         need = _bits(targets)
-        for i in sources:
-            known, ok = self._out.get(i, _NO_ROW)
-            if known & need == need:
-                if ok & need != need:
-                    return False
-            elif not all(self.rigid(i, j) for j in targets):
-                return False
-        return True
+        return all(self.registry.rigid_row(i) & need == need for i in sources)
 
     def composition(self, x: int, k: int, t: int) -> np.ndarray:
         """Coordinates of the composites ``psi . h`` in the basis of ``Hom(x, t)``.
@@ -418,9 +409,8 @@ class SiltingWorkspace:
         return coords.reshape(len(hxt), len(hxk), len(hkt))
 
     def cache_sizes(self) -> dict[str, int]:
-        """Entry counts of the three caches."""
-        return {"hom": len(self._hom),
-                "rigid": sum(known.bit_count() for known, _ in self._out.values()),
+        """Entry counts of the three caches; the ``rigid`` table is always whole."""
+        return {"hom": len(self._hom), "rigid": len(self.registry) ** 2,
                 "composition": len(self._comp)}
 
     # ---- pair plumbing ------------------------------------------------------
@@ -631,14 +621,11 @@ class SiltingWorkspace:
         ``y`` outside ``rest``, with no support on ``proj_part``, rigid with
         itself and both ways with every summand of ``rest``: the pair is then
         tau-rigid with as many summands as vertices, hence support tau-tilting
-        (AIR Section 2).  Before any ``rigid`` lookup the scan drops every
-        ``y`` whose g-vector takes a sign at a vertex opposite to one of the
-        g-vectors of ``rest`` or ``-e_v`` (``v`` in ``proj_part``), since the
-        summands of a 2-term silting complex are sign-coherent
-        (Demonet-Iyama-Jasso, arXiv:1503.00285).  Sign, support and rigidity
-        tests read bitsets: the registry's sign and support masks, then the
-        ``rigid`` rows of ``y`` (``_rigid_with``).  ``None`` means ``y`` is
-        not registered yet; a second ``y`` found by the scan raises.
+        (AIR Section 2).  The AND of the rows of ``rest`` leaves the ``y``
+        with ``rigid(u, y)`` for every ``u``; each of them is tested on its
+        own row, for ``rigid(y, y)`` and ``rigid(y, u)``, and on its support
+        mask.  ``None`` means ``y`` is not registered yet; a second ``y``
+        found by the scan raises.
         ``partner_lookups`` counts the index answers and the scans.
         """
         reg = self.registry
@@ -651,36 +638,20 @@ class SiltingWorkspace:
             return known[0]
         self.partner_lookups["scanned"] += 1
         shifted = self._vertex_mask(proj_part)
-        pos, neg = 0, shifted
-        for u in rest:
-            u_pos, u_neg = reg.signs(u)
-            pos, neg = pos | u_pos, neg | u_neg
         others = _bits(rest)
-        taken = others | 1 << x
+        left = (1 << len(reg)) - 1 & ~(others | 1 << x)
+        for u in rest:
+            left &= reg.rigid_row(u)
         found = []
-        for y in range(len(reg)):
-            y_pos, y_neg = reg.signs(y)
-            if not (taken >> y & 1 or y_pos & neg or y_neg & pos
-                    or reg.support(y) & shifted) and self._rigid_with(y, rest, others):
+        for y in range(left.bit_length()):
+            need = others | 1 << y
+            if left >> y & 1 and reg.rigid_row(y) & need == need \
+                    and not reg.support(y) & shifted:
                 found.append(y)
         if len(found) > 1:
             raise RuntimeError(f"registered modules {found} all complete the pair; "
                                "one is decomposable or two are isomorphic")
         return found[0] if found else None
-
-    def _rigid_with(self, y: int, rest, others: int) -> bool:
-        """``rigid(y, y)`` and ``rigid(y, u)``, ``rigid(u, y)`` for every ``u`` in ``rest``.
-
-        ``others`` is the bitset of ``rest``.  When the out-row and the
-        in-row of ``y`` know every entry, two mask tests answer; otherwise
-        the per-entry loop does, in its own order.
-        """
-        out_known, out_ok = self._out.get(y, _NO_ROW)
-        in_known, in_ok = self._in.get(y, _NO_ROW)
-        row = others | 1 << y
-        if out_known & row == row and in_known & others == others:
-            return out_ok & row == row and in_ok & others == others
-        return self.rigid(y, y) and all(self.rigid(y, u) and self.rigid(u, y) for u in rest)
 
     # ---- order --------------------------------------------------------------------
 
@@ -706,8 +677,7 @@ class SiltingWorkspace:
 
         Both counts of ``pair_leq`` are non-negative, so ``leq`` is where
         ``S (D P^T + (1 - R)^T S^T)`` vanishes, with ``R`` read off the
-        out-rows of the modules that occur.  A row that misses an entry is
-        first filled through ``rigid``, in column order.  Every entry is an
+        registry's rows of the modules that occur.  Every entry is an
         integer below (modules + vertices)^2, so the float64 products, which
         numpy hands to BLAS, are exact.  The last one runs ``ORDER_ROWS``
         rows at a time, which keeps its float64 block small next to ``leq``.
@@ -721,13 +691,7 @@ class SiltingWorkspace:
             s[a, [col[i] for i in pair.summands]] = 1
             p[a, list(pair.proj_part)] = 1
         d = np.array([self.registry.dims(i) for i in ids]).reshape(len(ids), nv) > 0
-        need = _bits(ids)
-        rows = []
-        for i in ids:
-            if self._out.get(i, _NO_ROW)[0] & need != need:
-                for j in ids:
-                    self.rigid(i, j)
-            rows.append(self._out[i][1])
+        rows = [self.registry.rigid_row(i) for i in ids]
         unrigid = np.array([[not ok >> j & 1 for j in ids] for ok in rows],
                            dtype=float).reshape(len(ids), len(ids))
         right = d @ p.T + unrigid.T @ s.T

@@ -301,9 +301,9 @@ def presilting_by_h0(t: tt.TwoTermComplex) -> bool:
 
 
 # ---- per-entry references of the rigidity rows ----------------------------------
-# ``SiltingWorkspace`` reads validation and the silting order off bitset rows of
-# its ``rigid`` memo and off registry support masks; these compute every entry
-# afresh from the registered presentations and dimension vectors instead.
+# ``SiltingWorkspace`` reads validation and the silting order off the registry's
+# rigidity rows and support masks; these compute every entry afresh from the
+# registered presentations and dimension vectors instead.
 
 
 def summand_dims(ws, ids) -> tuple[int, ...]:
@@ -316,7 +316,8 @@ def summand_dims(ws, ids) -> tuple[int, ...]:
 
 
 def rigid_entry(reg, i: int, j: int) -> bool:
-    """``Hom(P_i, P_j[1]) = 0`` for the registered presentations, with no memo."""
+    """``Hom(P_i, P_j[1]) = 0`` for the registered presentations, with no
+    support test and no memo."""
     return tt.hom_shift_vanishes(reg.presentation(i), reg.presentation(j))
 
 

@@ -23,7 +23,8 @@ from silt.silting import Registry, SiltingWorkspace
 from oracles import (checked_repmap, h0, hom_basis_by_kron, hom_onto, int_det,
                      min_projective_presentation_by_covers, pair_leq_by_entries,
                      presilting_by_h0, projective_cover_by_paths, rational_inverse,
-                     shift_hom_basis_by_products, summand_dims, validation_by_entries)
+                     rigid_entry, shift_hom_basis_by_products, summand_dims,
+                     validation_by_entries)
 from test_algebra import a2_algebra
 
 
@@ -349,31 +350,29 @@ def test_rigid_table_equals_module_side(complete_runs):
         assert asymmetric > 0 or len(eq.workspace.registry) == 1
 
 
-def _rigid_rows(rows):
-    """The entries ``(i, j) -> ok`` a dict of (known, ok) bitset rows holds."""
-    return {(i, j): bool(ok >> j & 1) for i, (known, ok) in rows.items()
-            for j in range(known.bit_length()) if known >> j & 1}
-
-
 def _check_rows_against_entries(ws, eq):
     """Validation of every node and the order both ways along every edge,
-    against the per-entry references; then the in-rows against the out-rows."""
+    against the per-entry references; then every bit of every registry row
+    against its own shifted-Hom test, with no support test."""
     for pair in eq.nodes:
         assert ws.validate_silting_pair(pair).reason == validation_by_entries(ws, pair) == ""
     for u, v, _ in eq.edges:
         a, b = eq.nodes[u], eq.nodes[v]
         assert ws.pair_leq(b, a) == pair_leq_by_entries(ws, b, a) is True, (u, v)
         assert ws.pair_leq(a, b) == pair_leq_by_entries(ws, a, b) is False, (u, v)
-    out = _rigid_rows(ws._out)
-    assert {(j, i): ok for (i, j), ok in _rigid_rows(ws._in).items()} == out
-    assert len(out) == ws.cache_sizes()["rigid"]
+    reg = ws.registry
+    ids = range(len(reg))
+    assert [i for i in ids if reg.rigid_row(i) >> len(reg)] == []
+    assert [(i, j) for i in ids for j in ids
+            if bool(reg.rigid_row(i) >> j & 1) != rigid_entry(reg, i, j)] == []
+    assert ws.cache_sizes()["rigid"] == len(reg) ** 2
 
 
 def test_row_reads_equal_per_entry_references(complete_runs):
-    # validate_silting_pair and pair_leq read bitset rows of the rigid memo
-    # and registry support masks.  A fresh workspace over the explored
-    # registry starts with empty rows, so it runs the per-entry fallback and
-    # then the mask reads; the explored workspace has most rows filled.
+    # validate_silting_pair and pair_leq read the registry's rigidity rows and
+    # support masks with one mask test per row.  A fresh workspace over the
+    # explored registry reads the same rows as the explored workspace, and
+    # both must agree with the per-entry references.
     for eq in complete_runs:
         fresh = SiltingWorkspace(eq.algebra, eq.workspace.registry)
         for ws in (fresh, eq.workspace):
@@ -475,38 +474,40 @@ def test_partner_index_equals_registry_scan(complete_runs, monkeypatch):
         assert ws.registered_partner(x, rest, proj_part) == y, (x, rest, proj_part)
 
 
-@pytest.mark.parametrize("build, args, counts, lookups, rigid", [
+@pytest.mark.parametrize("build, args, counts, lookups, shifted", [
     (orders.hereditary_reduction, (4,),
      dict(attempted=224, fac_rejected=84, shifted_projective=56,
           registry_lookup=72, cokernel_built=12),
-     dict(indexed=134, scanned=34), (216, 256)),
+     dict(indexed=134, scanned=34), (120, 0)),
     (orders.auslander_bass_v_reduction, (2,),
      dict(attempted=56, fac_rejected=20, shifted_projective=16,
           registry_lookup=12, cokernel_built=8),
-     dict(indexed=27, scanned=13), (85, 121)),
+     dict(indexed=27, scanned=13), (65, 0)),
     (orders.cyclic_nakayama, (3, 5),
      dict(attempted=45, fac_rejected=15, shifted_projective=15,
           registry_lookup=9, cokernel_built=6),
-     dict(indexed=21, scanned=9), (69, 81)),
+     dict(indexed=21, scanned=9), (36, 0)),
 ], ids=["hereditary4", "auslander2", "nakayama35"])
 def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lookups,
-                                            rigid):
+                                            shifted):
     # Hom(U, X) and its images are computed only for the attempts that find
     # neither a vacant vertex nor a registered partner; here each of them
     # builds a module.  The counts equal those of deciding every attempt by
     # the Fac test.  The registry is scanned for a partner only where no
     # recorded pair has the facet; the routes are told apart by the index
-    # itself, not by the workspace counters.  The shifted-Hom entries that
-    # explore and then hasse_check compute are pinned as well: a row read
-    # that computed an entry the per-entry loops skip, or skipped one they
-    # compute, changes them.  A minimal presentation is computed once per
-    # registered module that is not projective: a projective is filed with
-    # its stalk.
-    spans, misses, presented = [], [], []
+    # itself, not by the workspace counters.  The shifted-Hom tests that
+    # explore and then hasse_check make are pinned as well: the registry
+    # fills each new module's row and column as it files it, deciding by
+    # support where it can, so hasse_check makes none, and a fill that
+    # tested an entry twice, or skipped the support test, changes them.  A
+    # minimal presentation is computed once per registered module that is
+    # not projective: a projective is filed with its stalk.
+    spans, misses, presented, tested = [], [], [], []
     routes = {"indexed": 0, "scanned": 0}
     images_span = rm.images_span
     partner = SiltingWorkspace.registered_partner
     presentation = rm.min_projective_presentation
+    vanishes = tt.hom_shift_vanishes
 
     def counting_span(maps, x):
         spans.append(x)
@@ -524,18 +525,26 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lo
         presented.append(m)
         return presentation(m)
 
+    def counting_vanishes(p, q):
+        tested.append((p, q))
+        return vanishes(p, q)
+
     monkeypatch.setattr(rm, "images_span", counting_span)
     monkeypatch.setattr(SiltingWorkspace, "registered_partner", counting_partner)
     monkeypatch.setattr(rm, "min_projective_presentation", counting_presentation)
+    monkeypatch.setattr(tt, "hom_shift_vanishes", counting_vanishes)
     eq = ex.explore(build(*args))
     assert eq.complete
-    assert len(presented) == len(eq.workspace.registry) - eq.algebra.quiver.n_vertices
+    reg = eq.workspace.registry
+    assert len(presented) == len(reg) - eq.algebra.quiver.n_vertices
     assert eq.stats["mutations"] == counts
     assert len(spans) == len(misses) == counts["cokernel_built"]
     assert routes == eq.stats["partner_lookups"] == lookups
-    assert eq.stats["cache_entries"]["rigid"] == rigid[0]
+    assert eq.stats["cache_entries"]["rigid"] == len(reg) ** 2
+    assert len(tested) == shifted[0]
     assert ex.hasse_check(eq)
-    assert eq.workspace.cache_sizes()["rigid"] == rigid[1]
+    assert len(tested) - shifted[0] == shifted[1]
+    assert eq.workspace.cache_sizes()["rigid"] == len(reg) ** 2
     # every pair is recorded now, so each facet has both completions
     again = ex.explore(eq.algebra, workspace=eq.workspace)
     assert again.stats["partner_lookups"] == {"indexed": sum(lookups.values()),

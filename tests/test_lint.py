@@ -150,6 +150,36 @@ def test_shift_hom_matrix_built_once():
     assert sum(_called(call, "_hom_entries") for _, call in _scoped_calls(tree)) == 3
 
 
+def _shift_hom_outside_the_table(tree):
+    # the registry fills each module's rigidity row and column when it files
+    # the module, and the presilting gate memoises its component pairs; no
+    # other path in silting.py decides a shifted Hom, so no lazy per-entry
+    # route comes back
+    for scope, call in _scoped_calls(tree):
+        if _called(call, "hom_shift_vanishes") and scope not in (
+                ("Registry", "_vanishes"), ("Registry", "_onto")):
+            yield ".".join(scope), call.lineno
+
+
+def test_shift_hom_only_in_the_registry_table():
+    probe = ("class Registry:\n"
+             "    def _vanishes(self, i, j):\n"
+             "        return tt.hom_shift_vanishes(p, q)\n"
+             "    def _onto(self, a, b):\n"
+             "        return tt.hom_shift_vanishes(a, b)\n"
+             "class SiltingWorkspace:\n"
+             "    def rigid(self, i, j):\n"
+             "        return tt.hom_shift_vanishes(p, q)\n"
+             "def _vanishes(i, j):\n"
+             "    return hom_shift_vanishes(i, j)\n")
+    assert list(_shift_hom_outside_the_table(ast.parse(probe))) == [
+        ("SiltingWorkspace.rigid", 8), ("_vanishes", 10)]
+    path = ROOT / "src" / "silt" / "silting.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_shift_hom_outside_the_table(tree)) == []
+    assert sum(_called(call, "hom_shift_vanishes") for _, call in _scoped_calls(tree)) == 2
+
+
 MODULE_SIDE_RIGIDITY = ("hom_onto", "h0", "complex_repmap", "left_mult_matrix",
                         "elem_matrix")
 

@@ -130,3 +130,32 @@ def test_nakayama_closed_form_counts():
     for n in range(1, 5):
         assert len(nakayama_quiver(n, 1)[0]) == 2 ** n
         assert len(nakayama_quiver(n, 2 * n)[0]) == math.comb(2 * n, n)
+
+
+def _labelled(eq):
+    """The node set and the edge set of ``eq``, each node labelled by its
+    summand g-vectors and its shifted vertices."""
+    reg = eq.workspace.registry
+    labels = [(frozenset(reg.gvector(i) for i in node.summands), node.proj_part)
+              for node in eq.nodes]
+    assert len(set(labels)) == len(labels)
+    return set(labels), {(labels[u], labels[v]) for u, v, _ in eq.edges}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reduction_keeps_labelled_quiver(n):
+    # the source paper's reduction theorem (arXiv:2006.01677; for modules,
+    # Eisele-Janssens-Raedschelders, arXiv:1603.04293): for an ideal I
+    # generated by central elements in the radical, - (x) Lambda/I is an
+    # isomorphism of 2-term silting posets that keeps g-vectors.  In
+    # N(n, ell), ell >= n, the sum of the length-n cycles is such an element
+    # and the quotient is N(n, n); so the labelled node and edge sets agree,
+    # which says more than poset_isomorphic of criterion 7
+    base = ex.explore(orders.cyclic_nakayama(n, n))
+    assert base.complete
+    want = _labelled(base)
+    assert len(want[1]) == len(base.edges)
+    for ell in range(n, 3 * n + 1):
+        eq = ex.explore(orders.cyclic_nakayama(n, ell))
+        assert eq.complete
+        assert _labelled(eq) == want, ell

@@ -93,6 +93,69 @@ def test_presilting_matches_complex_level(a2, cyc2):
                 assert module_presilting(m) == tt.hom_shift_vanishes(pres, pres)
 
 
+def kronecker_algebra(p=32003):
+    q = Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2")))
+    return build_algebra(presentation(q, [], 2), p)
+
+
+def uniserial(alg, top, length):
+    """``M(top, length)`` over a cyclic Nakayama algebra: composition factors
+    ``S_top, S_{top+1}, ...`` from top to socle, each arrow moving one step down."""
+    n = alg.quiver.n_vertices
+    verts = [(top + k) % n for k in range(length)]
+    local = [verts[:k].count(v) for k, v in enumerate(verts)]
+    dims = [verts.count(v) for v in range(n)]
+    maps = [np.zeros((dims[(a + 1) % n], dims[a]), dtype=np.int64) for a in range(n)]
+    for k in range(length - 1):
+        maps[verts[k]][local[k + 1], local[k]] = 1
+    return rm.Rep(alg, dims, maps)
+
+
+def _grown_by_hand(case):
+    """An algebra and the modules to register over it one by one: every
+    simple, and modules that are not tau-rigid, which no exploration
+    registers."""
+    if case == "a2":
+        # tau S1 = S2, so S1 + S2 is not tau-rigid
+        alg = a2_algebra()
+        both, _ = rm.rep_direct_sum(alg, [alg.simple(0), alg.simple(1)])
+        return alg, [alg.simple(0), alg.simple(1), both]
+    if case == "nakayama35":
+        alg = orders.cyclic_nakayama(3, 5)
+        return alg, ([alg.simple(v) for v in range(3)]
+                     + [uniserial(alg, v, length) for length in (2, 3, 4) for v in range(3)])
+    # regular Kronecker modules lie in tubes, where tau M = M
+    alg = kronecker_algebra()
+    regular = [rm.Rep(alg, (1, 1), [[[a]], [[b]]]) for a, b in ((1, 0), (0, 1), (1, 1), (1, 5))]
+    regular.append(rm.Rep(alg, (2, 2), [np.eye(2, dtype=np.int64), [[0, 1], [0, 0]]]))
+    return alg, [alg.simple(0), alg.simple(1)] + regular
+
+
+@pytest.mark.parametrize("case", ["a2", "nakayama35", "kronecker"])
+def test_rigid_table_whole_after_each_insert(case):
+    # Registry._insert fills the new module's row, column and diagonal, and
+    # decides an entry by support where M_j vanishes at every degree -1
+    # vertex of P_i.  After every insertion each ordered pair of ids has its
+    # entry, equal to the module-side Hom(d_i, M_j) onto, and no row has a
+    # bit beyond the registry.
+    alg, modules = _grown_by_hand(case)
+    reg = Registry(alg)
+    for m in modules:
+        reg.get_or_insert(m)
+        ids = range(len(reg))
+        assert [i for i in ids if reg.rigid_row(i) >> len(reg)] == []
+        assert [(i, j) for i in ids for j in ids if bool(reg.rigid_row(i) >> j & 1)
+                != hom_onto(reg.presentation(i), reg.rep(j))] == []
+    # the support test settles entries of non-projective rows, and some
+    # diagonal entries fail
+    ids = range(len(reg))
+    by_support = sum(1 for i in ids for j in ids if reg.presentation(i).cols
+                     and not any(reg.dims(j)[v] for v in reg.presentation(i).cols))
+    not_rigid = sum(1 for i in ids if not reg.rigid_row(i) >> i & 1)
+    assert by_support > 0 and not_rigid > 0
+    assert SiltingWorkspace(alg, reg).cache_sizes()["rigid"] == len(reg) ** 2
+
+
 def test_validate_lambda_and_zero(a2):
     assert a2.validate_silting_pair(a2.lambda_pair())
     assert a2.validate_silting_pair(zero_pair(a2))
