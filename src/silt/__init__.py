@@ -32,7 +32,7 @@ from .orders import (
 )
 from .repmod import Rep, RepMap, hom_basis, is_isomorphic
 from .silting import Registry, SiltingPair, SiltingWorkspace
-from .twoterm import TwoTermComplex, g_vector, is_presilting, silt_leq
+from .twoterm import TwoTermComplex, g_vector, is_presilting
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "bass_v_reduction", "build_algebra", "classify_sincere",
     "cyclic_nakayama", "explore", "g_vector", "hasse_check",
     "hereditary_reduction", "hom_basis", "is_isomorphic", "is_presilting",
-    "poset_isomorphic", "presentation", "projective_module",
-    "silt_leq", "simple_module", "triangular_example_reduction",
-    "weak_order_hasse",
+    "poset_isomorphic", "presentation", "projective_module", "simple_module",
+    "triangular_example_reduction", "weak_order_hasse",
 ]

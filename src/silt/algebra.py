@@ -17,16 +17,19 @@ Conventions, fixed here once and used throughout the package:
 
 Relations must be length homogeneous: each one is a linear combination of
 parallel paths of a single common length.  The two-sided ideal they
-generate is then graded, ideal membership splits into one elimination per
-(source, target, length) triple, and the non-pivot paths of each triple
-form the algebra basis.  The nilpotency bound ``N`` declares that every
-path of length ``N`` already lies in the relation ideal; the builder
-verifies this and refuses presentations where the basis is still growing
-at length ``N``.
+generate is then graded, and ideal membership splits into one reduced row
+echelon form per (source, target, length) triple.  Its non-pivot paths
+form the algebra basis, and its rows give each path's expansion over that
+basis, kept once in the table ``(source, path) -> {gid: coeff}`` that every
+product reads; the dicts in it are shared and never written.  The
+nilpotency bound ``N`` declares that every path of length ``N`` already
+lies in the relation ideal; the builder verifies this and refuses
+presentations where the basis is still growing at length ``N``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +244,11 @@ class AlgebraElement:
         return "<" + " + ".join(parts) + f": {self.src}->{self.tgt}>"
 
 
+# the expansion of a path past the nilpotency bound, and of a product of
+# basis paths that do not chain; shared and never written
+_DEAD: dict[int, int] = {}
+
+
 @dataclass(frozen=True)
 class BasisPath:
     src: int
@@ -251,33 +259,31 @@ class BasisPath:
 class FiniteDimAlgebra:
     """``kQ/I`` with a chosen path basis and structure constants.
 
-    Instances are immutable after construction; the lazy product/projective
-    caches only ever grow with values that are functions of their keys, so
-    any number of registries and workspaces may share one algebra.
+    ``expansions``, the one structure-constant table, maps ``(source
+    vertex, path)`` for every path up to the nilpotency bound to its
+    coefficients ``{gid: coeff}`` over the basis, empty when it dies.
+    ``expand_path`` and ``mult_basis`` read it and hand out its dicts
+    themselves, shared, and no code writes into them.  Instances are
+    immutable after construction; the lazy caches only ever grow with
+    values that are functions of their keys, so any number of registries
+    and workspaces may share one algebra.
     """
 
     def __init__(self, presentation: AlgebraPresentation, p: int,
-                 basis: list[BasisPath],
-                 level_gids: dict, expansions: dict):
+                 basis: list[BasisPath], expansions: dict):
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.p = p
         self.nilpotency_bound = presentation.nilpotency_bound
         self.basis = tuple(basis)
         self.dimension = len(basis)
-        self._level_gids = level_gids      # (src, tgt, len) -> list of gids
-        self._expand = expansions          # (src, tgt, len) -> {path: vector}
-        self._gid_of_path = {(b.src, b.path): g for g, b in enumerate(self.basis)}
+        self._expand = expansions          # (src, path) -> {gid: coeff}
         pair: dict[tuple[int, int], list[int]] = {}
         for g, b in enumerate(self.basis):
             pair.setdefault((b.src, b.tgt), []).append(g)
         self._pair_basis = {k: tuple(v) for k, v in pair.items()}
-        self._pair_pos = {}
-        for k, gids in self._pair_basis.items():
-            for pos, g in enumerate(gids):
-                self._pair_pos[g] = pos
-        self._units = tuple(self._gid_of_path[(v, ())] for v in range(self.quiver.n_vertices))
-        self._mult_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._pair_pos = {g: pos for gids in self._pair_basis.values()
+                          for pos, g in enumerate(gids)}
         self._zeros: dict[tuple[int, int], AlgebraElement] = {}
         self._projectives: dict[int, object] = {}
         self._simples: dict[int, object] = {}
@@ -296,7 +302,8 @@ class FiniteDimAlgebra:
         return self._pair_pos[gid]
 
     def unit_gid(self, v: int) -> int:
-        return self._units[v]
+        """``e_v``: length 0 is reduced first, so it is the first basis path ``v -> v``."""
+        return self._pair_basis[v, v][0]
 
     def basis_name(self, gid: int) -> str:
         b = self.basis[gid]
@@ -307,27 +314,21 @@ class FiniteDimAlgebra:
     # ---- products ----------------------------------------------------------
 
     def expand_path(self, src: int, path: tuple[int, ...]) -> dict[int, int]:
-        """Coefficients of a raw path over the basis (empty dict if it dies)."""
-        l = len(path)
-        if l >= self.nilpotency_bound and l > 0:
-            return {}
-        tgt = self.quiver.path_target(src, path)
-        vec = self._expand[(src, tgt, l)][path]
-        gids = self._level_gids[(src, tgt, l)]
-        return {gids[k]: int(c) for k, c in enumerate(vec) if c}
+        """Coefficients of a raw path over the basis (empty if it dies).
+
+        The dict is the table's own, shared and never written.
+        """
+        if len(path) > self.nilpotency_bound:
+            return _DEAD
+        try:
+            return self._expand[src, path]
+        except KeyError:
+            raise AlgebraBuildError(f"non-composable path {path} from {src}") from None
 
     def mult_basis(self, g1: int, g2: int) -> dict[int, int]:
-        key = (g1, g2)
-        cached = self._mult_cache.get(key)
-        if cached is not None:
-            return cached
+        """The product of two basis paths: a lookup in the table."""
         b1, b2 = self.basis[g1], self.basis[g2]
-        if b1.tgt != b2.src:
-            out: dict[int, int] = {}
-        else:
-            out = self.expand_path(b1.src, b1.path + b2.path)
-        self._mult_cache[key] = out
-        return out
+        return self.expand_path(b1.src, b1.path + b2.path) if b1.tgt == b2.src else _DEAD
 
     # ---- element constructors ----------------------------------------------
 
@@ -392,7 +393,7 @@ def _projective_rep(alg: FiniteDimAlgebra, v: int):
         m = em.zeros(dims[w2], dims[w])
         for col, gid in enumerate(alg.pair_basis(v, w)):
             for g2, c in alg.expand_path(v, alg.basis[gid].path + (k,)).items():
-                m[alg.pair_pos(g2), col] = c % alg.p
+                m[alg.pair_pos(g2), col] = c
         maps.append(m)
     return Rep(alg, dims, tuple(maps))
 
@@ -401,99 +402,64 @@ def _projective_rep(alg: FiniteDimAlgebra, v: int):
 
 
 def build_algebra(pres: AlgebraPresentation, p: int = DEFAULT_PRIME) -> FiniteDimAlgebra:
-    """Compute a path basis and expansion tables for ``kQ / <relations>``.
+    """Compute a path basis and the expansion of every path over it.
 
     Degree by degree, the length-``l`` component of the relation ideal is
     spanned by all products ``u * r * v`` with ``r`` a relation and ``u, v``
-    paths; the basis is the set of non-pivot paths of a deterministic
-    elimination, and every path's expansion over the basis is recorded.
+    paths.  Each ``(source, target, length)`` block of those rows is put in
+    reduced row echelon form; its non-pivot paths join the basis, and each
+    pivot path's expansion is read off its row.  The form is unique, so the
+    basis and the expansions depend only on the presentation and ``p``.
     """
     em.check_field_prime(p)
     q = pres.quiver
     N = pres.nilpotency_bound
     rel_info = _validate_relations(pres, p)
 
-    # all raw paths up to length N, grouped by (src, tgt, length)
-    paths: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    frontier: dict[int, list[tuple[int, tuple[int, ...]]]] = {
-        v: [(v, ())] for v in range(q.n_vertices)}
-    for v in range(q.n_vertices):
-        paths[(v, v, 0)] = [()]
+    # paths[l][(src, tgt)]: the raw paths of length l, sorted
+    paths: list[dict[tuple[int, int], list[tuple[int, ...]]]] = [
+        {(v, v): [()] for v in range(q.n_vertices)}]
     for l in range(1, N + 1):
-        new_frontier: dict[int, list[tuple[int, tuple[int, ...]]]] = {
-            v: [] for v in range(q.n_vertices)}
-        for v in range(q.n_vertices):
-            for tgt, word in frontier[v]:
-                for k in range(q.n_arrows):
-                    if q.arrow_source(k) == tgt:
-                        new_frontier[v].append((q.arrow_target(k), word + (k,)))
-        for v in range(q.n_vertices):
-            by_tgt: dict[int, list[tuple[int, ...]]] = {}
-            for tgt, word in new_frontier[v]:
-                by_tgt.setdefault(tgt, []).append(word)
-            for tgt, words in by_tgt.items():
-                paths[(v, tgt, l)] = sorted(words)
-        frontier = new_frontier
+        level: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for (i, t), words in paths[-1].items():
+            for k in range(q.n_arrows):
+                if q.arrow_source(k) == t:
+                    level.setdefault((i, q.arrow_target(k)), []).extend(w + (k,) for w in words)
+        paths.append({key: sorted(words) for key, words in level.items()})
 
     basis: list[BasisPath] = []
-    level_gids: dict[tuple[int, int, int], list[int]] = {}
-    expansions: dict[tuple[int, int, int], dict[tuple[int, ...], np.ndarray]] = {}
-    growing: list[tuple[int, int, int]] = []
+    expansions: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    for l, level in enumerate(paths):
+        for (i, j), plist in sorted(level.items()):
+            pos = {w: c for c, w in enumerate(plist)}
+            rows = []
+            for (sr, tr, m, terms) in rel_info:
+                for a in range(l - m + 1):
+                    for u in paths[a].get((i, sr), []):
+                        for w in paths[l - m - a].get((tr, j), []):
+                            row = [0] * len(plist)
+                            for coeff, word in terms:
+                                row[pos[u + word + w]] += coeff
+                            rows.append(row)
+            mat = np.array(rows, dtype=np.int64).reshape(len(rows), len(plist))
+            r, pivots = em.rref(mat, p)
+            free = sorted(set(range(len(plist))) - set(pivots))
+            gids = {c: len(basis) + k for k, c in enumerate(free)}
+            for c, g in gids.items():
+                basis.append(BasisPath(i, j, plist[c]))
+                expansions[i, plist[c]] = {g: 1}
+            for row, c in zip(r.tolist(), pivots):
+                expansions[i, plist[c]] = {g: -row[f] % p for f, g in gids.items() if row[f]}
 
-    for l in range(N + 1):
-        for i in range(q.n_vertices):
-            for j in range(q.n_vertices):
-                plist = paths.get((i, j, l))
-                if not plist:
-                    continue
-                pos = {w: c for c, w in enumerate(plist)}
-                rows = []
-                for (sr, tr, m, terms) in rel_info:
-                    if m > l:
-                        continue
-                    for a in range(l - m + 1):
-                        us = paths.get((i, sr, a), [])
-                        vs = paths.get((tr, j, l - m - a), [])
-                        for u in us:
-                            for w in vs:
-                                row = em.zeros(1, len(plist))[0]
-                                for coeff, word in terms:
-                                    row[pos[u + word + w]] += coeff
-                                rows.append(row % p)
-                mat = np.array(rows, dtype=np.int64) if rows else em.zeros(0, len(plist))
-                r, pivots = em.rref(mat, p)
-                pivot_set = set(pivots)
-                free = [c for c in range(len(plist)) if c not in pivot_set]
-                if l == N:
-                    if free:
-                        growing.append((i, j, len(free)))
-                    continue
-                gids = []
-                for c in free:
-                    gids.append(len(basis))
-                    basis.append(BasisPath(i, j, plist[c]))
-                level_gids[(i, j, l)] = gids
-                table: dict[tuple[int, ...], np.ndarray] = {}
-                for c in free:
-                    vec = em.zeros(1, len(free))[0]
-                    vec[free.index(c)] = 1
-                    table[plist[c]] = vec
-                free_pos = {c: k for k, c in enumerate(free)}
-                for row_idx, c in enumerate(pivots):
-                    vec = em.zeros(1, len(free))[0]
-                    for fcol, k in free_pos.items():
-                        vec[k] = (-r[row_idx, fcol]) % p
-                    table[plist[c]] = vec
-                expansions[(i, j, l)] = table
-
+    growing = Counter((b.src, b.tgt) for b in basis if len(b.path) == N)
     if growing:
         detail = ", ".join(f"{q.vertices[i]}->{q.vertices[j]} ({n} paths)"
-                           for i, j, n in growing)
+                           for (i, j), n in growing.items())
         raise AlgebraBuildError(
             f"basis still growing at length {N}: {detail}; "
             "the relation ideal does not contain that arrow power")
 
-    return FiniteDimAlgebra(pres, p, basis, level_gids, expansions)
+    return FiniteDimAlgebra(pres, p, basis, expansions)
 
 
 def _validate_relations(pres: AlgebraPresentation, p: int):

@@ -52,7 +52,6 @@ def _add_run_args(sub):
     sub.add_argument("--max-depth", type=int, default=ex.DEFAULT_MAX_DEPTH)
     sub.add_argument("--format", choices=("text", "dot", "json"), default="text")
     sub.add_argument("--out", help="write dot/json output to this path")
-    sub.add_argument("--cache", help="cache directory for exploration JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("explore", help="enumerate the exchange quiver")
     _add_source_args(p_exp)
     _add_run_args(p_exp)
+    p_exp.add_argument("--cache", help="cache directory for exploration JSON")
 
     p_tors = sub.add_parser("tors", help="assemble the torsion-class Hasse diagram")
     _add_source_args(p_tors)

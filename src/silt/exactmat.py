@@ -6,15 +6,14 @@ bases, solutions and kernels are reproducible across runs and platforms;
 everything downstream relies on that for canonical output.
 
 Elimination (``rref``, ``rank``, ``kernel_basis``, ``solve_right``) runs
-on rows of Python ints, so it is exact for any prime.  The bound that
-``check_field_prime`` enforces protects the ``int64`` products: ``matmul``,
-the check of ``kernel_coordinates``, the square check of
-``repmod.hom_basis``, the broadcast products of
-``SiltingWorkspace._composition_compute``, and
-``SiltingWorkspace.order_matrix``.  A product of two reduced matrices with
-inner dimension ``k`` sums ``k`` terms below ``(p - 1)**2``, so it is exact
-while ``k * (p - 1)**2 < 2**63``; primes below ``2**26`` keep every product
-with inner dimension up to 2048 exact.
+on rows of Python ints, so it is exact for any prime.  Every ``int64``
+product mod ``p`` goes through ``matmul``: the module layer, the check of
+``kernel_coordinates``, the square check of ``repmod.hom_basis`` and the
+composition table of ``SiltingWorkspace``.  A product of two reduced
+matrices sums terms below ``(p - 1)**2``, so ``matmul`` reduces after every
+``(2**63 - 1) // (p - 1)**2`` of them and is exact at any inner dimension.
+``check_field_prime`` keeps primes below ``2**26``, where one chunk covers
+an inner dimension of 2048.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_PRIME = 32003
-MAX_PRIME_EXCLUSIVE = 2**26   # int64 products stay exact for inner dimension <= 2048
+MAX_PRIME_EXCLUSIVE = 2**26   # one int64 product chunk covers inner dimension 2048
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -58,8 +57,7 @@ def check_field_prime(p: int) -> int:
     if p >= MAX_PRIME_EXCLUSIVE:
         raise ValueError(
             f"field prime must be below 2**26 = {MAX_PRIME_EXCLUSIVE}, got {p}: "
-            "int64 matrix products are exact only up to inner dimension 2048 "
-            "under that bound")
+            "below it one int64 matrix product chunk covers inner dimension 2048")
     return p
 
 
@@ -72,7 +70,19 @@ def identity(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
+    """``a @ b`` mod ``p`` for reduced ``int64`` arrays, exact at any inner dimension.
+
+    Leading axes broadcast as for ``@``.  The inner dimension is split into
+    chunks of at most ``(2**63 - 1) // (p - 1)**2`` terms, each reduced
+    before the next is added, so no sum leaves ``int64``.
+    """
+    step = (2**63 - 1) // (p - 1) ** 2
+    if a.shape[-1] <= step:
+        return a @ b % p
+    out = 0
+    for k in range(0, a.shape[-1], step):
+        out = (out + a[..., k:k + step] @ b[..., k:k + step, :] % p) % p
+    return out
 
 
 def _eliminate(rows: list[list[int]], ncols: int, p: int, full: bool) -> list[int]:
@@ -174,7 +184,7 @@ def kernel_coordinates(basis: np.ndarray, b: np.ndarray, p: int) -> np.ndarray |
     else:
         free = np.zeros(0, dtype=np.intp)
     x = b[free] % p
-    if not np.array_equal(basis @ x % p, b % p):
+    if not np.array_equal(matmul(basis, x, p), b % p):
         return None
     return x
 

@@ -195,7 +195,8 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
             for v in range(nv)]
     for k in range(q.n_arrows):
         i, j = q.arrow_source(k), q.arrow_target(k)
-        if np.any((n.arrow_maps[k] @ phis[i] - phis[j] @ m.arrow_maps[k]) % alg.p):
+        if not np.array_equal(em.matmul(n.arrow_maps[k], phis[i], alg.p),
+                              em.matmul(phis[j], m.arrow_maps[k], alg.p)):
             raise AssertionError(f"a Hom basis map fails the square at arrow {k}")
     return [RepMap(m, n, [phi[b] for phi in phis], check=False) for b in range(nb)]
 

@@ -395,8 +395,8 @@ class SiltingWorkspace:
         for v in range(self.algebra.quiver.n_vertices):
             h = np.stack([f.comps[v] for f in hxk])[:, None]
             psi = np.stack([g.comps[v] for g in hkt])[None]
-            blocks.append((psi @ h).reshape(len(hxk) * len(hkt), -1))
-        composites = np.concatenate(blocks, axis=1).T % p
+            blocks.append(em.matmul(psi, h, p).reshape(len(hxk) * len(hkt), -1))
+        composites = np.concatenate(blocks, axis=1).T
         basis = np.array([_vec_map(f) for f in hxt], dtype=np.int64)
         basis = basis.reshape(len(hxt), composites.shape[0]).T
         # The columns of ``basis`` are the kernel_basis columns that hom_basis

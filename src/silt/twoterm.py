@@ -184,10 +184,11 @@ def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int
 def hom_shift_vanishes(p: TwoTermComplex, q: TwoTermComplex) -> bool:
     """Whether every degree-1 morphism ``p -> q[1]`` is null-homotopic.
 
-    That is, ``shift_hom_basis(p, q)`` is empty.  It is the one rigidity
-    test: ``silt_leq``, ``is_presilting``, ``Registry.is_presilting`` (per
-    ordered pair of components) and ``SiltingWorkspace.rigid`` (per ordered
-    pair of registered presentations) all ask it.
+    That is, ``shift_hom_basis(p, q)`` is empty; for silting ``p`` and
+    ``q`` it says ``p >= q`` in the silting order.  It is the one rigidity
+    test: ``is_presilting``, ``Registry.is_presilting`` (per ordered pair
+    of components) and ``SiltingWorkspace.rigid`` (per ordered pair of
+    registered presentations) all ask it.
     """
     return not shift_hom_basis(p, q)
 
@@ -240,11 +241,6 @@ def components(t: TwoTermComplex) -> list[TwoTermComplex]:
                                tuple(tuple(t.d[r][c] for c in cs) for r in rs)))
         parts[part] = None
     return list(parts)
-
-
-def silt_leq(p: TwoTermComplex, q: TwoTermComplex) -> bool:
-    """``p >= q`` in the silting order, i.e. the shifted Homs from p to q vanish."""
-    return hom_shift_vanishes(p, q)
 
 
 # ---- minimality ----------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_criterion_7_reduction_invariance():
 
 
 def _additively_equivalent(a, b):
-    return tt.silt_leq(a, b) and tt.silt_leq(b, a)
+    return tt.hom_shift_vanishes(a, b) and tt.hom_shift_vanishes(b, a)
 
 
 def test_criterion_8_cross_level_consistency(runs, complete_runs, nakayama46):
@@ -221,8 +221,8 @@ def test_criterion_8_cross_level_consistency(runs, complete_runs, nakayama46):
                     bot = tt.co_bongartz_completion(p_cx, ws.registry)
                     assert not _additively_equivalent(top, bot)
                     for fc in found:
-                        assert tt.silt_leq(top, fc)
-                        assert tt.silt_leq(fc, bot)
+                        assert tt.hom_shift_vanishes(top, fc)
+                        assert tt.hom_shift_vanishes(fc, bot)
                     assert any(_additively_equivalent(top, fc) for fc in found)
                     assert any(_additively_equivalent(bot, fc) for fc in found)
 

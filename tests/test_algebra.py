@@ -66,6 +66,18 @@ def test_basis_growing_error():
         build_algebra(presentation(q, [[(1, ("a1", "a2"))]], 2))
 
 
+def test_expand_path_reads_the_table():
+    # a path comes back as the table's own dict, the same object each time;
+    # paths of length N or more die, and a non-composable path raises
+    alg = cyclic_2_algebra()
+    a1, a2 = alg.quiver.arrow_index("a1"), alg.quiver.arrow_index("a2")
+    got = alg.expand_path(0, (a1,))
+    assert got == {alg.pair_basis(0, 1)[0]: 1} and alg.expand_path(0, (a1,)) is got
+    assert alg.expand_path(0, (a1, a2)) == {} == alg.expand_path(0, (a1, a2, a1))
+    with pytest.raises(AlgebraBuildError, match="non-composable"):
+        alg.expand_path(0, (a2,))
+
+
 def test_relation_validation():
     q = Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2")))
     # parallel, homogeneous: fine

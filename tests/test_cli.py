@@ -236,6 +236,15 @@ def test_workers_option_is_gone(capsys):
     assert "usage:" in err and "unrecognized arguments: --workers" in err
 
 
+def test_tors_cache_option_is_gone(capsys):
+    # tors explores afresh every run; only explore reads and writes the cache
+    with pytest.raises(SystemExit) as exc:
+        main(["tors", "--builtin", "hereditary", "--n", "1", "--cache", "d"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments: --cache" in err
+
+
 def test_cache_env_override(tmp_path, capsys, monkeypatch):
     env_cache = tmp_path / "envcache"
     monkeypatch.setenv("SILT_CACHE", str(env_cache))

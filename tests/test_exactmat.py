@@ -29,6 +29,31 @@ def test_prime_bound():
         em.check_field_prime(67108879)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2049, 5000), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example(2049, 1, 1, False, 0)
+def test_matmul_exact_past_one_chunk(k, r, c, stacked, seed):
+    # at the largest admitted prime one int64 chunk holds 2048 terms; past
+    # it every product must still equal the Python-int one.  Entries near
+    # p - 1 are what overflow an unchunked sum, so most are drawn there
+    p = 67108859
+    rng = np.random.default_rng(seed)
+    shape_a = (2, r, k) if stacked else (r, k)
+
+    def entries(shape):
+        big = p - 1 - rng.integers(0, 8, size=shape, dtype=np.int64)
+        return np.where(rng.random(shape) < 0.9, big,
+                        rng.integers(0, p, size=shape, dtype=np.int64))
+
+    a, b = entries(shape_a), entries((k, c))
+    if seed == 0:   # the worst case: every term is (p - 1)**2
+        a[...], b[...] = p - 1, p - 1
+    want = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T]
+             for row in mat] for mat in a.reshape(-1, r, k)]
+    assert em.matmul(a, b, p).reshape(-1, r, c).tolist() == want
+
+
 def test_rref_empty_and_identity():
     r, piv = em.rref(em.zeros(0, 0), 5)
     assert r.shape == (0, 0) and piv == []

@@ -277,8 +277,8 @@ def test_every_node_sits_between_extremes(a2_eq, bass_eq):
         shift = tt.lambda_shift(eq.algebra)
         for node in eq.nodes:
             cx = ws.complex_of(node)
-            assert tt.silt_leq(lam, cx)
-            assert tt.silt_leq(cx, shift)
+            assert tt.hom_shift_vanishes(lam, cx)
+            assert tt.hom_shift_vanishes(cx, shift)
 
 
 def test_edges_are_bongartz_to_co_bongartz(a2_eq, bass_eq):
@@ -296,8 +296,8 @@ def test_edges_are_bongartz_to_co_bongartz(a2_eq, bass_eq):
             bot = tt.co_bongartz_completion(p_cx, ws.registry)
             src_cx = ws.complex_of(src)
             tgt_cx = ws.complex_of(eq.nodes[v])
-            assert tt.silt_leq(top, src_cx) and tt.silt_leq(src_cx, top)
-            assert tt.silt_leq(bot, tgt_cx) and tt.silt_leq(tgt_cx, bot)
+            assert tt.hom_shift_vanishes(top, src_cx) and tt.hom_shift_vanishes(src_cx, top)
+            assert tt.hom_shift_vanishes(bot, tgt_cx) and tt.hom_shift_vanishes(tgt_cx, bot)
 
 
 def test_registry_iso_reflexive_symmetric(a2_eq):

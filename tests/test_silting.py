@@ -266,7 +266,7 @@ def test_no_left_mutation_iff_minimal_completion(build):
             rest = SiltingPair(tuple(i for i in pair.summands if i != x),
                                pair.proj_part)
             low = tt.co_bongartz_completion(ws.complex_of(rest), ws.registry)
-            minimal = tt.silt_leq(t, low) and tt.silt_leq(low, t)
+            minimal = tt.hom_shift_vanishes(t, low) and tt.hom_shift_vanishes(low, t)
             assert (ws.mutate_left(pair, at) is None) == minimal, (pair, at)
 
 

@@ -32,7 +32,7 @@ def pres_s1(a2):
 
 def additively_equivalent(s, t):
     # for silting complexes mutual dominance is additive equivalence
-    return tt.silt_leq(s, t) and tt.silt_leq(t, s)
+    return tt.hom_shift_vanishes(s, t) and tt.hom_shift_vanishes(t, s)
 
 
 def test_g_vector(a2):
@@ -72,13 +72,14 @@ def test_is_presilting(a2):
     assert tt.is_presilting(rm.min_projective_presentation(cyc.projective(0)))
 
 
-def test_silt_leq_extremes(a2):
+def test_silting_order_extremes(a2):
+    # hom_shift_vanishes(p, q) is p >= q: A is the top, A[1] the bottom
     lam = tt.lambda_stalk(a2)
     shift = tt.lambda_shift(a2)
-    assert tt.silt_leq(lam, shift)
-    assert not tt.silt_leq(shift, lam)
-    assert tt.silt_leq(lam, pres_s1(a2))
-    assert tt.silt_leq(pres_s1(a2), pres_s1(a2))
+    assert tt.hom_shift_vanishes(lam, shift)
+    assert not tt.hom_shift_vanishes(shift, lam)
+    assert tt.hom_shift_vanishes(lam, pres_s1(a2))
+    assert tt.hom_shift_vanishes(pres_s1(a2), pres_s1(a2))
 
 
 def test_minimality_reduce_fixpoint(a2, families):
@@ -190,8 +191,8 @@ def test_completion_order_sandwich(a2, reg):
     p = tt.stalk(a2, 0)
     top = tt.bongartz_completion(p, reg)
     bot = tt.co_bongartz_completion(p, reg)
-    assert tt.silt_leq(top, bot)
-    assert not tt.silt_leq(bot, top)
+    assert tt.hom_shift_vanishes(top, bot)
+    assert not tt.hom_shift_vanishes(bot, top)
 
 
 def test_pair_of_roundtrip_on_completion(a2):
