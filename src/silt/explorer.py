@@ -55,10 +55,19 @@ class ExchangeQuiver:
 
 def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
             workspace: SiltingWorkspace | None = None) -> ExchangeQuiver:
+    """The exchange quiver below the projective pair, in breadth-first waves.
+
+    ``workspace`` defaults to a fresh one over ``algebra``; passing a warm
+    one reuses its registry and caches.  ``stats`` holds ``nodes``,
+    ``edges``, ``max_depth`` (the waves run), ``cache_entries`` (the
+    workspace's ``cache_sizes`` at the end) and ``mutations``, the
+    ``mutate_left`` outcomes of this call, with ``attempted = fac_rejected
+    + shifted_projective + registry_lookup + cokernel_built``.  None of
+    these keys reaches ``to_json``.
+    """
     limits = limits or ExploreLimits()
     ws = workspace if workspace is not None else SiltingWorkspace(algebra)
     counts_before = dict(ws.mutation_counts)
-    lookups_before = dict(ws.partner_lookups)
     start = ws.lambda_pair()
     nodes: list[SiltingPair] = [start]
     index: dict[SiltingPair, int] = {start: 0}
@@ -95,9 +104,7 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
     stats = {"nodes": len(nodes), "edges": len(edges), "max_depth": depth,
              "cache_entries": ws.cache_sizes(),
              "mutations": {k: n - counts_before[k]
-                           for k, n in ws.mutation_counts.items()},
-             "partner_lookups": {k: n - lookups_before[k]
-                                 for k, n in ws.partner_lookups.items()}}
+                           for k, n in ws.mutation_counts.items()}}
     return ExchangeQuiver(ws, nodes, edges, complete, stats)
 
 

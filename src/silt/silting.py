@@ -37,7 +37,10 @@ its row of the rigidity table, the last three as bitsets:
   entries run ``twoterm.hom_shift_vanishes``.  The partial order on
   discovered pairs, the rigidity step of validation and the partner scan
   reduce to one mask test per row plus a support condition, and
-  ``order_matrix`` reads the rows as they are.
+  ``order_matrix`` reads the rows as they are.  ``registered_partner``
+  reads the mutation partner off them alone: the AND of the rows of the
+  rest of a pair leaves a few candidates, each tested on its own row and
+  support mask.
 
 It keeps two more caches, both per two-term complex ``t`` and keyed by
 ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
@@ -63,14 +66,6 @@ matches its memo key by identity:
   more memo, keyed by the pair: ``twoterm.hom_shift_vanishes(A, B)``.  Hom
   is additive, so the pairs give the verdict of the whole complex (AIR,
   arXiv:1210.1036, Section 3), and the completions share most pairs.
-
-Next to the cone table the ``Registry`` indexes the recorded pairs by facet:
-
-- ``completions(rest, proj_part)``: the module ids ``s`` that complete the
-  facet ``(rest, proj_part)`` to a recorded pair, filed by ``record_cone``
-  under each facet of each new pair.  ``registered_partner`` reads the other
-  completion of a mutation from it (AIR Thm 2.18) and scans the registry
-  only on a miss.
 """
 
 from __future__ import annotations
@@ -139,7 +134,6 @@ class Registry:
         self._cones: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
         self._cone_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._cone_inv = np.zeros((0, nv, nv), dtype=np.int64)
-        self._facets: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
         for v in range(nv):
             pres = tt.stalk(algebra, v)
             self._insert(algebra.projective(v), pres, tt.g_vector(pres))
@@ -237,28 +231,15 @@ class Registry:
         return pieces if current.is_zero() else None
 
     def record_cone(self, summands, proj_part) -> None:
-        """Record a support tau-tilting pair: its g-vector cone and its facets.
+        """Record the g-vector cone of a support tau-tilting pair.
 
         ``summands`` are registry ids and ``proj_part`` vertices.  The callers
         record Lambda, Lambda[1] and results of ``mutate_left`` that passed
         ``validate_silting_pair``.  The cone joins ``decompose``'s table, and
         its g-matrix is checked for unimodularity when the table is next
-        built.  A new pair is filed under each facet ``(summands - s,
-        proj_part)`` as a completion ``s`` of it; an almost-complete pair has
-        exactly two completions (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm
-        2.18), so ``completions`` of a facet lists at most two ids.
+        built.
         """
-        key = (tuple(sorted(summands)), tuple(sorted(proj_part)))
-        if key in self._cones:
-            return
-        self._cones[key] = None
-        ids, verts = key
-        for k, s in enumerate(ids):
-            self._facets.setdefault((ids[:k] + ids[k + 1:], verts), []).append(s)
-
-    def completions(self, rest, proj_part) -> list[int]:
-        """Module ids ``s`` such that ``(rest + s, proj_part)`` is a recorded pair."""
-        return self._facets.get((tuple(sorted(rest)), tuple(sorted(proj_part))), [])
+        self._cones.setdefault((tuple(sorted(summands)), tuple(sorted(proj_part))))
 
     def decompose(self, t: tt.TwoTermComplex
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -347,7 +328,6 @@ class SiltingWorkspace:
         self._hom: dict[tuple[int, int], list[rm.RepMap]] = {}
         self._comp: dict[tuple[int, int, int], np.ndarray] = {}
         self.mutation_counts = dict.fromkeys(MUTATION_OUTCOMES, 0)
-        self.partner_lookups = {"indexed": 0, "scanned": 0}
 
     # ---- cached primitives -----------------------------------------------
 
@@ -448,20 +428,7 @@ class SiltingWorkspace:
             mask |= self.registry.support(i)
         return mask
 
-    def _vertex_mask(self, vertices) -> int:
-        """The bitset of ``vertices``; one outside the quiver sets no bit."""
-        nv = self.algebra.quiver.n_vertices
-        mask = 0
-        for v in vertices:
-            if 0 <= v < nv:
-                mask |= 1 << v
-        return mask
-
     # ---- predicates ----------------------------------------------------------
-
-    def is_presilting_ids(self, ids) -> bool:
-        ids = tuple(ids)
-        return self._rows_rigid(ids, ids)
 
     def validate_silting_pair(self, pair: SiltingPair) -> Validation:
         """Whether ``pair`` is a support tau-tilting pair, by the definition.
@@ -473,18 +440,19 @@ class SiltingWorkspace:
         ``Hom(P, M) = 0``, the other holds since such an ``M`` is sincere over
         the quotient by ``P``) and rigidity through the ``rigid`` table; a
         failure names the first that fails.  Support is one test of the
-        summands' support masks against the shifted vertices, rigidity one
-        row test per summand.  Nothing is registered.  That each ``P_v`` has
+        summands' support masks against the shifted vertices, and fails for
+        a shifted vertex outside the quiver; rigidity is one row test per
+        summand.  Nothing is registered.  That each ``P_v`` has
         an ``add M``-approximation with cokernel in ``add M`` is then a
         theorem, checked by a tier-1 oracle and not at run time.
         """
         nv = self.algebra.quiver.n_vertices
         if len(pair.summands) + len(pair.proj_part) != nv:
             return Validation(False, "count")
-        exact = self._support_of(pair.summands) ^ self._vertex_mask(pair.proj_part)
-        if exact != (1 << nv) - 1:
+        if not all(0 <= v < nv for v in pair.proj_part) or \
+                self._support_of(pair.summands) ^ _bits(pair.proj_part) != (1 << nv) - 1:
             return Validation(False, "support")
-        if not self.is_presilting_ids(pair.summands):
+        if not self._rows_rigid(pair.summands, pair.summands):
             return Validation(False, "rigidity")
         return Validation(True)
 
@@ -553,9 +521,9 @@ class SiltingWorkspace:
         - A vertex outside ``P`` that ``U`` leaves unsupported gives the
           shifted projective there.  ``X`` is supported at that vertex and
           ``U`` is not, so ``X`` is not in ``Fac U``.
-        - Else the one registered module ``Y`` that completes the pair
-          (``registered_partner``: a recorded pair through the facet, or a
-          registry scan).  ``U + Y <= X + U`` comes down to the
+        - Else the one registered module ``Y`` that completes the pair,
+          found by ``registered_partner`` on the rigidity table.
+          ``U + Y <= X + U`` comes down to the
           single entry ``rigid(X, Y)``, since the other entries of
           ``pair_leq`` hold for two completions; when it fails, ``X`` is in
           ``Fac U`` and the result is ``None``.
@@ -574,7 +542,7 @@ class SiltingWorkspace:
         counts = self.mutation_counts
         counts["attempted"] += 1
         nv = self.algebra.quiver.n_vertices
-        bare = ~(self._support_of(rest) | self._vertex_mask(pair.proj_part))
+        bare = ~(self._support_of(rest) | _bits(pair.proj_part))
         vacant = [v for v in range(nv) if bare >> v & 1]
         if len(vacant) > 1:
             raise RuntimeError(f"vertices {vacant} all lose support; "
@@ -614,39 +582,29 @@ class SiltingWorkspace:
     def registered_partner(self, x: int, rest, proj_part) -> int | None:
         """The registered ``y`` other than ``x`` that completes ``(rest, proj_part)``.
 
-        An almost-complete pair has exactly two completions (Adachi-Iyama-Reiten,
-        arXiv:1210.1036, Thm 2.18), so a recorded pair through the facet
-        ``(rest, proj_part)`` with a summand other than ``x`` gives ``y``, and
-        a second such summand raises.  Otherwise the registry is scanned for a
-        ``y`` outside ``rest``, with no support on ``proj_part``, rigid with
-        itself and both ways with every summand of ``rest``: the pair is then
-        tau-rigid with as many summands as vertices, hence support tau-tilting
-        (AIR Section 2).  The AND of the rows of ``rest`` leaves the ``y``
-        with ``rigid(u, y)`` for every ``u``; each of them is tested on its
+        The registry is scanned for a ``y`` outside ``rest``, with no support
+        on ``proj_part``, rigid with itself and both ways with every summand
+        of ``rest``: the pair is then tau-rigid with as many summands as
+        vertices, hence support tau-tilting (Adachi-Iyama-Reiten,
+        arXiv:1210.1036, Def. 0.3 and Section 2).  The AND of the rows of
+        ``rest`` leaves the ``y`` with ``rigid(u, y)`` for every ``u``; the
+        scan visits only those, in ascending order, and tests each on its
         own row, for ``rigid(y, y)`` and ``rigid(y, u)``, and on its support
-        mask.  ``None`` means ``y`` is not registered yet; a second ``y``
-        found by the scan raises.
-        ``partner_lookups`` counts the index answers and the scans.
+        mask.  ``None`` means ``y`` is not registered yet.  An almost-complete pair
+        has exactly two completions (AIR Thm 2.18), so a second ``y`` raises.
         """
         reg = self.registry
-        known = [y for y in reg.completions(rest, proj_part) if y != x]
-        if len(known) > 1:
-            raise RuntimeError(f"modules {known} all complete the facet in recorded "
-                               "pairs; one is decomposable or two are isomorphic")
-        if known:
-            self.partner_lookups["indexed"] += 1
-            return known[0]
-        self.partner_lookups["scanned"] += 1
-        shifted = self._vertex_mask(proj_part)
+        shifted = _bits(proj_part)
         others = _bits(rest)
         left = (1 << len(reg)) - 1 & ~(others | 1 << x)
         for u in rest:
             left &= reg.rigid_row(u)
         found = []
-        for y in range(left.bit_length()):
+        while left:
+            y = (left & -left).bit_length() - 1
+            left &= left - 1
             need = others | 1 << y
-            if left >> y & 1 and reg.rigid_row(y) & need == need \
-                    and not reg.support(y) & shifted:
+            if reg.rigid_row(y) & need == need and not reg.support(y) & shifted:
                 found.append(y)
         if len(found) > 1:
             raise RuntimeError(f"registered modules {found} all complete the pair; "
@@ -668,7 +626,7 @@ class SiltingWorkspace:
         is one test of support masks, the second one row test per summand
         of ``b``.
         """
-        if self._support_of(a.summands) & self._vertex_mask(b.proj_part):
+        if self._support_of(a.summands) & _bits(b.proj_part):
             return False
         return self._rows_rigid(b.summands, a.summands)
 

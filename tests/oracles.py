@@ -331,7 +331,8 @@ def validation_by_entries(ws, pair) -> str:
     if len(pair.summands) + len(pair.proj_part) != nv:
         return "count"
     dims = summand_dims(ws, pair.summands)
-    if any((dims[v] == 0) != (v in pair.proj_part) for v in range(nv)):
+    if any((dims[v] == 0) != (v in pair.proj_part) for v in range(nv)) \
+            or not set(pair.proj_part) <= set(range(nv)):
         return "support"
     if not all(rigid_entry(ws.registry, i, j) for i in pair.summands for j in pair.summands):
         return "rigidity"

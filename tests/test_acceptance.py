@@ -436,8 +436,8 @@ def test_mutation_exists_iff_not_in_fac(complete_runs):
 def _partner_by_registry_scan(ws, x, rest, proj_part):
     """Every registered module that completes ``(rest, proj_part)`` besides ``x``.
 
-    The reference of ``registered_partner``: no facet index and no sign
-    filter, every registry id is tested by support and the ``rigid`` table.
+    The reference of ``registered_partner``: no row masks, every registry
+    id is tested by support and entry by entry in the ``rigid`` table.
     """
     reg = ws.registry
     return [y for y in range(len(reg))
@@ -447,15 +447,13 @@ def _partner_by_registry_scan(ws, x, rest, proj_part):
             and all(ws.rigid(y, u) and ws.rigid(u, y) for u in rest)]
 
 
-def test_partner_index_equals_registry_scan(complete_runs, monkeypatch):
-    # AIR Thm 2.18: an almost-complete pair has exactly two completions, so a
-    # recorded pair through the facet names the partner, and DIJ
-    # sign-coherence drops only non-partners from the scan on a miss.  The
-    # unfiltered scan of the whole registry is the reference of both routes.
+def test_registered_partner_equals_registry_scan(complete_runs):
+    # AIR Thm 2.18: an almost-complete pair has exactly two completions, so
+    # the scan of the rigidity rows finds the one besides x.  The per-entry
+    # scan of the whole registry is its reference.
     cases = []
     for eq in complete_runs:
-        ws, reg = eq.workspace, eq.workspace.registry
-        assert all(len(ids) <= 2 for ids in reg._facets.values())
+        ws = eq.workspace
         for pair in eq.nodes:
             for x in pair.summands:
                 rest = tuple(i for i in pair.summands if i != x)
@@ -463,47 +461,35 @@ def test_partner_index_equals_registry_scan(complete_runs, monkeypatch):
                        for v, d in enumerate(summand_dims(ws, rest))):
                     continue    # the other completion is a shifted projective
                 (y,) = _partner_by_registry_scan(ws, x, rest, pair.proj_part)
-                # both completions are nodes, so both are filed under the facet
-                assert sorted(reg.completions(rest, pair.proj_part)) == sorted((x, y))
                 cases.append((ws, x, rest, pair.proj_part, y))
     assert len(cases) == 450
     for ws, x, rest, proj_part, y in cases:
         assert ws.registered_partner(x, rest, proj_part) == y, (x, rest, proj_part)
-    monkeypatch.setattr(Registry, "completions", lambda self, rest, proj_part: [])
-    for ws, x, rest, proj_part, y in cases:
-        assert ws.registered_partner(x, rest, proj_part) == y, (x, rest, proj_part)
 
 
-@pytest.mark.parametrize("build, args, counts, lookups, shifted", [
+@pytest.mark.parametrize("build, args, counts, shifted", [
     (orders.hereditary_reduction, (4,),
      dict(attempted=224, fac_rejected=84, shifted_projective=56,
-          registry_lookup=72, cokernel_built=12),
-     dict(indexed=134, scanned=34), (120, 0)),
+          registry_lookup=72, cokernel_built=12), (120, 0)),
     (orders.auslander_bass_v_reduction, (2,),
      dict(attempted=56, fac_rejected=20, shifted_projective=16,
-          registry_lookup=12, cokernel_built=8),
-     dict(indexed=27, scanned=13), (65, 0)),
+          registry_lookup=12, cokernel_built=8), (65, 0)),
     (orders.cyclic_nakayama, (3, 5),
      dict(attempted=45, fac_rejected=15, shifted_projective=15,
-          registry_lookup=9, cokernel_built=6),
-     dict(indexed=21, scanned=9), (36, 0)),
+          registry_lookup=9, cokernel_built=6), (36, 0)),
 ], ids=["hereditary4", "auslander2", "nakayama35"])
-def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lookups,
-                                            shifted):
+def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, shifted):
     # Hom(U, X) and its images are computed only for the attempts that find
     # neither a vacant vertex nor a registered partner; here each of them
     # builds a module.  The counts equal those of deciding every attempt by
-    # the Fac test.  The registry is scanned for a partner only where no
-    # recorded pair has the facet; the routes are told apart by the index
-    # itself, not by the workspace counters.  The shifted-Hom tests that
-    # explore and then hasse_check make are pinned as well: the registry
-    # fills each new module's row and column as it files it, deciding by
-    # support where it can, so hasse_check makes none, and a fill that
-    # tested an entry twice, or skipped the support test, changes them.  A
-    # minimal presentation is computed once per registered module that is
-    # not projective: a projective is filed with its stalk.
+    # the Fac test.  The shifted-Hom tests that explore and then hasse_check
+    # make are pinned as well: the registry fills each new module's row and
+    # column as it files it, deciding by support where it can, so
+    # hasse_check makes none, and a fill that tested an entry twice, or
+    # skipped the support test, changes them.  A minimal presentation is
+    # computed once per registered module that is not projective: a
+    # projective is filed with its stalk.
     spans, misses, presented, tested = [], [], [], []
-    routes = {"indexed": 0, "scanned": 0}
     images_span = rm.images_span
     partner = SiltingWorkspace.registered_partner
     presentation = rm.min_projective_presentation
@@ -514,8 +500,6 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lo
         return images_span(maps, x)
 
     def counting_partner(self, x, rest, proj_part):
-        known = set(self.registry.completions(rest, proj_part)) - {x}
-        routes["indexed" if known else "scanned"] += 1
         got = partner(self, x, rest, proj_part)
         if got is None:
             misses.append(x)
@@ -539,16 +523,15 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, lo
     assert len(presented) == len(reg) - eq.algebra.quiver.n_vertices
     assert eq.stats["mutations"] == counts
     assert len(spans) == len(misses) == counts["cokernel_built"]
-    assert routes == eq.stats["partner_lookups"] == lookups
     assert eq.stats["cache_entries"]["rigid"] == len(reg) ** 2
     assert len(tested) == shifted[0]
     assert ex.hasse_check(eq)
     assert len(tested) - shifted[0] == shifted[1]
     assert eq.workspace.cache_sizes()["rigid"] == len(reg) ** 2
-    # every pair is recorded now, so each facet has both completions
+    # every partner is registered now, so a warm walk builds nothing
     again = ex.explore(eq.algebra, workspace=eq.workspace)
-    assert again.stats["partner_lookups"] == {"indexed": sum(lookups.values()),
-                                              "scanned": 0}
+    assert again.stats["mutations"]["cokernel_built"] == 0
+    assert again.stats["mutations"]["attempted"] == counts["attempted"]
 
 
 def _approximation_cokernel_pieces(ws, pair, v):

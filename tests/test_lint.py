@@ -83,7 +83,7 @@ def _scoped_calls(node, scope=()):
 
 
 def _unvalidated_record_cone_calls(tree):
-    # a recorded pair answers later mutations through the facet index, so
+    # a recorded cone answers later ``decompose`` calls by its g-vectors, so
     # ``record_cone`` runs only in ``Registry.__init__`` (Lambda, Lambda[1])
     # and in ``SiltingWorkspace.mutate_left`` after ``validate_silting_pair``
     calls = list(_scoped_calls(tree))

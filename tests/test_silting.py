@@ -177,6 +177,17 @@ def test_validate_a2_examples(a2):
         assert a2.validate_silting_pair(pair).reason == validation_by_entries(a2, pair)
 
 
+def test_validate_refuses_shifted_vertices_outside_the_quiver():
+    # SiltingPair is built without make_pair's range checks, so validation
+    # itself must fail a shifted vertex that names no projective
+    ws = SiltingWorkspace(orders.triangular_example_reduction())
+    assert ws.validate_silting_pair(SiltingPair((1,), (0,)))
+    for proj_part in ((5,), (-1,)):
+        pair = SiltingPair((0,), proj_part)
+        assert ws.validate_silting_pair(pair) == Validation(False, "support")
+        assert validation_by_entries(ws, pair) == "support"
+
+
 def test_make_pair_refuses_ids_and_vertices_out_of_range():
     # over A2 the registry holds the projectives 0, 1 and nothing else: a
     # vertex outside 0..1 is no shifted projective, and an id outside the
@@ -306,17 +317,18 @@ def test_mutate_left_fac_rejection_builds_nothing(monkeypatch):
     assert len(ws.registry) == size
 
 
-def test_partner_index_refuses_a_third_completion():
-    # AIR Thm 2.18 allows two completions; a recorded third one is corruption
-    eq = ex.explore(orders.hereditary_reduction(3))
-    ws, reg = eq.workspace, eq.workspace.registry
-    pair = eq.nodes[0]
-    x, rest = pair.summands[0], pair.summands[1:]
-    y = ws.registered_partner(x, rest, pair.proj_part)
-    z = next(i for i in range(len(reg)) if i not in (x, y, *rest))
-    reg.record_cone(rest + (z,), pair.proj_part)
-    with pytest.raises(RuntimeError, match="all complete the facet"):
-        ws.registered_partner(x, rest, pair.proj_part)
+def test_partner_scan_refuses_a_duplicate_module():
+    # AIR Thm 2.18 allows two completions; one module filed under two ids
+    # makes the scan find a second partner, which is registry corruption.
+    # Over A2, P1 + P2 and P1 + S1 are the two completions of P1.
+    ws = SiltingWorkspace(a2_algebra())
+    reg = ws.registry
+    y = s1_id(ws)
+    assert ws.registered_partner(1, (0,), ()) == y
+    z = reg._insert(reg.rep(y), reg.presentation(y), reg.gvector(y))
+    with pytest.raises(RuntimeError,
+                       match=rf"registered modules \[{y}, {z}\] all complete the pair"):
+        ws.registered_partner(1, (0,), ())
 
 
 def test_mutation_strictly_descends(a2):
