@@ -58,7 +58,8 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
     """The exchange quiver below the projective pair, in breadth-first waves.
 
     ``workspace`` defaults to a fresh one over ``algebra``; passing a warm
-    one reuses its registry and caches.  ``stats`` holds ``nodes``,
+    one reuses its registry and caches, and one over another algebra raises
+    ``ValueError``.  ``stats`` holds ``nodes``,
     ``edges``, ``max_depth`` (the waves run), ``cache_entries`` (the
     workspace's ``cache_sizes`` at the end) and ``mutations``, the
     ``mutate_left`` outcomes of this call, with ``attempted = fac_rejected
@@ -66,6 +67,8 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
     these keys reaches ``to_json``.
     """
     limits = limits or ExploreLimits()
+    if workspace is not None and workspace.algebra is not algebra:
+        raise ValueError("the workspace lives over another algebra than the exploration")
     ws = workspace if workspace is not None else SiltingWorkspace(algebra)
     counts_before = dict(ws.mutation_counts)
     start = ws.lambda_pair()

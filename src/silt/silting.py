@@ -42,30 +42,28 @@ its row of the rigidity table, the last three as bitsets:
   rest of a pair leaves a few candidates, each tested on its own row and
   support mask.
 
-It keeps two more caches, both per two-term complex ``t`` and keyed by
+It keeps one more memo, one entry per two-term complex ``t``, keyed by
 ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
 in the homotopy category.  ``minimality_reduce`` hands an already reduced
 complex back as it is, and a complex computes its hash once, on first use.
-So a completion is reduced
-once, when it is built: the ``is_silting`` gate and ``pair_of`` find
-nothing left to cancel and key on the same object, which is hashed once and
-matches its memo key by identity:
+So a completion is reduced once, when it is built: the ``is_silting`` gate
+and ``pair_of`` find nothing left to cancel and key on the same object,
+which matches its memo key by identity.  A complex over another algebra
+raises ``ValueError``.  The entry holds:
 
+- ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
+  tests every ordered pair ``(A, B)`` of ``twoterm.components`` through
+  ``_onto``, memoised per pair: ``twoterm.hom_shift_vanishes(A, B)``.  Hom
+  is additive, so the pairs give the verdict of the whole complex (AIR,
+  arXiv:1210.1036, Section 3), and components recur across completions.
 - ``decompose(t)``: the shifted-projective vertices and the H^0 summand
   ids, the one route from a complex to its pair.  A presilting complex is
-  determined by its g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm
-  5.5), so a miss is read off a table of g-vector cones, one per support
-  tau-tilting pair the registry has seen: Lambda and Lambda[1] from
-  construction, then every pair ``mutate_left`` returns.  The coordinates
-  come from each cone's exact integer inverse, built once.  A complex that
-  is not presilting, or lies in no recorded cone, raises ``ValueError``;
-  nothing is stored, so the next call, when more cones may be recorded,
-  computes afresh.
-- ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
-  tests every ordered pair ``(A, B)`` of ``twoterm.components`` through one
-  more memo, keyed by the pair: ``twoterm.hom_shift_vanishes(A, B)``.  Hom
-  is additive, so the pairs give the verdict of the whole complex (AIR,
-  arXiv:1210.1036, Section 3), and the completions share most pairs.
+  determined by its g-vector (AIR Thm 5.5), so it is read off a table of
+  g-vector cones, one per support tau-tilting pair the registry has seen:
+  Lambda and Lambda[1] from construction, then every pair ``mutate_left``
+  returns, each with its exact integer inverse.  A complex that is not
+  presilting, or lies in no recorded cone, raises ``ValueError`` and gets
+  no decomposition, so a later call, with more cones, reads afresh.
 """
 
 from __future__ import annotations
@@ -120,15 +118,12 @@ class Registry:
         self.algebra = algebra
         self._reps: list[rm.Rep] = []
         self._pres: list[tt.TwoTermComplex] = []
-        self._gvec: list[tuple[int, ...]] = []
         self._keys: list[tuple] = []
         self._support: list[int] = []
         self._cols: list[int] = []
         self._rigid: list[int] = []
         self._by_key: dict[tuple, list[int]] = {}
-        self._decomp: dict[tt.TwoTermComplex,
-                           tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._presilting: dict[tt.TwoTermComplex, bool] = {}
+        self._complexes: dict[tt.TwoTermComplex, list] = {}
         self._pair_onto: dict[tuple[tt.TwoTermComplex, tt.TwoTermComplex], bool] = {}
         nv = algebra.quiver.n_vertices
         self._cones: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
@@ -150,7 +145,7 @@ class Registry:
         return self._pres[i]
 
     def gvector(self, i: int) -> tuple[int, ...]:
-        return self._gvec[i]
+        return self._keys[i][1]
 
     def dims(self, i: int) -> tuple[int, ...]:
         return self._reps[i].dims
@@ -182,7 +177,6 @@ class Registry:
         i = len(self._reps)
         self._reps.append(rep)
         self._pres.append(pres)
-        self._gvec.append(gvec)
         self._keys.append(key)
         self._support.append(_bits(v for v, d in enumerate(rep.dims) if d))
         self._cols.append(_bits(pres.cols))
@@ -233,13 +227,13 @@ class Registry:
     def record_cone(self, summands, proj_part) -> None:
         """Record the g-vector cone of a support tau-tilting pair.
 
-        ``summands`` are registry ids and ``proj_part`` vertices.  The callers
-        record Lambda, Lambda[1] and results of ``mutate_left`` that passed
-        ``validate_silting_pair``.  The cone joins ``decompose``'s table, and
-        its g-matrix is checked for unimodularity when the table is next
-        built.
+        ``summands`` are registry ids and ``proj_part`` ascending vertices,
+        filed as the callers order them: Lambda, Lambda[1] and results of
+        ``mutate_left`` that passed ``validate_silting_pair``.  The cone joins
+        ``decompose``'s table, which sorts the ids it reads, and its g-matrix
+        is checked for unimodularity when the table is next built.
         """
-        self._cones.setdefault((tuple(sorted(summands)), tuple(sorted(proj_part))))
+        self._cones.setdefault((tuple(summands), tuple(proj_part)))
 
     def decompose(self, t: tt.TwoTermComplex
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -255,10 +249,9 @@ class Registry:
         that is not presilting, or lies in no recorded cone, raises
         ``ValueError`` and is not stored, since a later cone can hold it.
         """
-        red = tt.minimality_reduce(t)
-        got = self._decomp.get(red)
-        if got is None:
-            if not self.is_presilting(red):
+        red, entry = self._entry(t)
+        if entry[1] is None:
+            if not entry[0]:
                 raise ValueError("the complex is not presilting")
             coords = self._cone_coordinates(tt.g_vector(red))
             hits = np.flatnonzero((coords >= 0).all(axis=1))
@@ -266,10 +259,10 @@ class Registry:
                 raise ValueError("the g-vector lies in no recorded cone")
             ids, verts = self._cone_keys[hits[0]]
             c = coords[hits[0]].tolist()
-            got = self._decomp[red] = (
+            entry[1] = (
                 tuple(v for v, m in zip(verts, c[len(ids):]) for _ in range(m)),
-                tuple(i for i, m in zip(ids, c) for _ in range(m)))
-        return got
+                tuple(sorted(i for i, m in zip(ids, c) for _ in range(m))))
+        return entry[1]
 
     def _cone_coordinates(self, g: tuple[int, ...]) -> np.ndarray:
         """Coordinates of ``g`` in every recorded cone, one row per cone.
@@ -288,7 +281,7 @@ class Registry:
 
     def _cone_inverse(self, ids, verts) -> np.ndarray:
         nv = self.algebra.quiver.n_vertices
-        cols = [self._gvec[i] for i in ids]
+        cols = [self.gvector(i) for i in ids]
         cols += [tuple(-int(w == v) for w in range(nv)) for v in verts]
         g = np.array(cols, dtype=np.int64).reshape(len(cols), nv).T
         inv = em.unimodular_inverse(g) if len(cols) == nv else None
@@ -297,19 +290,20 @@ class Registry:
         return inv
 
     def is_presilting(self, t: tt.TwoTermComplex) -> bool:
-        """``twoterm.is_presilting(t)``, memoised per reduced complex.
+        """``twoterm.is_presilting(t)``, memoised per reduced complex."""
+        return self._entry(t)[1][0]
 
-        A contractible summand changes no Hom in the homotopy category, so
-        the reduced complex has the verdict of ``t``.  A miss asks whether
-        ``Hom(A, B[1])`` vanishes for every ordered pair of its components
-        through ``_onto``, memoised across complexes.
-        """
+    def _entry(self, t: tt.TwoTermComplex) -> tuple[tt.TwoTermComplex, list]:
+        """``minimality_reduce(t)`` and its memo entry ``[verdict, decomposition or None]``."""
+        if t.algebra is not self.algebra:
+            raise ValueError("the complex lives over another algebra than the registry")
         red = tt.minimality_reduce(t)
-        got = self._presilting.get(red)
-        if got is None:
+        entry = self._complexes.get(red)
+        if entry is None:
             parts = tt.components(red)
-            got = self._presilting[red] = all(self._onto(a, b) for a in parts for b in parts)
-        return got
+            entry = self._complexes[red] = [
+                all(self._onto(a, b) for a in parts for b in parts), None]
+        return red, entry
 
     def _onto(self, a: tt.TwoTermComplex, b: tt.TwoTermComplex) -> bool:
         """``Hom(a, b[1]) = 0``, memoised per ordered component pair."""
@@ -320,9 +314,11 @@ class Registry:
 
 
 class SiltingWorkspace:
-    """An algebra, its registry, and all mutation-level operations."""
+    """An algebra, its registry over that algebra, and all mutation-level operations."""
 
     def __init__(self, algebra: FiniteDimAlgebra, registry: Registry | None = None):
+        if registry is not None and registry.algebra is not algebra:
+            raise ValueError("the registry lives over another algebra than the workspace")
         self.algebra = algebra
         self.registry = registry if registry is not None else Registry(algebra)
         self._hom: dict[tuple[int, int], list[rm.RepMap]] = {}
@@ -406,9 +402,7 @@ class SiltingWorkspace:
         if ids and not 0 <= min(ids) <= max(ids) < len(self.registry):
             raise ValueError(f"summand ids {ids} are not all registry ids "
                              f"0..{len(self.registry) - 1}")
-        if verts and not 0 <= verts[0] <= verts[-1] < self.algebra.quiver.n_vertices:
-            raise ValueError(f"shifted vertices {verts} are not all vertices "
-                             f"0..{self.algebra.quiver.n_vertices - 1}")
+        self._check_vertices(verts)
         if len(set(ids)) != len(ids):
             raise ValueError("pair summands must be pairwise distinct")
         keys = [self.registry.key(i) for i in ids]
@@ -420,6 +414,17 @@ class SiltingWorkspace:
 
     def lambda_pair(self) -> SiltingPair:
         return self.make_pair(range(self.algebra.quiver.n_vertices), ())
+
+    def _stray_vertices(self, proj_part) -> list[int]:
+        """The shifted vertices of ``proj_part`` outside ``0..n-1``."""
+        nv = self.algebra.quiver.n_vertices
+        return [v for v in proj_part if not 0 <= v < nv]
+
+    def _check_vertices(self, proj_part) -> None:
+        """Raise ``ValueError`` naming the shifted vertices outside ``0..n-1``."""
+        if proj_part and (stray := self._stray_vertices(proj_part)):
+            raise ValueError(f"shifted vertices {stray} are not vertices "
+                             f"0..{self.algebra.quiver.n_vertices - 1}")
 
     def _support_of(self, ids) -> int:
         """The vertices where some module of ``ids`` is nonzero, as a bitset."""
@@ -449,7 +454,7 @@ class SiltingWorkspace:
         nv = self.algebra.quiver.n_vertices
         if len(pair.summands) + len(pair.proj_part) != nv:
             return Validation(False, "count")
-        if not all(0 <= v < nv for v in pair.proj_part) or \
+        if self._stray_vertices(pair.proj_part) or \
                 self._support_of(pair.summands) ^ _bits(pair.proj_part) != (1 << nv) - 1:
             return Validation(False, "support")
         if not self._rows_rigid(pair.summands, pair.summands):
@@ -537,6 +542,7 @@ class SiltingWorkspace:
         """
         if not 0 <= at < len(pair.summands):
             raise IndexError(f"summand index {at} out of range")
+        self._check_vertices(pair.proj_part)
         x = pair.summands[at]
         rest = tuple(i for k, i in enumerate(pair.summands) if k != at)
         counts = self.mutation_counts
@@ -624,8 +630,10 @@ class SiltingWorkspace:
         the ``rigid`` table, they are the matrices ``S D P^T`` and
         ``S (1 - R)^T S^T``; ``order_matrix`` computes them.  Here the first
         is one test of support masks, the second one row test per summand
-        of ``b``.
+        of ``b``.  A shifted vertex outside the quiver raises ``ValueError``.
         """
+        self._check_vertices(a.proj_part)
+        self._check_vertices(b.proj_part)
         if self._support_of(a.summands) & _bits(b.proj_part):
             return False
         return self._rows_rigid(b.summands, a.summands)
@@ -634,11 +642,12 @@ class SiltingWorkspace:
         """``leq[a, b] == pair_leq(pairs[a], pairs[b])`` for every ordered pair.
 
         Both counts of ``pair_leq`` are non-negative, so ``leq`` is where
-        ``S (D P^T + (1 - R)^T S^T)`` vanishes, with ``R`` read off the
-        registry's rows of the modules that occur.  Every entry is an
-        integer below (modules + vertices)^2, so the float64 products, which
-        numpy hands to BLAS, are exact.  The last one runs ``ORDER_ROWS``
-        rows at a time, which keeps its float64 block small next to ``leq``.
+        ``S (D P^T + (1 - R)^T S^T)`` vanishes, with ``D`` and ``R`` the
+        registry's support bitsets and rows of the modules that occur.  Every
+        entry is an integer below (modules + vertices)^2, so the float64
+        products, which numpy hands to BLAS, are exact.  The last one runs
+        ``ORDER_ROWS`` rows at a time, which keeps its float64 block small
+        next to ``leq``.  Stray shifted vertices raise, as in ``pair_leq``.
         """
         nv = self.algebra.quiver.n_vertices
         ids = sorted({i for pair in pairs for i in pair.summands})
@@ -646,9 +655,11 @@ class SiltingWorkspace:
         s = np.zeros((len(pairs), len(ids)))
         p = np.zeros((len(pairs), nv))
         for a, pair in enumerate(pairs):
+            self._check_vertices(pair.proj_part)
             s[a, [col[i] for i in pair.summands]] = 1
             p[a, list(pair.proj_part)] = 1
-        d = np.array([self.registry.dims(i) for i in ids]).reshape(len(ids), nv) > 0
+        d = np.array([[self.registry.support(i) >> v & 1 for v in range(nv)] for i in ids],
+                     dtype=float).reshape(len(ids), nv)
         rows = [self.registry.rigid_row(i) for i in ids]
         unrigid = np.array([[not ok >> j & 1 for j in ids] for ok in rows],
                            dtype=float).reshape(len(ids), len(ids))
@@ -661,6 +672,7 @@ class SiltingWorkspace:
     # ---- pair <-> complex bridges ---------------------------------------------------
 
     def complex_of(self, pair: SiltingPair) -> tt.TwoTermComplex:
+        self._check_vertices(pair.proj_part)
         parts = [self.registry.presentation(i) for i in pair.summands]
         parts += [tt.shifted_stalk(self.algebra, v) for v in pair.proj_part]
         if not parts:

@@ -684,7 +684,7 @@ def test_cone_reading_equals_split_reading(complete_runs):
         if len(eq.nodes) > 24:
             continue    # the split reference is slow on the larger H^0
         ws, reg = eq.workspace, eq.workspace.registry
-        reg._decomp.clear()
+        reg._complexes.clear()
         sums = []
         for sub, _ in _almost_complete_pairs(eq):
             cx = ws.complex_of(sub)

@@ -29,6 +29,33 @@ def test_prime_bound():
         em.check_field_prime(67108879)
 
 
+def test_prime_check_against_a_sieve():
+    # trial division below the bound: exactly the odd primes pass
+    top = 20000
+    sieve = [True] * (top + 1)
+    sieve[0] = sieve[1] = False
+    for q in range(2, int(top ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(sieve[q * q::q])
+
+    def admitted(p):
+        try:
+            return em.check_field_prime(p) == p
+        except ValueError:
+            return False
+
+    assert [p for p in range(3, top + 1) if admitted(p)] == [
+        p for p in range(3, top + 1) if sieve[p] and p % 2]
+    # the three largest primes below 2**26, and the composites next to them
+    for p in (67108819, 67108837, 67108859):
+        assert em.check_field_prime(p) == p
+    for bad in (67108857, 67108861):    # 3 * 22369619 and 37 * 1813753
+        with pytest.raises(ValueError, match="odd prime"):
+            em.check_field_prime(bad)
+    with pytest.raises(ValueError, match="below 2\\*\\*26"):
+        em.check_field_prime(2**40)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2049, 5000), st.integers(1, 3), st.integers(1, 3),
        st.booleans(), st.integers(0, 2**32 - 1))

@@ -188,6 +188,26 @@ def test_validate_refuses_shifted_vertices_outside_the_quiver():
         assert validation_by_entries(ws, pair) == "support"
 
 
+def test_order_mutation_and_complex_refuse_shifted_vertices_outside_the_quiver():
+    # a vertex that names no projective must not read as an empty support
+    # condition, nor as a vertex that loses support, nor build a stalk that
+    # pair_of then reads back without it
+    ws = SiltingWorkspace(orders.triangular_example_reduction())
+    lam = ws.lambda_pair()
+    for v in (5, -1):
+        pair = SiltingPair((0,), (v,))
+        for a, b in ((pair, lam), (lam, pair)):
+            with pytest.raises(ValueError,
+                               match=rf"shifted vertices \[{v}\] are not vertices 0..1"):
+                ws.pair_leq(a, b)
+        with pytest.raises(ValueError, match=rf"shifted vertices \[{v}\]"):
+            ws.order_matrix([lam, pair])
+        with pytest.raises(ValueError, match=rf"shifted vertices \[{v}\]"):
+            ws.mutate_left(pair, 0)
+        with pytest.raises(ValueError, match=rf"shifted vertices \[{v}\]"):
+            ws.complex_of(pair)
+
+
 def test_make_pair_refuses_ids_and_vertices_out_of_range():
     # over A2 the registry holds the projectives 0, 1 and nothing else: a
     # vertex outside 0..1 is no shifted projective, and an id outside the
@@ -497,10 +517,52 @@ def test_decompose_memo_hit_equals_fresh():
     assert [hash(t) for t in again] == [hash(t) for t in complexes[:-1]]
     assert all(reg.decompose(t) is f for t, f in zip(again, first))
     assert reg.decompose(tt.direct_sum(complexes[2], cone)) is first[2]
-    reg._decomp.clear()
+    reg._complexes.clear()
     assert [reg.decompose(t) for t in complexes] == hits
     assert hits[2] == ((), (0, s1))
     assert hits[-1] == ((), (0, 0, s1, s1))
+
+
+def test_decompose_returns_ids_ascending_from_a_cone_in_key_order():
+    # mutating Lambda at P2 over A2 gives P1 + S1, whose canonical order
+    # (by dimension vector) puts S1 = id 2 before P1 = id 0; the cone is
+    # recorded in that order, and the decomposition still lists ids ascending
+    ws = SiltingWorkspace(a2_algebra())
+    lam = ws.lambda_pair()
+    mid = ws.mutate_left(lam, lam.summands.index(1))
+    s1 = s1_id(ws)
+    assert mid.summands == (s1, 0) and s1 > 0
+    t = ws.complex_of(mid)
+    assert ws.registry.decompose(tt.direct_sum(t, t)) == ((), (0, 0, s1, s1))
+    assert ws.pair_of(t) == mid
+
+
+def test_registry_refuses_a_complex_of_another_algebra(her3_ws):
+    # the Auslander algebra of n = 2 has 3 vertices, as hereditary n = 3
+    # has, so its g-vectors lie in the hereditary cones; its complexes are
+    # still not the hereditary registry's to read
+    eq = ex.explore(orders.auslander_bass_v_reduction(2))
+    reg = her3_ws.registry
+    assert len(eq.nodes) == 24
+    for node in eq.nodes:
+        t = eq.workspace.complex_of(node)
+        for read in (reg.is_presilting, reg.decompose, her3_ws.pair_of,
+                     lambda t: tt.is_silting(t, reg),
+                     lambda t: tt.bongartz_completion(t, reg),
+                     lambda t: tt.co_bongartz_completion(t, reg)):
+            with pytest.raises(ValueError, match="another algebra"):
+                read(t)
+
+
+def test_workspace_and_explore_refuse_another_algebra():
+    her3, aus2 = orders.hereditary_reduction(3), orders.auslander_bass_v_reduction(2)
+    with pytest.raises(ValueError, match="another algebra"):
+        ex.explore(her3, workspace=SiltingWorkspace(aus2))
+    with pytest.raises(ValueError, match="another algebra"):
+        SiltingWorkspace(her3, Registry(aus2))
+    # the same algebra, built twice, is two algebras to the registry
+    with pytest.raises(ValueError, match="another algebra"):
+        SiltingWorkspace(her3, Registry(orders.hereditary_reduction(3)))
 
 
 def test_cone_reading_needs_a_presilting_complex():

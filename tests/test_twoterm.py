@@ -269,6 +269,35 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     assert not all(verdicts)
 
 
+def test_completion_requests_reduce_once_per_read(monkeypatch):
+    # the 72 requests of Auslander 2 as the benchmark makes them: both
+    # completions, each read back by pair_of.  Each of the 144 completions
+    # is reduced when it is glued, then once by each of the presilting
+    # gate, the gate's decomposition and pair_of.  The decomposition reads
+    # the verdict off its own memo entry, so only the gate asks is_presilting
+    eq = ex.explore(orders.auslander_bass_v_reduction(2))
+    ws = eq.workspace
+    calls = {"minimality_reduce": 0, "is_presilting": 0}
+    real_reduce, real_presilting = tt.minimality_reduce, Registry.is_presilting
+
+    def reduce(t):
+        calls["minimality_reduce"] += 1
+        return real_reduce(t)
+
+    def presilting(self, t):
+        calls["is_presilting"] += 1
+        return real_presilting(self, t)
+
+    monkeypatch.setattr(tt, "minimality_reduce", reduce)
+    monkeypatch.setattr(Registry, "is_presilting", presilting)
+    requests = list(_almost_complete(eq))
+    assert len(requests) == 72
+    for cx in requests:
+        ws.pair_of(tt.bongartz_completion(cx, ws.registry))
+        ws.pair_of(tt.co_bongartz_completion(cx, ws.registry))
+    assert calls == {"minimality_reduce": 576, "is_presilting": 144}
+
+
 # ---- the presilting verdict against the shifted-Hom reference ------------------
 
 
