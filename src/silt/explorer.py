@@ -59,9 +59,9 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
 
     ``workspace`` defaults to a fresh one over ``algebra``; passing a warm
     one reuses its registry and caches, and one over another algebra raises
-    ``ValueError``.  ``stats`` holds ``nodes``,
-    ``edges``, ``max_depth`` (the waves run), ``cache_entries`` (the
-    workspace's ``cache_sizes`` at the end) and ``mutations``, the
+    ``ValueError``.  ``stats`` holds ``nodes``, ``edges``, ``max_depth``
+    (the waves run), ``cache_entries`` (the sizes of the workspace's two
+    memos, ``hom`` and ``composition``, at the end) and ``mutations``, the
     ``mutate_left`` outcomes of this call, with ``attempted = fac_rejected
     + shifted_projective + registry_lookup + cokernel_built``.  None of
     these keys reaches ``to_json``.

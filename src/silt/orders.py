@@ -15,7 +15,7 @@ rather than given a guess.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra, Quiver, build_algebra, presentation
 from .exactmat import DEFAULT_PRIME
@@ -118,7 +118,6 @@ class TorsHasse:
 
     nodes: list[tuple[str, int]]
     edges: list[tuple[int, int]]
-    stats: dict = field(default_factory=dict)
 
 
 def assemble_tors_hasse(eq: ExchangeQuiver, sincere: list[bool]) -> TorsHasse:
@@ -134,27 +133,21 @@ def assemble_tors_hasse(eq: ExchangeQuiver, sincere: list[bool]) -> TorsHasse:
     if len(sincere) != len(eq.nodes):
         raise ValueError("flag vector does not match the exploration")
     base = len(eq.nodes)
-    nodes: list[tuple[str, int]] = []
-    for i in range(base):
-        nodes.append(("FacFl" if sincere[i] else "Fac", i))
+    nodes = [("FacFl" if sincere[i] else "Fac", i) for i in range(base)]
     gamma_index: dict[int, int] = {}
     for i in range(base):
         if sincere[i]:
             gamma_index[i] = len(nodes)
             nodes.append(("Fac", i))
-    edges: list[tuple[int, int]] = []
-    for (u, v, _) in eq.edges:
-        edges.append((u, v))
+    edges = [(u, v) for (u, v, _) in eq.edges]
     for (u, v, _) in eq.edges:
         if sincere[u] and sincere[v]:
             edges.append((gamma_index[u], gamma_index[v]))
     for i in range(base):
         if sincere[i]:
             edges.append((gamma_index[i], i))
-    th = TorsHasse(nodes, edges,
-                   stats={"nodes": len(nodes), "edges": len(edges)})
-    _check_unique_ends(*_adjacency(len(th.nodes), th.edges))
-    return th
+    _check_unique_ends(*_adjacency(len(nodes), edges))
+    return TorsHasse(nodes, edges)
 
 
 def _adjacency(n: int, edges) -> tuple[list[set[int]], list[set[int]]]:
@@ -242,10 +235,9 @@ def weak_order_hasse(m: int) -> WeakOrderPoset:
     for u, v in covers:
         if _inversions(elements[u]) != _inversions(elements[v]) + 1:
             raise AssertionError("a cover must drop the inversion count by one")
-    descents = sum(1 for w in elements
-                   for i in range(m - 1) if w[i] > w[i + 1])
-    if descents != len(covers):
-        raise AssertionError("the covers must number the descents")
+    # each of the m - 1 adjacent positions is a descent in half the permutations
+    if 2 * len(covers) != len(elements) * (m - 1):
+        raise AssertionError("the covers must number m! (m - 1) / 2")
     return WeakOrderPoset(m, elements, covers)
 
 

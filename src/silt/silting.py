@@ -327,13 +327,10 @@ class SiltingWorkspace:
 
     # ---- cached primitives -----------------------------------------------
 
-    def module(self, i: int) -> rm.Rep:
-        return self.registry.rep(i)
-
     def hom(self, i: int, j: int) -> list[rm.RepMap]:
         got = self._hom.get((i, j))
         if got is None:
-            got = self._hom[i, j] = rm.hom_basis(self.module(i), self.module(j))
+            got = self._hom[i, j] = rm.hom_basis(self.registry.rep(i), self.registry.rep(j))
         return got
 
     def rigid(self, i: int, j: int) -> bool:
@@ -385,9 +382,8 @@ class SiltingWorkspace:
         return coords.reshape(len(hxt), len(hxk), len(hkt))
 
     def cache_sizes(self) -> dict[str, int]:
-        """Entry counts of the three caches; the ``rigid`` table is always whole."""
-        return {"hom": len(self._hom), "rigid": len(self.registry) ** 2,
-                "composition": len(self._comp)}
+        """Entry counts of the two memos, ``hom`` and ``composition``."""
+        return {"hom": len(self._hom), "composition": len(self._comp)}
 
     # ---- pair plumbing ------------------------------------------------------
 
@@ -395,36 +391,37 @@ class SiltingWorkspace:
         """The canonical pair of registry ids ``summands`` and vertices ``proj_part``.
 
         An id outside the registry or a vertex outside the quiver raises
-        ``ValueError``, as do repeated summands.
+        ``ValueError``, as do repeated summands.  The ids sort by
+        ``Registry.key``, and neighbours with one key raise ``RuntimeError``.
         """
         ids = list(summands)
         verts = sorted(set(int(v) for v in proj_part))
-        if ids and not 0 <= min(ids) <= max(ids) < len(self.registry):
-            raise ValueError(f"summand ids {ids} are not all registry ids "
-                             f"0..{len(self.registry) - 1}")
-        self._check_vertices(verts)
+        self._check_ids(ids)
+        self._shifted(verts)
         if len(set(ids)) != len(ids):
             raise ValueError("pair summands must be pairwise distinct")
-        keys = [self.registry.key(i) for i in ids]
-        if len(set(keys)) != len(keys):
+        key = self.registry.key
+        ids.sort(key=key)
+        if any(key(i) == key(j) for i, j in zip(ids, ids[1:])):
             raise RuntimeError("two summands share dimension and g-vector; "
                                "registry corruption?")
-        order = sorted(range(len(ids)), key=lambda k: keys[k])
-        return SiltingPair(tuple(ids[k] for k in order), tuple(verts))
+        return SiltingPair(tuple(ids), tuple(verts))
 
     def lambda_pair(self) -> SiltingPair:
         return self.make_pair(range(self.algebra.quiver.n_vertices), ())
 
-    def _stray_vertices(self, proj_part) -> list[int]:
-        """The shifted vertices of ``proj_part`` outside ``0..n-1``."""
-        nv = self.algebra.quiver.n_vertices
-        return [v for v in proj_part if not 0 <= v < nv]
+    def _check_ids(self, ids) -> None:
+        """Raise ``ValueError`` unless every id of ``ids`` is a registry id."""
+        if ids and not 0 <= min(ids) <= max(ids) < len(self.registry):
+            raise ValueError(f"summand ids {list(ids)} are not all registry ids "
+                             f"0..{len(self.registry) - 1}")
 
-    def _check_vertices(self, proj_part) -> None:
-        """Raise ``ValueError`` naming the shifted vertices outside ``0..n-1``."""
-        if proj_part and (stray := self._stray_vertices(proj_part)):
-            raise ValueError(f"shifted vertices {stray} are not vertices "
-                             f"0..{self.algebra.quiver.n_vertices - 1}")
+    def _shifted(self, proj_part) -> int:
+        """The bitset of the shifted vertices ``proj_part``; one outside ``0..n-1`` raises."""
+        nv = self.algebra.quiver.n_vertices
+        if proj_part and (stray := [v for v in proj_part if not 0 <= v < nv]):
+            raise ValueError(f"shifted vertices {stray} are not vertices 0..{nv - 1}")
+        return _bits(proj_part)
 
     def _support_of(self, ids) -> int:
         """The vertices where some module of ``ids`` is nonzero, as a bitset."""
@@ -445,16 +442,18 @@ class SiltingWorkspace:
         ``Hom(P, M) = 0``, the other holds since such an ``M`` is sincere over
         the quotient by ``P``) and rigidity through the ``rigid`` table; a
         failure names the first that fails.  Support is one test of the
-        summands' support masks against the shifted vertices, and fails for
-        a shifted vertex outside the quiver; rigidity is one row test per
-        summand.  Nothing is registered.  That each ``P_v`` has
-        an ``add M``-approximation with cokernel in ``add M`` is then a
-        theorem, checked by a tier-1 oracle and not at run time.
+        summands' support masks against the shifted vertices: a vertex at or
+        above ``n`` sets a bit outside the full mask, and a negative one fails
+        first.  Rigidity is one row test per summand.  An id outside the
+        registry raises ``ValueError``, and nothing is registered.  That each
+        ``P_v`` has an ``add M``-approximation with cokernel in ``add M`` is
+        then a theorem, checked by a tier-1 oracle and not at run time.
         """
+        self._check_ids(pair.summands)
         nv = self.algebra.quiver.n_vertices
         if len(pair.summands) + len(pair.proj_part) != nv:
             return Validation(False, "count")
-        if self._stray_vertices(pair.proj_part) or \
+        if min(pair.proj_part, default=0) < 0 or \
                 self._support_of(pair.summands) ^ _bits(pair.proj_part) != (1 << nv) - 1:
             return Validation(False, "support")
         if not self._rows_rigid(pair.summands, pair.summands):
@@ -471,8 +470,8 @@ class SiltingWorkspace:
 
         One copy per Hom-basis element is an approximation; ``_strip_copies``
         drops the copies it can spare, testing each at its own target only.
-        The map stacks the kept copies into their direct sum, the zero module
-        when none is kept.  Returns (copy list, map, target).
+        The map stacks the kept copies into its ``target``, their direct sum,
+        the zero module when none is kept.  Returns (copy list, map).
         """
         copies = [(t, b) for t in sorted(target_ids) for b in range(len(self.hom(x, t)))]
         copies = self._strip_copies(x, copies)
@@ -482,7 +481,7 @@ class SiltingWorkspace:
         comps = [np.concatenate([em.zeros(0, d)] + [f.comps[v] for f in maps])
                  for v, d in enumerate(source.dims)]
         # the blocks are hom_basis maps, whose squares hom_basis checks in bulk
-        return copies, rm.RepMap(source, target, comps, check=False), target
+        return copies, rm.RepMap(source, target, comps, check=False)
 
     def _strip_copies(self, x: int, copies):
         """Drop, in one pass, each copy the approximation property can spare.
@@ -542,14 +541,14 @@ class SiltingWorkspace:
         """
         if not 0 <= at < len(pair.summands):
             raise IndexError(f"summand index {at} out of range")
-        self._check_vertices(pair.proj_part)
+        self._check_ids(pair.summands)
+        shifted = self._shifted(pair.proj_part)
         x = pair.summands[at]
-        rest = tuple(i for k, i in enumerate(pair.summands) if k != at)
+        rest = pair.summands[:at] + pair.summands[at + 1:]
         counts = self.mutation_counts
         counts["attempted"] += 1
-        nv = self.algebra.quiver.n_vertices
-        bare = ~(self._support_of(rest) | _bits(pair.proj_part))
-        vacant = [v for v in range(nv) if bare >> v & 1]
+        bare = ~(self._support_of(rest) | shifted)
+        vacant = [v for v in range(self.algebra.quiver.n_vertices) if bare >> v & 1]
         if len(vacant) > 1:
             raise RuntimeError(f"vertices {vacant} all lose support; "
                                "the input is not a silting pair")
@@ -564,12 +563,12 @@ class SiltingWorkspace:
                     return None
                 counts["registry_lookup"] += 1
             elif rm.images_span([f for i in rest for f in self.hom(i, x)],
-                                self.module(x)):
+                                self.registry.rep(x)):
                 counts["fac_rejected"] += 1
                 return None
             else:
                 counts["cokernel_built"] += 1
-                _, h, _ = self.left_minimal_approximation(x, rest)
+                _, h = self.left_minimal_approximation(x, rest)
                 cok, _ = rm.cokernel(h)
                 if cok.is_zero():
                     raise RuntimeError("the approximation is onto but no vertex "
@@ -580,7 +579,8 @@ class SiltingWorkspace:
         if not valid:
             raise RuntimeError(f"left mutation of {pair} at {at} failed "
                                f"validation: {valid.reason}")
-        if not (self.pair_leq(candidate, pair) and not self.pair_leq(pair, candidate)):
+        if not self._leq(candidate.summands, pair.summands, shifted) or self._leq(
+                pair.summands, candidate.summands, self._shifted(candidate.proj_part)):
             raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
         self.registry.record_cone(candidate.summands, candidate.proj_part)
         return candidate
@@ -600,7 +600,7 @@ class SiltingWorkspace:
         has exactly two completions (AIR Thm 2.18), so a second ``y`` raises.
         """
         reg = self.registry
-        shifted = _bits(proj_part)
+        shifted = self._shifted(proj_part)
         others = _bits(rest)
         left = (1 << len(reg)) - 1 & ~(others | 1 << x)
         for u in rest:
@@ -630,13 +630,15 @@ class SiltingWorkspace:
         the ``rigid`` table, they are the matrices ``S D P^T`` and
         ``S (1 - R)^T S^T``; ``order_matrix`` computes them.  Here the first
         is one test of support masks, the second one row test per summand
-        of ``b``.  A shifted vertex outside the quiver raises ``ValueError``.
+        of ``b``.  A shifted vertex or an id out of range raises ``ValueError``.
         """
-        self._check_vertices(a.proj_part)
-        self._check_vertices(b.proj_part)
-        if self._support_of(a.summands) & _bits(b.proj_part):
-            return False
-        return self._rows_rigid(b.summands, a.summands)
+        self._check_ids(a.summands + b.summands)
+        self._shifted(a.proj_part)
+        return self._leq(a.summands, b.summands, self._shifted(b.proj_part))
+
+    def _leq(self, a_ids, b_ids, b_shifted: int) -> bool:
+        """``pair_leq`` of checked pairs, from their ids and b's shifted-vertex bitset."""
+        return not self._support_of(a_ids) & b_shifted and self._rows_rigid(b_ids, a_ids)
 
     def order_matrix(self, pairs) -> np.ndarray:
         """``leq[a, b] == pair_leq(pairs[a], pairs[b])`` for every ordered pair.
@@ -647,7 +649,7 @@ class SiltingWorkspace:
         entry is an integer below (modules + vertices)^2, so the float64
         products, which numpy hands to BLAS, are exact.  The last one runs
         ``ORDER_ROWS`` rows at a time, which keeps its float64 block small
-        next to ``leq``.  Stray shifted vertices raise, as in ``pair_leq``.
+        next to ``leq``.  Stray shifted vertices and ids raise, as in ``pair_leq``.
         """
         nv = self.algebra.quiver.n_vertices
         ids = sorted({i for pair in pairs for i in pair.summands})
@@ -655,7 +657,8 @@ class SiltingWorkspace:
         s = np.zeros((len(pairs), len(ids)))
         p = np.zeros((len(pairs), nv))
         for a, pair in enumerate(pairs):
-            self._check_vertices(pair.proj_part)
+            self._check_ids(pair.summands)
+            self._shifted(pair.proj_part)
             s[a, [col[i] for i in pair.summands]] = 1
             p[a, list(pair.proj_part)] = 1
         d = np.array([[self.registry.support(i) >> v & 1 for v in range(nv)] for i in ids],
@@ -672,7 +675,8 @@ class SiltingWorkspace:
     # ---- pair <-> complex bridges ---------------------------------------------------
 
     def complex_of(self, pair: SiltingPair) -> tt.TwoTermComplex:
-        self._check_vertices(pair.proj_part)
+        self._check_ids(pair.summands)
+        self._shifted(pair.proj_part)
         parts = [self.registry.presentation(i) for i in pair.summands]
         parts += [tt.shifted_stalk(self.algebra, v) for v in pair.proj_part]
         if not parts:

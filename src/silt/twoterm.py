@@ -30,6 +30,9 @@ class TwoTermComplex:
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "cols", tuple(self.cols))
         object.__setattr__(self, "d", tuple(tuple(row) for row in self.d))
+        nv = self.algebra.quiver.n_vertices
+        if stray := [v for v in self.rows + self.cols if not 0 <= v < nv]:
+            raise ValueError(f"summand vertices {stray} are not vertices 0..{nv - 1}")
         if len(self.d) != len(self.rows):
             raise ValueError("differential has wrong number of block rows")
         for r, row in enumerate(self.d):

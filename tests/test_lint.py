@@ -180,6 +180,65 @@ def test_shift_hom_only_in_the_registry_table():
     assert sum(_called(call, "hom_shift_vanishes") for _, call in _scoped_calls(tree)) == 2
 
 
+VERTEX_MASK_SCOPES = (("SiltingWorkspace", "_shifted"),
+                      ("SiltingWorkspace", "validate_silting_pair"))
+GONE_VERTEX_HELPERS = ("_check_vertices", "_stray_vertices")
+
+
+def _reads_proj_part(call):
+    # ``proj_part`` or ``<expr>.proj_part`` anywhere in the arguments
+    return any(isinstance(n, ast.Name) and n.id == "proj_part"
+               or isinstance(n, ast.Attribute) and n.attr == "proj_part"
+               for arg in call.args for n in ast.walk(arg))
+
+
+def _unchecked_vertex_masks(tree):
+    # a shifted vertex at or above n sets a bit that no support meets, and a
+    # negative one raises a bare "negative shift count"; so the bitset of a
+    # ``proj_part`` is built in ``_shifted``, which refuses both by name, or
+    # in ``validate_silting_pair``, which returns a "support" verdict
+    # instead; the two helpers that checked apart from the bitset stay gone
+    for scope, call in _scoped_calls(tree):
+        where = ".".join(scope)
+        if _called(call, "_bits") and _reads_proj_part(call) \
+                and scope not in VERTEX_MASK_SCOPES:
+            yield f"_bits in {where}", call.lineno
+        name = next((n for n in GONE_VERTEX_HELPERS if _called(call, n)), None)
+        if name:
+            yield f"call {name} in {where}", call.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name in GONE_VERTEX_HELPERS:
+            yield f"def {node.name}", node.lineno
+
+
+def test_shifted_vertex_masks_are_checked():
+    probe = ("class SiltingWorkspace:\n"
+             "    def _shifted(self, proj_part):\n"
+             "        return _bits(proj_part)\n"
+             "    def validate_silting_pair(self, pair):\n"
+             "        return _bits(pair.proj_part)\n"
+             "    def pair_leq(self, a, b):\n"
+             "        return _bits(b.proj_part) & _bits(a.summands)\n"
+             "    def mutate_left(self, pair, at):\n"
+             "        self._check_vertices(pair.proj_part)\n"
+             "        return _bits(tuple(pair.proj_part) + (at,))\n"
+             "    def _stray_vertices(self, proj_part):\n"
+             "        return _stray_vertices(proj_part)\n")
+    assert sorted(_unchecked_vertex_masks(ast.parse(probe))) == [
+        ("_bits in SiltingWorkspace.mutate_left", 10),
+        ("_bits in SiltingWorkspace.pair_leq", 7),
+        ("call _check_vertices in SiltingWorkspace.mutate_left", 9),
+        ("call _stray_vertices in SiltingWorkspace._stray_vertices", 12),
+        ("def _stray_vertices", 11)]
+    path = ROOT / "src" / "silt" / "silting.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_unchecked_vertex_masks(tree)) == []
+    # the rule is not vacuous: both allowed scopes do build such a bitset
+    assert {scope for scope, call in _scoped_calls(tree)
+            if _called(call, "_bits") and _reads_proj_part(call)} == set(VERTEX_MASK_SCOPES)
+
+
 MODULE_SIDE_RIGIDITY = ("hom_onto", "h0", "complex_repmap", "left_mult_matrix",
                         "elem_matrix")
 

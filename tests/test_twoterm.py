@@ -54,6 +54,21 @@ def test_stalks_are_shared(a2):
     assert (s.rows, s.cols, s.d) == ((), (1,), ())
 
 
+def test_complexes_refuse_vertices_outside_the_quiver():
+    # P_9 names no projective over a two-vertex quiver: a stalk there must not
+    # reach the registry as a complex with g-vector (1, 0) read as presilting
+    alg = orders.triangular_example_reduction()
+    for v in (9, 2, -1):
+        with pytest.raises(ValueError, match=rf"summand vertices \[{v}\] are not vertices 0..1"):
+            tt.stalk(alg, v)
+        with pytest.raises(ValueError, match=rf"summand vertices \[{v}\]"):
+            tt.shifted_stalk(alg, v)
+    with pytest.raises(ValueError, match=r"summand vertices \[9, -1\]"):
+        tt.TwoTermComplex(alg, (0, 9), (-1,), ((), ()))
+    assert ((9,), ()) not in alg._stalks and ((), (9,)) not in alg._stalks
+    assert tt.direct_sum(tt.stalk(alg, 0), tt.stalk(alg, 1)).rows == (0, 1)
+
+
 def test_hom_shift_vanishes_trivial(a2):
     p = pres_s1(a2)
     assert tt.hom_shift_vanishes(p, tt.zero_complex(a2))
