@@ -7,7 +7,8 @@ keyed by (dimension vector, g-vector) with isomorphism confirmation, so
 deduplication never trusts the numeric key alone.  ``mutate_left`` registers
 a module only when a mutation exists and its partner is not registered yet,
 so a registry that ``explore`` filled holds only summands of the pairs it
-produced.
+produced.  It inserts the partner into the canonical rest of its input, by
+key, with each support mask and id bitset computed once.
 
 A ``SiltingWorkspace`` keeps two caches, plain dicts filled without locks,
 so a workspace belongs to one thread.  Each fills on first use, is never
@@ -68,7 +69,9 @@ raises ``ValueError``.  The entry holds:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import lt
 
 import numpy as np
 
@@ -95,6 +98,7 @@ class Validation:
         return self.ok
 
 
+VALID = Validation(True)
 MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
                      "registry_lookup", "cokernel_built")
 ORDER_ROWS = 256
@@ -343,10 +347,12 @@ class SiltingWorkspace:
         """
         return bool(self.registry.rigid_row(i) >> j & 1)
 
-    def _rows_rigid(self, sources, targets) -> bool:
-        """``all(rigid(i, j) for i in sources for j in targets)``: one mask test per row."""
-        need = _bits(targets)
-        return all(self.registry.rigid_row(i) & need == need for i in sources)
+    def _rows_rigid(self, sources, need: int) -> bool:
+        """``rigid(i, j)`` for every ``i`` of ``sources`` and bit ``j`` of ``need``."""
+        rows, common = self.registry._rigid, need
+        for i in sources:
+            common &= rows[i]
+        return common == need
 
     def composition(self, x: int, k: int, t: int) -> np.ndarray:
         """Coordinates of the composites ``psi . h`` in the basis of ``Hom(x, t)``.
@@ -425,9 +431,9 @@ class SiltingWorkspace:
 
     def _support_of(self, ids) -> int:
         """The vertices where some module of ``ids`` is nonzero, as a bitset."""
-        mask = 0
+        support, mask = self.registry._support, 0
         for i in ids:
-            mask |= self.registry.support(i)
+            mask |= support[i]
         return mask
 
     # ---- predicates ----------------------------------------------------------
@@ -436,8 +442,9 @@ class SiltingWorkspace:
         """Whether ``pair`` is a support tau-tilting pair, by the definition.
 
         A pair ``(M, P)`` is support tau-tilting when ``M`` is tau-rigid,
-        ``Hom(P, M) = 0`` and ``|M| + |P| = n`` (Adachi-Iyama-Reiten,
-        arXiv:1210.1036, Def. 0.3).  So the checks are the count, exact
+        ``Hom(P, M) = 0`` and ``|M| + |P| = n``, counting non-isomorphic
+        summands (Adachi-Iyama-Reiten, arXiv:1210.1036, Def. 0.3).  So the
+        checks are the count, which a repeated id or vertex fails, exact
         support (``v`` is in ``P`` iff ``M`` vanishes at ``v``: one way is
         ``Hom(P, M) = 0``, the other holds since such an ``M`` is sincere over
         the quotient by ``P``) and rigidity through the ``rigid`` table; a
@@ -449,16 +456,17 @@ class SiltingWorkspace:
         ``P_v`` has an ``add M``-approximation with cokernel in ``add M`` is
         then a theorem, checked by a tier-1 oracle and not at run time.
         """
-        self._check_ids(pair.summands)
-        nv = self.algebra.quiver.n_vertices
-        if len(pair.summands) + len(pair.proj_part) != nv:
+        ids, verts = pair.summands, pair.proj_part
+        self._check_ids(ids)
+        nv, need = self.algebra.quiver.n_vertices, _bits(ids)
+        if len(ids) + len(verts) != nv or need.bit_count() + len(set(verts)) != nv:
             return Validation(False, "count")
-        if min(pair.proj_part, default=0) < 0 or \
-                self._support_of(pair.summands) ^ _bits(pair.proj_part) != (1 << nv) - 1:
+        if min(verts, default=0) < 0 or \
+                self._support_of(ids) ^ _bits(pair.proj_part) != (1 << nv) - 1:
             return Validation(False, "support")
-        if not self._rows_rigid(pair.summands, pair.summands):
+        if not self._rows_rigid(ids, need):
             return Validation(False, "rigidity")
-        return Validation(True)
+        return VALID
 
     def is_sincere_silting(self, pair: SiltingPair) -> bool:
         return len(pair.summands) == self.algebra.quiver.n_vertices
@@ -526,44 +534,56 @@ class SiltingWorkspace:
           shifted projective there.  ``X`` is supported at that vertex and
           ``U`` is not, so ``X`` is not in ``Fac U``.
         - Else the one registered module ``Y`` that completes the pair,
-          found by ``registered_partner`` on the rigidity table.
-          ``U + Y <= X + U`` comes down to the
-          single entry ``rigid(X, Y)``, since the other entries of
-          ``pair_leq`` hold for two completions; when it fails, ``X`` is in
-          ``Fac U`` and the result is ``None``.
+          found by ``registered_partner`` on the rigidity table.  ``U + Y <=
+          X + U`` comes down to the single entry ``rigid(X, Y)``, since the
+          other entries of ``pair_leq`` hold for two completions; when it
+          fails, ``X`` is in ``Fac U`` and the result is ``None``.
         - Only with neither are the images of the cached ``Hom(U, X)``
           tested for ``X`` in ``Fac U``; if not, the partner is built as
           the cokernel of the minimal left approximation of ``X`` by ``U``,
           and registered.
-        ``mutation_counts`` records which way each call went.  An invalid
-        input raises: the result must pass ``validate_silting_pair`` (count,
-        exact support, rigidity) and lie strictly below ``pair``.
+        ``mutation_counts`` records which way each call went.  Each support
+        mask and id bitset is computed once.  ``Y`` goes into ``U`` at its
+        ``bisect`` position by ``Registry.key``, where a neighbour with its key
+        raises ``make_pair``'s ``RuntimeError``, and a new vertex into ``P``
+        likewise; only an input that is not strictly ascending, unlike every
+        ``explore`` node, is then sorted by ``make_pair``.  An invalid input
+        raises: a repeated id, or a result that fails ``validate_silting_pair``
+        (count, exact support, rigidity) or is not strictly below ``pair``.
         """
-        if not 0 <= at < len(pair.summands):
+        ids, verts = pair.summands, pair.proj_part
+        if not 0 <= at < len(ids):
             raise IndexError(f"summand index {at} out of range")
-        self._check_ids(pair.summands)
-        shifted = self._shifted(pair.proj_part)
-        x = pair.summands[at]
-        rest = pair.summands[:at] + pair.summands[at + 1:]
+        self._check_ids(ids)
+        shifted = self._shifted(verts)
+        old_bits = _bits(ids)
+        if old_bits.bit_count() != len(ids):
+            raise ValueError("pair summands must be pairwise distinct")
+        reg, key = self.registry, self.registry._keys
+        x = ids[at]
+        rest = ids[:at] + ids[at + 1:]
         counts = self.mutation_counts
         counts["attempted"] += 1
-        bare = ~(self._support_of(rest) | shifted)
-        vacant = [v for v in range(self.algebra.quiver.n_vertices) if bare >> v & 1]
-        if len(vacant) > 1:
+        rest_mask = self._support_of(rest)
+        bare = (1 << self.algebra.quiver.n_vertices) - 1 & ~(rest_mask | shifted)
+        if bare & bare - 1:
+            vacant = [v for v in range(bare.bit_length()) if bare >> v & 1]
             raise RuntimeError(f"vertices {vacant} all lose support; "
                                "the input is not a silting pair")
-        if vacant:
+        if bare:
             counts["shifted_projective"] += 1
-            candidate = self.make_pair(rest, pair.proj_part + (vacant[0],))
+            v = bare.bit_length() - 1
+            k = bisect_left(verts, v)
+            summands, proj_part = rest, verts[:k] + (v,) + verts[k:]
+            added, new_mask = 0, rest_mask
         else:
-            y = self.registered_partner(x, rest, pair.proj_part)
+            y = self.registered_partner(x, rest, verts)
             if y is not None:
                 if not self.rigid(x, y):
                     counts["fac_rejected"] += 1
                     return None
                 counts["registry_lookup"] += 1
-            elif rm.images_span([f for i in rest for f in self.hom(i, x)],
-                                self.registry.rep(x)):
+            elif rm.images_span([f for i in rest for f in self.hom(i, x)], reg.rep(x)):
                 counts["fac_rejected"] += 1
                 return None
             else:
@@ -573,16 +593,28 @@ class SiltingWorkspace:
                 if cok.is_zero():
                     raise RuntimeError("the approximation is onto but no vertex "
                                        "loses support; the input is not a silting pair")
-                y = self.registry.get_or_insert(cok)
-            candidate = self.make_pair(rest + (y,), pair.proj_part)
+                y = reg.get_or_insert(cok)
+            k = bisect_left(rest, key[y], key=key.__getitem__)
+            # in an ascending ``rest`` only ``rest[k]`` can share y's key
+            if k < len(rest) and key[rest[k]] == key[y]:
+                raise RuntimeError("two summands share dimension and g-vector; "
+                                   "registry corruption?")
+            summands, proj_part = rest[:k] + (y,) + rest[k:], verts
+            added, new_mask = 1 << y, rest_mask | reg._support[y]
+        keys = list(map(key.__getitem__, ids))
+        if all(map(lt, keys, keys[1:])) and all(map(lt, verts, verts[1:])):
+            candidate = SiltingPair(summands, proj_part)
+        else:
+            candidate = self.make_pair(summands, proj_part)
         valid = self.validate_silting_pair(candidate)
         if not valid:
             raise RuntimeError(f"left mutation of {pair} at {at} failed "
                                f"validation: {valid.reason}")
-        if not self._leq(candidate.summands, pair.summands, shifted) or self._leq(
-                pair.summands, candidate.summands, self._shifted(candidate.proj_part)):
+        if new_mask & shifted or not self._rows_rigid(ids, old_bits ^ 1 << x | added) or (
+                not (rest_mask | reg._support[x]) & (shifted | bare)
+                and self._rows_rigid(candidate.summands, old_bits)):
             raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
-        self.registry.record_cone(candidate.summands, candidate.proj_part)
+        reg.record_cone(candidate.summands, candidate.proj_part)
         return candidate
 
     def registered_partner(self, x: int, rest, proj_part) -> int | None:
@@ -600,6 +632,7 @@ class SiltingWorkspace:
         has exactly two completions (AIR Thm 2.18), so a second ``y`` raises.
         """
         reg = self.registry
+        self._check_ids((x, *rest))
         shifted = self._shifted(proj_part)
         others = _bits(rest)
         left = (1 << len(reg)) - 1 & ~(others | 1 << x)
@@ -634,11 +667,8 @@ class SiltingWorkspace:
         """
         self._check_ids(a.summands + b.summands)
         self._shifted(a.proj_part)
-        return self._leq(a.summands, b.summands, self._shifted(b.proj_part))
-
-    def _leq(self, a_ids, b_ids, b_shifted: int) -> bool:
-        """``pair_leq`` of checked pairs, from their ids and b's shifted-vertex bitset."""
-        return not self._support_of(a_ids) & b_shifted and self._rows_rigid(b_ids, a_ids)
+        return not self._support_of(a.summands) & self._shifted(b.proj_part) \
+            and self._rows_rigid(b.summands, _bits(a.summands))
 
     def order_matrix(self, pairs) -> np.ndarray:
         """``leq[a, b] == pair_leq(pairs[a], pairs[b])`` for every ordered pair.

@@ -324,11 +324,13 @@ def rigid_entry(reg, i: int, j: int) -> bool:
 def validation_by_entries(ws, pair) -> str:
     """The reason ``validate_silting_pair(pair)`` fails with, ``""`` if it passes.
 
-    The count, exact support read off the summed dimension vector, then every
+    The count of non-isomorphic summands, so a repeated id or vertex fails
+    it, exact support read off the summed dimension vector, then every
     ordered pair of summands, in the order of the definition (AIR Def. 0.3).
     """
     nv = ws.algebra.quiver.n_vertices
-    if len(pair.summands) + len(pair.proj_part) != nv:
+    if len(set(pair.summands)) + len(set(pair.proj_part)) != nv \
+            or len(pair.summands) + len(pair.proj_part) != nv:
         return "count"
     dims = summand_dims(ws, pair.summands)
     if any((dims[v] == 0) != (v in pair.proj_part) for v in range(nv)) \

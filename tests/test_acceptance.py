@@ -530,6 +530,36 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, sh
     assert again.stats["mutations"]["attempted"] == counts["attempted"]
 
 
+@pytest.mark.parametrize("build, args, accepted", [
+    (orders.hereditary_reduction, (4,), 56 + 72 + 12),
+    (orders.auslander_bass_v_reduction, (2,), 16 + 12 + 8),
+], ids=["hereditary4", "auslander2"])
+def test_explore_sorts_and_validates_once_per_mutation(monkeypatch, build, args, accepted):
+    # explore builds its first pair with make_pair; every other node comes
+    # from mutate_left, which inserts the partner into the canonical rest
+    # and validates each accepted mutation once:
+    # shifted_projective + registry_lookup + cokernel_built calls.
+    made, validated = [], []
+    make_pair = SiltingWorkspace.make_pair
+    validate = SiltingWorkspace.validate_silting_pair
+
+    def counting_make_pair(self, summands, proj_part):
+        made.append(summands)
+        return make_pair(self, summands, proj_part)
+
+    def counting_validate(self, pair):
+        validated.append(pair)
+        return validate(self, pair)
+
+    monkeypatch.setattr(SiltingWorkspace, "make_pair", counting_make_pair)
+    monkeypatch.setattr(SiltingWorkspace, "validate_silting_pair", counting_validate)
+    eq = ex.explore(build(*args))
+    assert eq.complete
+    mutations = eq.stats["mutations"]
+    assert len(made) == 1
+    assert len(validated) == accepted == mutations["attempted"] - mutations["fac_rejected"]
+
+
 def _approximation_cokernel_pieces(ws, pair, v):
     """Summands of ``pair`` that the approximation cokernel of ``P_v`` splits into.
 

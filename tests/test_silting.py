@@ -8,7 +8,7 @@ from silt import orders
 from silt import repmod as rm
 from silt import twoterm as tt
 from silt.algebra import Quiver, build_algebra, presentation
-from silt.silting import Registry, SiltingPair, SiltingWorkspace, Validation
+from silt.silting import Registry, SiltingPair, SiltingWorkspace, Validation, _bits
 
 from oracles import (fac_contains, hom_onto, pair_leq_by_entries, validation_by_entries,
                      zero_rep)
@@ -185,6 +185,35 @@ def test_validate_refuses_shifted_vertices_outside_the_quiver():
         pair = SiltingPair((0,), proj_part)
         assert ws.validate_silting_pair(pair) == Validation(False, "support")
         assert validation_by_entries(ws, pair) == "support"
+
+
+def test_validate_counts_each_summand_once():
+    # AIR Def. 0.3 counts non-isomorphic summands: a repeated id or shifted
+    # vertex leaves fewer than n of them, however long the tuples are.  Over
+    # hereditary 3 and Auslander 2, copying one summand of a node over
+    # another gives pairs, many of which pass support and rigidity, so only
+    # the count refuses them.
+    ws = ex.explore(orders.hereditary_reduction(3)).workspace
+    for pair in (SiltingPair((2, 1, 2), ()), SiltingPair((0, 0, 1), ()),
+                 SiltingPair((0,), (1, 1)), SiltingPair((), (0, 0, 1))):
+        assert ws.validate_silting_pair(pair) == Validation(False, "count")
+        assert validation_by_entries(ws, pair) == "count"
+    for build, passing in ((lambda: orders.hereditary_reduction(3), 33),
+                           (lambda: orders.auslander_bass_v_reduction(2), 50)):
+        eq = ex.explore(build())
+        ws = eq.workspace
+        copies = {SiltingPair(tuple(pair.summands[b] if k == a else i
+                                    for k, i in enumerate(pair.summands)), pair.proj_part)
+                  for pair in eq.nodes for a in range(len(pair.summands))
+                  for b in range(len(pair.summands)) if a != b}
+        support_and_rigid = [pair for pair in copies
+                             if ws._support_of(pair.summands) ^ ws._shifted(pair.proj_part)
+                             == (1 << eq.algebra.quiver.n_vertices) - 1
+                             and ws._rows_rigid(pair.summands, _bits(pair.summands))]
+        assert len(support_and_rigid) == passing
+        for pair in copies:
+            assert ws.validate_silting_pair(pair) == Validation(False, "count"), pair
+            assert validation_by_entries(ws, pair) == "count"
 
 
 def test_order_mutation_and_complex_refuse_shifted_vertices_outside_the_quiver():
@@ -389,6 +418,71 @@ def test_partner_scan_refuses_a_duplicate_module():
     with pytest.raises(RuntimeError,
                        match=rf"registered modules \[{y}, {z}\] all complete the pair"):
         ws.registered_partner(1, (0,), ())
+
+
+def test_registered_partner_refuses_ids_outside_the_registry():
+    # a negative id must not read as a shift count, nor one past the end
+    # index the rows: the scan refuses them as make_pair does
+    ws = SiltingWorkspace(orders.triangular_example_reduction())
+    assert ws.registered_partner(0, (1,), ()) is None
+    for x, rest in ((-1, (0,)), (0, (-1,)), (0, (5,)), (5, (0,))):
+        with pytest.raises(ValueError, match=r"summand ids \[.*\] are not all registry ids 0..1"):
+            ws.registered_partner(x, rest, ())
+
+
+def test_mutate_left_refuses_a_repeated_summand():
+    # a repeated id is no silting pair; it is refused by name, not by the
+    # partner scan finding the rest completed twice
+    ws = ex.explore(orders.hereditary_reduction(3)).workspace
+    for summands in ((0, 0, 1), (2, 1, 2), (1, 2, 1)):
+        for at in range(3):
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                ws.mutate_left(SiltingPair(summands, ()), at)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: orders.hereditary_reduction(3),
+    lambda: orders.auslander_bass_v_reduction(2),
+], ids=["hereditary3", "auslander2"])
+def test_mutate_left_any_order_gives_the_canonical_result(build):
+    # explore hands mutate_left canonical pairs, whose partner or vacant
+    # vertex goes in at its bisect position; reversed summands or reversed
+    # shifted vertices go through make_pair.  Each must give the canonical
+    # node's result by the same route.
+    eq = ex.explore(build())
+    ws = eq.workspace
+
+    def outcome(pair, at):
+        before = dict(ws.mutation_counts)
+        got = ws.mutate_left(pair, at)
+        return got, {k: n - before[k] for k, n in ws.mutation_counts.items()}
+
+    reordered = 0
+    for pair in eq.nodes:
+        for at, x in enumerate(pair.summands):
+            want = outcome(pair, at)
+            for other in (SiltingPair(pair.summands[::-1], pair.proj_part),
+                          SiltingPair(pair.summands, pair.proj_part[::-1])):
+                assert outcome(other, other.summands.index(x)) == want, (other, at)
+                reordered += other != pair
+    assert reordered > 0
+    assert any(len(pair.proj_part) > 1 for pair in eq.nodes)
+
+
+def test_mutate_left_refuses_a_partner_filed_twice():
+    # Over A2 the keys sort P2 < P1.  With P1 filed again as z, the scan
+    # finds z as the other completion of the rest P1, before S1 is ever
+    # built; its key equals its neighbour's, which is registry corruption,
+    # whether the input is canonical or not.
+    ws = SiltingWorkspace(a2_algebra())
+    reg = ws.registry
+    lam = ws.lambda_pair()
+    assert lam == SiltingPair((1, 0), ())
+    z = reg._insert(reg.rep(0), reg.presentation(0), reg.gvector(0))
+    assert ws.registered_partner(1, (0,), ()) == z
+    for pair, at in ((lam, 0), (SiltingPair((0, 1), ()), 1)):
+        with pytest.raises(RuntimeError, match="registry corruption"):
+            ws.mutate_left(pair, at)
 
 
 def test_mutation_strictly_descends(a2):
