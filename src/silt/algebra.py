@@ -288,6 +288,7 @@ class FiniteDimAlgebra:
         self._projectives: dict[int, object] = {}
         self._simples: dict[int, object] = {}
         self._stalks: dict[tuple, object] = {}   # silt.twoterm._stalk_complex
+        self._blocks: dict[tuple, tuple] = {}    # silt.twoterm._hom_entries
 
     # ---- basis bookkeeping -------------------------------------------------
 

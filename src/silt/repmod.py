@@ -2,10 +2,11 @@
 
 Everything here reduces to exact eliminations over the prime field: Hom
 spaces are kernels of commuting-square systems, cokernels are quotient
-projections, and projective covers lift bases of the top, read straight off
-the arrow matrices with no quotient module built.  A cover acts with each
-basis path as its last arrow's matrix times its prefix's action, computed
-once per prefix.  The induced arrow matrices of a kernel or a cokernel are
+projections, and projective covers lift bases of the top: the unit vectors
+off the pivots of one forward elimination of the arrow columns into each
+vertex, with no quotient module built.  A cover acts with each basis path
+as its last arrow's matrix times its prefix's action, computed once per
+prefix.  The induced arrow matrices of a kernel or a cokernel are
 coordinates in a ``kernel_basis`` output, read off its free rows and
 checked by one product (``exactmat.kernel_coordinates``).  A map whose
 squares commute by construction (a cover, a kernel's inclusion, a
@@ -224,21 +225,20 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
 
 def _top_sections(m: Rep) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
     """Top multiplicities of ``m`` and, per vertex ``v`` of the top, lifts of
-    a basis of ``m_v`` modulo the images of the arrows into ``v``: columns
-    that solve that quotient projection for the identity, free variables zero."""
-    alg = m.algebra
-    q = alg.quiver
+    a basis of ``m_v`` modulo ``(rad m)_v``, the span of the columns of the
+    arrow matrices into ``v``.  One forward elimination of those columns
+    leaves their pivot coordinates; the unit vectors at the other coordinates
+    span a complement, so they are the lifts."""
+    q = m.algebra.quiver
     mult, sections = [], {}
-    for v in range(q.n_vertices):
-        incoming = [m.arrow_maps[k] for k in range(q.n_arrows) if q.arrow_target(k) == v]
-        proj = em.quotient_projection(
-            np.concatenate([em.zeros(m.dims[v], 0)] + incoming, axis=1), alg.p)
-        mult.append(proj.shape[0])
-        if mult[v]:
-            sec = em.solve_right(proj, em.identity(mult[v]), alg.p)
-            if sec is None:
-                raise AssertionError("top projection must be surjective")
-            sections[v] = sec
+    for v, d in enumerate(m.dims):
+        rad = [col for k in range(q.n_arrows) if q.arrow_target(k) == v
+               for col in m.arrow_maps[k].T.tolist()]
+        pivots = set(em._eliminate(rad, d, m.algebra.p, False))
+        free = [c for c in range(d) if c not in pivots]
+        mult.append(len(free))
+        if free:
+            sections[v] = em.identity(d)[:, free]
     return tuple(mult), sections
 
 

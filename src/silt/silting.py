@@ -15,9 +15,11 @@ so a workspace belongs to one thread.  Each fills on first use, is never
 invalidated, and is keyed by registry ids, which are stable because the
 registry only grows:
 
-- ``hom(i, j)``: the Hom-space basis, per ordered id pair.  ``mutate_left``
-  reads ``Hom(U, X)`` only for an ``X`` without a registered partner, the
-  one case in which it may build a module.
+- ``hom(i, j)``: the Hom-space basis, per ordered id pair, empty with no
+  elimination when the top of ``M_i`` misses the support of ``M_j``.
+  ``mutate_left`` reads ``Hom(U, X)`` only for an ``X`` without a
+  registered partner whose top lies in the tops of ``U``, the one case in
+  which the ``Fac`` test needs it.
 - ``composition(x, k, t)``: the coordinates of every composite
   ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple.
   ``_strip_copies`` reads it instead of composing maps: dropping a copy
@@ -25,8 +27,9 @@ registry only grows:
   composites of the other copies into ``t`` span ``Hom(x, t)``.
 
 The ``Registry`` stores, per module id, its ``(dims, g-vector)`` key, its
-vertex support, the degree -1 vertices of its minimal presentation, and
-its row of the rigidity table, the last three as bitsets:
+vertex support, the degree -1 and degree 0 vertices of its minimal
+presentation (the latter its top), and its row of the rigidity table, the
+last four as bitsets:
 
 - ``rigid_row(i)``: the ids ``j`` with ``Hom(P_i, P_j[1]) = 0``, ``P_i``
   and ``P_j`` the minimal presentations; no module is read.
@@ -34,14 +37,15 @@ its row of the rigidity table, the last three as bitsets:
   is always whole: filing a module fills its row, its column and its
   diagonal against every registered id.  An entry is a quotient of
   ``Hom(P_i^{-1}, M_j)`` (AIR Section 3), so it vanishes when ``M_j`` is
-  zero at every degree -1 vertex of ``P_i``, one mask test; only the other
-  entries run ``twoterm.hom_shift_vanishes``.  The partial order on
-  discovered pairs, the rigidity step of validation and the partner scan
-  reduce to one mask test per row plus a support condition, and
-  ``order_matrix`` reads the rows as they are.  ``registered_partner``
-  reads the mutation partner off them alone: the AND of the rows of the
-  rest of a pair leaves a few candidates, each tested on its own row and
-  support mask.
+  zero at every degree -1 vertex of ``P_i``, one mask test.  Its dimension
+  is ``dim Hom(M_i, M_j) - <g_i, dim M_j>``, so a negative Euler form
+  proves it nonzero, one dot product; only the other entries run
+  ``twoterm.hom_shift_vanishes``.  The partial order on discovered pairs,
+  the rigidity step of validation and the partner scan reduce to one mask
+  test per row plus a support condition, and ``order_matrix`` reads the
+  rows as they are.  ``registered_partner`` reads the mutation partner off
+  them alone: the AND of the rows of the rest of a pair leaves a few
+  candidates, each tested on its own row and support mask.
 
 It keeps one more memo, one entry per two-term complex ``t``, keyed by
 ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
@@ -71,7 +75,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import lt
+from functools import reduce
+from operator import lt, mul, or_
 
 import numpy as np
 
@@ -125,6 +130,7 @@ class Registry:
         self._keys: list[tuple] = []
         self._support: list[int] = []
         self._cols: list[int] = []
+        self._tops: list[int] = []
         self._rigid: list[int] = []
         self._by_key: dict[tuple, list[int]] = {}
         self._complexes: dict[tt.TwoTermComplex, list] = {}
@@ -184,6 +190,7 @@ class Registry:
         self._keys.append(key)
         self._support.append(_bits(v for v, d in enumerate(rep.dims) if d))
         self._cols.append(_bits(pres.cols))
+        self._tops.append(_bits(pres.rows))
         self._by_key.setdefault(key, []).append(i)
         row = 0
         for j in range(i):
@@ -197,11 +204,15 @@ class Registry:
 
         It is the cokernel of ``Hom(d_i, M_j)`` (AIR Section 3), a quotient
         of ``Hom(P_i^{-1}, M_j)``; so it vanishes when ``M_j`` is zero at
-        every degree -1 vertex of ``P_i``, and the shifted-Hom matrix
-        decides the rest.
+        every degree -1 vertex of ``P_i``.  The exact sequence
+        ``0 -> Hom(M_i, M_j) -> Hom(P_i^0, M_j) -> Hom(P_i^{-1}, M_j) -> Hom(P_i, P_j[1]) -> 0``
+        gives its dimension as ``dim Hom(M_i, M_j) - <g_i, dim M_j>``, so a
+        negative Euler form ``<g_i, dim M_j>`` proves it nonzero.  The
+        shifted-Hom matrix decides the rest.
         """
-        return not self._cols[i] & self._support[j] or tt.hom_shift_vanishes(
-            self._pres[i], self._pres[j])
+        return not self._cols[i] & self._support[j] or (
+            sum(map(mul, self._keys[i][1], self._keys[j][0])) >= 0
+            and tt.hom_shift_vanishes(self._pres[i], self._pres[j]))
 
     def split(self, rep: rm.Rep) -> list[int] | None:
         """Peel registered indecomposables off ``rep``; ids with multiplicity.
@@ -332,9 +343,15 @@ class SiltingWorkspace:
     # ---- cached primitives -----------------------------------------------
 
     def hom(self, i: int, j: int) -> list[rm.RepMap]:
+        """Basis of ``Hom(M_i, M_j)``; a miss checks both ids.  It embeds in
+        ``Hom(P_i^0, M_j)``, ``M_j`` summed over the top of ``M_i``, so a top
+        that misses the support of ``M_j`` gives ``[]`` with no ``hom_basis``."""
         got = self._hom.get((i, j))
         if got is None:
-            got = self._hom[i, j] = rm.hom_basis(self.registry.rep(i), self.registry.rep(j))
+            self._check_ids((i, j))
+            reg = self.registry
+            got = self._hom[i, j] = rm.hom_basis(reg.rep(i), reg.rep(j)) \
+                if reg._tops[i] & reg._support[j] else []
         return got
 
     def rigid(self, i: int, j: int) -> bool:
@@ -343,9 +360,13 @@ class SiltingWorkspace:
 
         That is ``Hom(M_j, tau M_i) = 0`` (Adachi-Iyama-Reiten,
         arXiv:1210.1036, Lemma 3.4): bit ``j`` of the registry's row of ``i``,
-        filled when the later of the two was registered.
+        filled when the later of the two was registered.  An id outside the
+        registry raises ``ValueError``.
         """
-        return bool(self.registry.rigid_row(i) >> j & 1)
+        rows = self.registry._rigid
+        if not (0 <= i < len(rows) and 0 <= j < len(rows)):
+            self._check_ids((i, j))     # raises
+        return bool(rows[i] >> j & 1)
 
     def _rows_rigid(self, sources, need: int) -> bool:
         """``rigid(i, j)`` for every ``i`` of ``sources`` and bit ``j`` of ``need``."""
@@ -359,9 +380,11 @@ class SiltingWorkspace:
 
         Entry ``[c, b, e]`` is the ``c``-th coordinate of the ``e``-th basis
         map of ``Hom(k, t)`` after the ``b``-th basis map of ``Hom(x, k)``.
+        A miss checks the three ids.
         """
         got = self._comp.get((x, k, t))
         if got is None:
+            self._check_ids((x, k, t))
             got = self._comp[x, k, t] = self._composition_compute(x, k, t)
         return got
 
@@ -479,9 +502,12 @@ class SiltingWorkspace:
         One copy per Hom-basis element is an approximation; ``_strip_copies``
         drops the copies it can spare, testing each at its own target only.
         The map stacks the kept copies into its ``target``, their direct sum,
-        the zero module when none is kept.  Returns (copy list, map).
+        the zero module when none is kept.  Returns (copy list, map).  An id
+        outside the registry raises ``ValueError``.
         """
-        copies = [(t, b) for t in sorted(target_ids) for b in range(len(self.hom(x, t)))]
+        targets = sorted(target_ids)
+        self._check_ids([x] + targets)
+        copies = [(t, b) for t in targets for b in range(len(self.hom(x, t)))]
         copies = self._strip_copies(x, copies)
         source = self.registry.rep(x)
         target, _ = rm.rep_direct_sum(self.algebra, [self.registry.rep(t) for t, _ in copies])
@@ -538,10 +564,12 @@ class SiltingWorkspace:
           X + U`` comes down to the single entry ``rigid(X, Y)``, since the
           other entries of ``pair_leq`` hold for two completions; when it
           fails, ``X`` is in ``Fac U`` and the result is ``None``.
-        - Only with neither are the images of the cached ``Hom(U, X)``
-          tested for ``X`` in ``Fac U``; if not, the partner is built as
-          the cokernel of the minimal left approximation of ``X`` by ``U``,
-          and registered.
+        - Only with neither is ``X`` tested for ``Fac U``, first by tops: a
+          surjection ``U^m -> X`` induces one on tops, so a top vertex of
+          ``X`` that is in no top of ``U`` puts ``X`` outside ``Fac U``.
+          Only otherwise are the images of the cached ``Hom(U, X)`` tested.
+          Outside ``Fac U`` the partner is built as the cokernel of the
+          minimal left approximation of ``X`` by ``U``, and registered.
         ``mutation_counts`` records which way each call went.  Each support
         mask and id bitset is computed once.  ``Y`` goes into ``U`` at its
         ``bisect`` position by ``Registry.key``, where a neighbour with its key
@@ -583,7 +611,8 @@ class SiltingWorkspace:
                     counts["fac_rejected"] += 1
                     return None
                 counts["registry_lookup"] += 1
-            elif rm.images_span([f for i in rest for f in self.hom(i, x)], reg.rep(x)):
+            elif not reg._tops[x] & ~reduce(or_, map(reg._tops.__getitem__, rest), 0) \
+                    and rm.images_span([f for i in rest for f in self.hom(i, x)], reg.rep(x)):
                 counts["fac_rejected"] += 1
                 return None
             else:

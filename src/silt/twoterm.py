@@ -131,14 +131,15 @@ def _glue(parts: tuple[TwoTermComplex, ...],
 # ---- rigidity ------------------------------------------------------------------
 
 
-def _hom_entries(alg: FiniteDimAlgebra, tverts, sverts):
-    """Basis of block morphisms ``(+)P_s -> (+)P_t`` as (row, col, gid) triples."""
-    out = []
-    for i, tv in enumerate(tverts):
-        for j, sv in enumerate(sverts):
-            for gid in alg.pair_basis(tv, sv):
-                out.append((i, j, gid))
-    return out
+def _hom_entries(alg: FiniteDimAlgebra, tverts: tuple, sverts: tuple):
+    """Basis of block morphisms ``(+)P_s -> (+)P_t`` as (row, col, gid) triples:
+    one shared tuple per algebra and vertex tuples, built on first use."""
+    got = alg._blocks.get((tverts, sverts))
+    if got is None:
+        got = alg._blocks[tverts, sverts] = tuple(
+            (i, j, gid) for i, tv in enumerate(tverts) for j, sv in enumerate(sverts)
+            for gid in alg.pair_basis(tv, sv))
+    return got
 
 
 def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int, int]]:

@@ -151,6 +151,26 @@ def hom_basis_by_kron(m: rm.Rep, n: rm.Rep) -> list[rm.RepMap]:
             for b in range(basis.shape[1])]
 
 
+def top_sections_by_quotient(m: rm.Rep) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
+    """``repmod._top_sections(m)`` through the quotient module: per vertex
+    ``v``, the projection of ``m_v`` modulo the images of the arrows into
+    ``v``, and lifts that solve it for the identity, free variables zero."""
+    alg = m.algebra
+    q = alg.quiver
+    mult, sections = [], {}
+    for v in range(q.n_vertices):
+        incoming = [m.arrow_maps[k] for k in range(q.n_arrows) if q.arrow_target(k) == v]
+        proj = em.quotient_projection(
+            np.concatenate([em.zeros(m.dims[v], 0)] + incoming, axis=1), alg.p)
+        mult.append(proj.shape[0])
+        if mult[v]:
+            sec = em.solve_right(proj, em.identity(mult[v]), alg.p)
+            if sec is None:
+                raise AssertionError("top projection must be surjective")
+            sections[v] = sec
+    return tuple(mult), sections
+
+
 def projective_cover_by_paths(m: rm.Rep) -> tuple[tuple[int, ...], rm.Rep, rm.RepMap]:
     """``repmod.projective_cover(m)`` with the action of each basis path on
     the lifts computed afresh from the identity (``path_matrix``), and the

@@ -20,11 +20,11 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingWorkspace
 
-from oracles import (checked_repmap, h0, hom_basis_by_kron, hom_onto, int_det,
-                     min_projective_presentation_by_covers, pair_leq_by_entries,
+from oracles import (checked_repmap, fac_contains, h0, hom_basis_by_kron, hom_onto,
+                     int_det, min_projective_presentation_by_covers, pair_leq_by_entries,
                      presilting_by_h0, projective_cover_by_paths, rational_inverse,
                      rigid_entry, shift_hom_basis_by_products, summand_dims,
-                     validation_by_entries)
+                     top_sections_by_quotient, validation_by_entries)
 from test_algebra import a2_algebra
 
 
@@ -465,26 +465,29 @@ def test_registered_partner_equals_registry_scan(complete_runs):
         assert ws.registered_partner(x, rest, proj_part) == y, (x, rest, proj_part)
 
 
-@pytest.mark.parametrize("build, args, counts, shifted", [
+@pytest.mark.parametrize("build, args, counts, spans_made, shifted", [
     (orders.hereditary_reduction, (4,),
      dict(attempted=224, fac_rejected=84, shifted_projective=56,
-          registry_lookup=72, cokernel_built=12), (120, 0)),
+          registry_lookup=72, cokernel_built=12), 6, (80, 0)),
     (orders.auslander_bass_v_reduction, (2,),
      dict(attempted=56, fac_rejected=20, shifted_projective=16,
-          registry_lookup=12, cokernel_built=8), (65, 0)),
+          registry_lookup=12, cokernel_built=8), 5, (44, 0)),
     (orders.cyclic_nakayama, (3, 5),
      dict(attempted=45, fac_rejected=15, shifted_projective=15,
-          registry_lookup=9, cokernel_built=6), (36, 0)),
+          registry_lookup=9, cokernel_built=6), 1, (18, 0)),
 ], ids=["hereditary4", "auslander2", "nakayama35"])
-def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, shifted):
-    # Hom(U, X) and its images are computed only for the attempts that find
-    # neither a vacant vertex nor a registered partner; here each of them
-    # builds a module.  The counts equal those of deciding every attempt by
-    # the Fac test.  The shifted-Hom tests that explore and then hasse_check
-    # make are pinned as well: the registry fills each new module's row and
-    # column as it files it, deciding by support where it can, so
+def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, spans_made,
+                                            shifted):
+    # The Fac test runs only for the attempts that find neither a vacant
+    # vertex nor a registered partner; here each of them builds a module.
+    # The counts equal those of deciding every attempt by the Fac test.  A
+    # top vertex of X in no top of U decides it with no Hom(U, X), so only
+    # the other attempts compute the images, ``spans_made`` of them.  The
+    # shifted-Hom tests that explore and then hasse_check make are pinned as
+    # well: the registry fills each new module's row and column as it files
+    # it, deciding by support and then by the Euler form where it can, so
     # hasse_check makes none, and a fill that tested an entry twice, or
-    # skipped the support test, changes them.  A minimal presentation is
+    # skipped either test, changes them.  A minimal presentation is
     # computed once per registered module that is not projective: a
     # projective is filed with its stalk.
     spans, misses, presented, tested = [], [], [], []
@@ -520,7 +523,8 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, sh
     reg = eq.workspace.registry
     assert len(presented) == len(reg) - eq.algebra.quiver.n_vertices
     assert eq.stats["mutations"] == counts
-    assert len(spans) == len(misses) == counts["cokernel_built"]
+    assert len(misses) == counts["cokernel_built"]
+    assert len(spans) == spans_made
     assert len(tested) == shifted[0]
     assert ex.hasse_check(eq)
     assert len(tested) - shifted[0] == shifted[1]
@@ -528,6 +532,79 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, sh
     again = ex.explore(eq.algebra, workspace=eq.workspace)
     assert again.stats["mutations"]["cokernel_built"] == 0
     assert again.stats["mutations"]["attempted"] == counts["attempted"]
+
+
+def test_hom_reads_zero_off_tops(complete_runs):
+    # Hom(M_i, M_j) embeds in Hom(P_i^0, M_j), the sum of M_j over the top of
+    # M_i, so hom answers [] with no elimination when that top misses the
+    # support of M_j.  A fresh workspace misses on every ordered pair of
+    # registered modules, and each basis has the size hom_basis gives
+    decided = 0
+    for eq in complete_runs:
+        reg = eq.workspace.registry
+        fresh = SiltingWorkspace(eq.algebra, reg)
+        ids = range(len(reg))
+        assert [(i, j) for i in ids for j in ids
+                if len(fresh.hom(i, j)) != len(rm.hom_basis(reg.rep(i), reg.rep(j)))] == []
+        decided += sum(not reg._tops[i] & reg.support(j) for i in ids for j in ids)
+    assert decided > 0
+
+
+def test_fac_by_tops_only_outside_fac(complete_runs, monkeypatch):
+    # a surjection U^m -> X induces one on tops, so mutate_left skips
+    # Hom(U, X) and its images when X has a top vertex in no top of U.  With
+    # the partner lookup switched off, every attempt without a vacant vertex
+    # on a node of an exploration reaches that test, some with X in Fac U.
+    # Wherever the tops decide, the direct Fac test says X is not in Fac U
+    # and a mutation comes back; nothing new is registered
+    spans, decided, in_fac = [], 0, 0
+    images_span = rm.images_span
+
+    def counting_span(maps, x):
+        spans.append(x)
+        return images_span(maps, x)
+
+    monkeypatch.setattr(rm, "images_span", counting_span)
+    monkeypatch.setattr(SiltingWorkspace, "registered_partner", lambda *args: None)
+    for eq in complete_runs:
+        reg = eq.workspace.registry
+        ws, size = SiltingWorkspace(eq.algebra, reg), len(reg)
+        for pair in eq.nodes:
+            for at, x in enumerate(pair.summands):
+                before = len(spans), ws.mutation_counts["shifted_projective"]
+                got = ws.mutate_left(pair, at)
+                in_fac += got is None
+                if (len(spans), ws.mutation_counts["shifted_projective"]) == before:
+                    decided += 1
+                    rest, _ = rm.rep_direct_sum(
+                        eq.algebra, [reg.rep(i) for i in pair.summands if i != x])
+                    assert got is not None and not fac_contains(rest, reg.rep(x)), (pair, at)
+        assert len(reg) == size
+    assert decided > 0 and in_fac > 0
+
+
+def test_top_lifts_equal_quotient_reference(complete_runs):
+    # _top_sections eliminates the columns that span the radical at each
+    # vertex once, and lifts the unit vectors at the other coordinates.  The
+    # quotient-projection reference gives the same multiplicities, the lifts
+    # at v span m_v with the radical, and the cover built from them is onto
+    # and passes RepMap's own square check.  Registered modules give the
+    # degree 0 terms of their presentations, the kernels of their covers the
+    # degree -1 terms; the sums of neighbouring modules put a radical
+    # coordinate before a top coordinate, which no registered module here does
+    for eq in complete_runs:
+        reg, q, p = eq.workspace.registry, eq.algebra.quiver, eq.algebra.p
+        mods = [reg.rep(i) for i in range(len(reg))]
+        sums = [rm.rep_direct_sum(eq.algebra, [m, n])[0] for m, n in zip(mods, mods[1:])]
+        for m in mods + sums:
+            for mod in (m, rm.kernel(rm.projective_cover(m)[2])[0]):
+                mult, sections = rm._top_sections(mod)
+                assert mult == top_sections_by_quotient(mod)[0]
+                for v, sec in sections.items():
+                    rad = [mod.arrow_maps[k] for k in range(q.n_arrows) if q.arrow_target(k) == v]
+                    span = np.concatenate([em.zeros(mod.dims[v], 0)] + rad + [sec], axis=1)
+                    assert em.rank(span, p) == mod.dims[v]
+                assert rm.images_span([checked_repmap(rm.projective_cover(mod)[2])], mod)
 
 
 @pytest.mark.parametrize("build, args, accepted", [

@@ -293,6 +293,26 @@ def test_pair_readers_refuse_ids_outside_the_registry():
                 ws.mutate_left(bad, at)
 
 
+def test_id_readers_refuse_ids_outside_the_registry():
+    # hom, rigid, composition and the approximation index the registry's
+    # lists by id: a negative id must not wrap to the last module, nor an id
+    # past the end read as a vanishing entry, nor either file a memo entry
+    ws = SiltingWorkspace(orders.hereditary_reduction(3))
+    assert len(ws.registry) == 3
+    refusal = r"summand ids \[.*\] are not all registry ids 0..2"
+    reads = [lambda: ws.hom(-1, 0), lambda: ws.hom(0, 3),
+             lambda: ws.rigid(0, 7), lambda: ws.rigid(-1, 0), lambda: ws.rigid(0, -1),
+             lambda: ws.composition(-1, 0, 1), lambda: ws.composition(0, 1, 3),
+             lambda: ws.left_minimal_approximation(-1, (0,)),
+             lambda: ws.left_minimal_approximation(0, (1, 3)),
+             lambda: ws.left_minimal_approximation(5, ())]
+    for read in reads:
+        with pytest.raises(ValueError, match=refusal):
+            read()
+    assert ws.cache_sizes() == {"hom": 0, "composition": 0}
+    assert ws.rigid(2, 0) and len(ws.hom(2, 0)) == 1
+
+
 def test_composition_raises_outside_the_hom_space(monkeypatch):
     # the composites' coordinates are read off the free rows of the Hom
     # basis; a column outside its span raises under ``python -O`` too
