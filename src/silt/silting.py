@@ -51,9 +51,9 @@ It keeps one more memo, one entry per two-term complex ``t``, keyed by
 ``minimality_reduce(t)``; cancelling contractible summands changes no Hom
 in the homotopy category.  ``minimality_reduce`` hands an already reduced
 complex back as it is, and a complex computes its hash once, on first use.
-So a completion is reduced once, when it is built: the ``is_silting`` gate
-and ``pair_of`` find nothing left to cancel and key on the same object,
-which matches its memo key by identity.  A complex over another algebra
+Every key is reduced, so ``t`` is looked up as it is first and reduced only
+on a miss: a completion, reduced when it is built, is not reduced again by
+the ``is_silting`` gate or ``pair_of``.  A complex over another algebra
 raises ``ValueError``.  The entry holds:
 
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
@@ -142,7 +142,7 @@ class Registry:
         for v in range(nv):
             pres = tt.stalk(algebra, v)
             self._insert(algebra.projective(v), pres, tt.g_vector(pres))
-        self.record_cone(range(nv), ())
+        self.record_cone(sorted(range(nv), key=self._keys.__getitem__), ())
         self.record_cone((), range(nv))
 
     def __len__(self):
@@ -243,8 +243,10 @@ class Registry:
         """Record the g-vector cone of a support tau-tilting pair.
 
         ``summands`` are registry ids and ``proj_part`` ascending vertices,
-        filed as the callers order them: Lambda, Lambda[1] and results of
-        ``mutate_left`` that passed ``validate_silting_pair``.  The cone joins
+        filed in ``make_pair``'s order: Lambda, Lambda[1] and the results of
+        ``mutate_left``, which trusts a recorded cone as its input.  A result
+        built around a new module has passed ``validate_silting_pair``; the
+        others are support tau-tilting by theorem.  The cone joins
         ``decompose``'s table, which sorts the ids it reads, and its g-matrix
         is checked for unimodularity when the table is next built.
         """
@@ -309,9 +311,12 @@ class Registry:
         return self._entry(t)[1][0]
 
     def _entry(self, t: tt.TwoTermComplex) -> tuple[tt.TwoTermComplex, list]:
-        """``minimality_reduce(t)`` and its memo entry ``[verdict, decomposition or None]``."""
+        """``t`` reduced (a key already is) and its entry ``[verdict, decomposition or None]``."""
         if t.algebra is not self.algebra:
             raise ValueError("the complex lives over another algebra than the registry")
+        entry = self._complexes.get(t)
+        if entry is not None:
+            return t, entry     # every key is a reduced complex
         red = tt.minimality_reduce(t)
         entry = self._complexes.get(red)
         if entry is None:
@@ -555,57 +560,70 @@ class SiltingWorkspace:
         Def.-Prop. 2.28), and it is then the completion of ``(U, P)`` other
         than ``X``.  There are exactly two completions, one above the other
         (AIR Thm 2.18), so the other one, where it is known, also says whether
-        the mutation exists:
+        the mutation exists.
+
+        One gate at entry: a recorded cone of the registry, as every
+        ``explore`` node is, is trusted, as ``decompose`` trusts it.  Any
+        other input is refused for a bad index, id, shifted vertex or
+        repeated id, and is validated once: an invalid one raises
+        ``ValueError`` with ``validate_silting_pair``'s reason.  Past the
+        gate the input is support tau-tilting, and the routes are:
         - A vertex outside ``P`` that ``U`` leaves unsupported gives the
-          shifted projective there.  ``X`` is supported at that vertex and
-          ``U`` is not, so ``X`` is not in ``Fac U``.
+          shifted projective there.  ``(U, P + v)`` is support tau-tilting,
+          since ``U_v = 0`` (AIR Def. 0.3), and strictly below the input,
+          since ``X_v != 0``; nothing is checked at run time.
         - Else the one registered module ``Y`` that completes the pair,
-          found by ``registered_partner`` on the rigidity table.  ``U + Y <=
-          X + U`` comes down to the single entry ``rigid(X, Y)``, since the
-          other entries of ``pair_leq`` hold for two completions; when it
-          fails, ``X`` is in ``Fac U`` and the result is ``None``.
+          found by the partner scan on the rigidity table, whose conditions
+          are AIR Def. 0.3.  ``U + Y <= X + U`` comes down to the single
+          entry ``rigid(X, Y)`` (Def.-Prop. 2.28); when it fails, ``X`` is
+          in ``Fac U`` and the result is ``None``.  Nothing else is checked.
         - Only with neither is ``X`` tested for ``Fac U``, first by tops: a
           surjection ``U^m -> X`` induces one on tops, so a top vertex of
           ``X`` that is in no top of ``U`` puts ``X`` outside ``Fac U``.
           Only otherwise are the images of the cached ``Hom(U, X)`` tested.
           Outside ``Fac U`` the partner is built as the cokernel of the
-          minimal left approximation of ``X`` by ``U``, and registered.
+          minimal left approximation of ``X`` by ``U``, and registered.  A
+          new module is no theorem's output, so this result must pass
+          ``validate_silting_pair`` and lie strictly below the input, or
+          ``RuntimeError`` is raised.
         ``mutation_counts`` records which way each call went.  Each support
         mask and id bitset is computed once.  ``Y`` goes into ``U`` at its
         ``bisect`` position by ``Registry.key``, where a neighbour with its key
         raises ``make_pair``'s ``RuntimeError``, and a new vertex into ``P``
         likewise; only an input that is not strictly ascending, unlike every
-        ``explore`` node, is then sorted by ``make_pair``.  An invalid input
-        raises: a repeated id, or a result that fails ``validate_silting_pair``
-        (count, exact support, rigidity) or is not strictly below ``pair``.
+        recorded cone, is then sorted by ``make_pair``.  Every result is
+        recorded as a cone.
         """
         ids, verts = pair.summands, pair.proj_part
         if not 0 <= at < len(ids):
             raise IndexError(f"summand index {at} out of range")
-        self._check_ids(ids)
-        shifted = self._shifted(verts)
-        old_bits = _bits(ids)
-        if old_bits.bit_count() != len(ids):
-            raise ValueError("pair summands must be pairwise distinct")
         reg, key = self.registry, self.registry._keys
+        trusted = (ids, verts) in reg._cones
+        if not trusted:
+            self._check_ids(ids)
+            self._shifted(verts)
+            if len(set(ids)) != len(ids):
+                raise ValueError("pair summands must be pairwise distinct")
+            if not (valid := self.validate_silting_pair(pair)):
+                raise ValueError(f"{pair} is not a support tau-tilting pair: {valid.reason}")
+        shifted, old_bits = self._shifted(verts), _bits(ids)
         x = ids[at]
         rest = ids[:at] + ids[at + 1:]
+        others = old_bits ^ 1 << x
         counts = self.mutation_counts
         counts["attempted"] += 1
         rest_mask = self._support_of(rest)
         bare = (1 << self.algebra.quiver.n_vertices) - 1 & ~(rest_mask | shifted)
-        if bare & bare - 1:
-            vacant = [v for v in range(bare.bit_length()) if bare >> v & 1]
-            raise RuntimeError(f"vertices {vacant} all lose support; "
-                               "the input is not a silting pair")
+        built = False
         if bare:
+            # |U| = n - 1 - |P| for a valid input, and U is tau-rigid over the
+            # algebra mod P and the bare vertices: only one is bare (AIR Prop. 1.3)
             counts["shifted_projective"] += 1
             v = bare.bit_length() - 1
             k = bisect_left(verts, v)
             summands, proj_part = rest, verts[:k] + (v,) + verts[k:]
-            added, new_mask = 0, rest_mask
         else:
-            y = self.registered_partner(x, rest, verts)
+            y = self._partner(x, rest, others, shifted)
             if y is not None:
                 if not self.rigid(x, y):
                     counts["fac_rejected"] += 1
@@ -622,27 +640,27 @@ class SiltingWorkspace:
                 if cok.is_zero():
                     raise RuntimeError("the approximation is onto but no vertex "
                                        "loses support; the input is not a silting pair")
-                y = reg.get_or_insert(cok)
+                y, built = reg.get_or_insert(cok), True
             k = bisect_left(rest, key[y], key=key.__getitem__)
             # in an ascending ``rest`` only ``rest[k]`` can share y's key
             if k < len(rest) and key[rest[k]] == key[y]:
                 raise RuntimeError("two summands share dimension and g-vector; "
                                    "registry corruption?")
             summands, proj_part = rest[:k] + (y,) + rest[k:], verts
-            added, new_mask = 1 << y, rest_mask | reg._support[y]
-        keys = list(map(key.__getitem__, ids))
-        if all(map(lt, keys, keys[1:])) and all(map(lt, verts, verts[1:])):
+        keys = () if trusted else list(map(key.__getitem__, ids))
+        if trusted or all(map(lt, keys, keys[1:])) and all(map(lt, verts, verts[1:])):
             candidate = SiltingPair(summands, proj_part)
         else:
             candidate = self.make_pair(summands, proj_part)
-        valid = self.validate_silting_pair(candidate)
-        if not valid:
-            raise RuntimeError(f"left mutation of {pair} at {at} failed "
-                               f"validation: {valid.reason}")
-        if new_mask & shifted or not self._rows_rigid(ids, old_bits ^ 1 << x | added) or (
-                not (rest_mask | reg._support[x]) & (shifted | bare)
-                and self._rows_rigid(candidate.summands, old_bits)):
-            raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
+        if built:
+            if not (valid := self.validate_silting_pair(candidate)):
+                raise RuntimeError(f"left mutation of {pair} at {at} failed "
+                                   f"validation: {valid.reason}")
+            if (rest_mask | reg._support[y]) & shifted \
+                    or not self._rows_rigid(ids, others | 1 << y) \
+                    or (not (rest_mask | reg._support[x]) & shifted
+                        and self._rows_rigid(candidate.summands, old_bits)):
+                raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
         reg.record_cone(candidate.summands, candidate.proj_part)
         return candidate
 
@@ -653,26 +671,38 @@ class SiltingWorkspace:
         on ``proj_part``, rigid with itself and both ways with every summand
         of ``rest``: the pair is then tau-rigid with as many summands as
         vertices, hence support tau-tilting (Adachi-Iyama-Reiten,
-        arXiv:1210.1036, Def. 0.3 and Section 2).  The AND of the rows of
-        ``rest`` leaves the ``y`` with ``rigid(u, y)`` for every ``u``; the
-        scan visits only those, in ascending order, and tests each on its
-        own row, for ``rigid(y, y)`` and ``rigid(y, u)``, and on its support
-        mask.  ``None`` means ``y`` is not registered yet.  An almost-complete pair
-        has exactly two completions (AIR Thm 2.18), so a second ``y`` raises.
+        arXiv:1210.1036, Def. 0.3 and Section 2).  ``None`` means ``y`` is
+        not registered yet.  An id outside the registry, a stray shifted
+        vertex, ``x`` in ``rest`` or a repeated id raises ``ValueError``;
+        the scan itself is ``_partner``, which ``mutate_left`` calls on the
+        masks it already holds.
         """
-        reg = self.registry
         self._check_ids((x, *rest))
         shifted = self._shifted(proj_part)
         others = _bits(rest)
-        left = (1 << len(reg)) - 1 & ~(others | 1 << x)
+        if others >> x & 1 or others.bit_count() != len(rest):
+            raise ValueError("pair summands must be pairwise distinct")
+        return self._partner(x, rest, others, shifted)
+
+    def _partner(self, x: int, rest, others: int, shifted: int) -> int | None:
+        """``registered_partner``'s scan on the trusted bitsets of ``rest`` and ``P``.
+
+        The AND of the rows of ``rest`` leaves the ``y`` with ``rigid(u, y)``
+        for every ``u``; the scan visits only those, in ascending order, and
+        tests each on its own row, for ``rigid(y, y)`` and ``rigid(y, u)``,
+        and on its support mask.  An almost-complete pair has exactly two
+        completions (AIR Thm 2.18), so a second ``y`` raises ``RuntimeError``.
+        """
+        rows, support = self.registry._rigid, self.registry._support
+        left = (1 << len(rows)) - 1 & ~(others | 1 << x)
         for u in rest:
-            left &= reg.rigid_row(u)
+            left &= rows[u]
         found = []
         while left:
             y = (left & -left).bit_length() - 1
             left &= left - 1
             need = others | 1 << y
-            if reg.rigid_row(y) & need == need and not reg.support(y) & shifted:
+            if rows[y] & need == need and not support[y] & shifted:
                 found.append(y)
         if len(found) > 1:
             raise RuntimeError(f"registered modules {found} all complete the pair; "

@@ -18,7 +18,7 @@ from silt import orders
 from silt import repmod as rm
 from silt import silting
 from silt import twoterm as tt
-from silt.silting import Registry, SiltingWorkspace
+from silt.silting import Registry, SiltingPair, SiltingWorkspace
 
 from oracles import (checked_repmap, fac_contains, h0, hom_basis_by_kron, hom_onto,
                      int_det, min_projective_presentation_by_covers, pair_leq_by_entries,
@@ -492,7 +492,7 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, sp
     # projective is filed with its stalk.
     spans, misses, presented, tested = [], [], [], []
     images_span = rm.images_span
-    partner = SiltingWorkspace.registered_partner
+    partner = SiltingWorkspace._partner
     presentation = rm.min_projective_presentation
     vanishes = tt.hom_shift_vanishes
 
@@ -500,8 +500,8 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, sp
         spans.append(x)
         return images_span(maps, x)
 
-    def counting_partner(self, x, rest, proj_part):
-        got = partner(self, x, rest, proj_part)
+    def counting_partner(self, x, rest, others, shifted):
+        got = partner(self, x, rest, others, shifted)
         if got is None:
             misses.append(x)
         return got
@@ -515,7 +515,7 @@ def test_fac_test_runs_only_without_partner(monkeypatch, build, args, counts, sp
         return vanishes(p, q)
 
     monkeypatch.setattr(rm, "images_span", counting_span)
-    monkeypatch.setattr(SiltingWorkspace, "registered_partner", counting_partner)
+    monkeypatch.setattr(SiltingWorkspace, "_partner", counting_partner)
     monkeypatch.setattr(rm, "min_projective_presentation", counting_presentation)
     monkeypatch.setattr(tt, "hom_shift_vanishes", counting_vanishes)
     eq = ex.explore(build(*args))
@@ -565,7 +565,7 @@ def test_fac_by_tops_only_outside_fac(complete_runs, monkeypatch):
         return images_span(maps, x)
 
     monkeypatch.setattr(rm, "images_span", counting_span)
-    monkeypatch.setattr(SiltingWorkspace, "registered_partner", lambda *args: None)
+    monkeypatch.setattr(SiltingWorkspace, "_partner", lambda *args: None)
     for eq in complete_runs:
         reg = eq.workspace.registry
         ws, size = SiltingWorkspace(eq.algebra, reg), len(reg)
@@ -607,15 +607,16 @@ def test_top_lifts_equal_quotient_reference(complete_runs):
                 assert rm.images_span([checked_repmap(rm.projective_cover(mod)[2])], mod)
 
 
-@pytest.mark.parametrize("build, args, accepted", [
-    (orders.hereditary_reduction, (4,), 56 + 72 + 12),
-    (orders.auslander_bass_v_reduction, (2,), 16 + 12 + 8),
+@pytest.mark.parametrize("build, args, built", [
+    (orders.hereditary_reduction, (4,), 12),
+    (orders.auslander_bass_v_reduction, (2,), 8),
 ], ids=["hereditary4", "auslander2"])
-def test_explore_sorts_and_validates_once_per_mutation(monkeypatch, build, args, accepted):
+def test_explore_sorts_and_validates_once_per_mutation(monkeypatch, build, args, built):
     # explore builds its first pair with make_pair; every other node comes
-    # from mutate_left, which inserts the partner into the canonical rest
-    # and validates each accepted mutation once:
-    # shifted_projective + registry_lookup + cokernel_built calls.
+    # from mutate_left, which inserts the partner into the canonical rest.
+    # Every node is a recorded cone, so mutate_left trusts it, and only the
+    # results that the cokernel route built are validated: cokernel_built
+    # calls, plus one per input that is not a recorded cone.
     made, validated = [], []
     make_pair = SiltingWorkspace.make_pair
     validate = SiltingWorkspace.validate_silting_pair
@@ -634,7 +635,17 @@ def test_explore_sorts_and_validates_once_per_mutation(monkeypatch, build, args,
     assert eq.complete
     mutations = eq.stats["mutations"]
     assert len(made) == 1
-    assert len(validated) == accepted == mutations["attempted"] - mutations["fac_rejected"]
+    assert len(validated) == built == mutations["cokernel_built"]
+    assert set(validated) <= set(eq.nodes)
+    # a reversed node is no recorded cone: it is validated once, at entry,
+    # and its partners are registered now
+    node = next(pair for pair in eq.nodes if len(pair.summands) > 1)
+    reversed_node = SiltingPair(node.summands[::-1], node.proj_part)
+    ws = eq.workspace
+    for at in range(len(node.summands)):
+        before = len(validated), ws.mutation_counts["cokernel_built"]
+        ws.mutate_left(reversed_node, at)
+        assert (len(validated), ws.mutation_counts["cokernel_built"]) == (before[0] + 1, before[1])
 
 
 def _approximation_cokernel_pieces(ws, pair, v):

@@ -82,48 +82,138 @@ def _scoped_calls(node, scope=()):
         yield from _scoped_calls(child, inner)
 
 
-def _unvalidated_record_cone_calls(tree):
-    # a recorded cone answers later ``decompose`` calls by its g-vectors, so
-    # ``record_cone`` runs only in ``Registry.__init__`` (Lambda, Lambda[1])
-    # and in ``SiltingWorkspace.mutate_left`` after ``validate_silting_pair``
-    calls = list(_scoped_calls(tree))
-    for scope, call in calls:
-        if not _called(call, "record_cone"):
+def _def_of(tree, scope):
+    # the class or function definition that the names of ``scope`` lead to
+    node = tree
+    for name in scope:
+        node = next(c for c in ast.iter_child_nodes(node) if getattr(c, "name", None) == name)
+    return node
+
+
+def _ungated_record_cone_calls(tree):
+    # a recorded cone answers later ``decompose`` calls by its g-vectors, and
+    # ``mutate_left`` trusts an input that is one; so ``record_cone`` runs in
+    # ``Registry.__init__`` (Lambda, Lambda[1]) and in
+    # ``SiltingWorkspace.mutate_left`` only after its gate, a membership test
+    # against ``_cones`` and ``validate_silting_pair`` of its input, and
+    # after ``validate_silting_pair`` of the pair it records, which the
+    # cokernel route runs
+    for scope, call in _scoped_calls(tree):
+        if not _called(call, "record_cone") or scope == ("Registry", "__init__"):
             continue
-        where = ".".join(scope)
-        if where == "Registry.__init__":
-            continue
-        if where == "SiltingWorkspace.mutate_left" and any(
-                s == scope and _called(c, "validate_silting_pair") and c.lineno < call.lineno
-                for s, c in calls):
-            continue
-        yield where, call.lineno
+        if scope == ("SiltingWorkspace", "mutate_left"):
+            fn = _def_of(tree, scope)
+            before = [n for n in ast.walk(fn) if getattr(n, "lineno", call.lineno) < call.lineno]
+            gated = any(isinstance(n, ast.Compare)
+                        and {type(op) for op in n.ops} & {ast.In, ast.NotIn}
+                        and any(isinstance(c, ast.Attribute) and c.attr == "_cones"
+                                for c in n.comparators) for n in before)
+            validated = {n.args[0].id for n in before if isinstance(n, ast.Call)
+                         and _called(n, "validate_silting_pair")
+                         and n.args and isinstance(n.args[0], ast.Name)}
+            recorded = {n.value.id for arg in call.args for n in ast.walk(arg)
+                        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+            if gated and recorded and {fn.args.args[1].arg} | recorded <= validated:
+                continue
+        yield ".".join(scope), call.lineno
+
+
+GATED_PROBE = ("class Registry:\n"
+               "    def __init__(self):\n"
+               "        self.record_cone((), ())\n"
+               "class SiltingWorkspace:\n"
+               "    def mutate_left(self, pair, at):\n"
+               "        if (pair.summands, pair.proj_part) not in self.registry._cones:\n"
+               "            self.validate_silting_pair(pair)\n"
+               "        candidate = self.step(pair, at)\n"
+               "        if candidate.built:\n"
+               "            self.validate_silting_pair(candidate)\n"
+               "        self.registry.record_cone(candidate.summands, candidate.proj_part)\n")
 
 
 def test_record_cone_callers():
-    probe = ("class Registry:\n"
-             "    def __init__(self):\n"
-             "        self.record_cone((), ())\n"
-             "class SiltingWorkspace:\n"
-             "    def mutate_left(self, pair):\n"
-             "        self.registry.record_cone(pair, ())\n"
-             "        valid = self.validate_silting_pair(pair)\n"
-             "        self.registry.record_cone(pair, ())\n"
-             "    def mutate_right(self, pair):\n"
-             "        self.registry.record_cone(pair, ())\n"
-             "def free(reg):\n"
-             "    record_cone(reg)\n")
-    assert list(_unvalidated_record_cone_calls(ast.parse(probe))) == [
-        ("SiltingWorkspace.mutate_left", 6), ("SiltingWorkspace.mutate_right", 10),
-        ("free", 12)]
+    assert list(_ungated_record_cone_calls(ast.parse(GATED_PROBE))) == []
+    # no gate, no validation of the input, or none of the recorded pair
+    for good, bad in (("not in self.registry._cones", "not in self.seen"),
+                      ("self.validate_silting_pair(pair)", "self.check(pair)"),
+                      ("self.validate_silting_pair(candidate)", "self.check(candidate)")):
+        probe = GATED_PROBE.replace(good, bad)
+        assert list(_ungated_record_cone_calls(ast.parse(probe))) == [
+            ("SiltingWorkspace.mutate_left", 11)], bad
+    # a record before the validation it needs, and records elsewhere
+    probe = GATED_PROBE.replace("        if candidate.built",
+                                "        self.registry.record_cone(candidate.summands, ())\n"
+                                "        if candidate.built")
+    probe += ("    def mutate_right(self, pair):\n"
+              "        self.registry.record_cone(pair, ())\n"
+              "def free(reg):\n"
+              "    record_cone(reg)\n")
+    assert list(_ungated_record_cone_calls(ast.parse(probe))) == [
+        ("SiltingWorkspace.mutate_left", 9), ("SiltingWorkspace.mutate_right", 14),
+        ("free", 16)]
     found, allowed = [], 0
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} in {where}"
-                  for where, line in _unvalidated_record_cone_calls(tree)]
+                  for where, line in _ungated_record_cone_calls(tree)]
         allowed += sum(_called(call, "record_cone") for _, call in _scoped_calls(tree))
     assert found == []
     assert allowed == 3     # Lambda and Lambda[1], then each mutation result
+
+
+def _loop_calls(node, scope=(), loops=()):
+    # (enclosing class and function names, kinds of the enclosing loops of
+    # that function, outermost first, call) for every call under ``node``;
+    # a loop's header counts as inside it
+    for child in ast.iter_child_nodes(node):
+        inner, around = scope, loops
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner, around = scope + (child.name,), ()
+        elif isinstance(child, (ast.For, ast.While)):
+            around = loops + (type(child).__name__,)
+        if isinstance(child, ast.Call):
+            yield inner, around, child
+        yield from _loop_calls(child, inner, around)
+
+
+def _mutations_off_the_wave_loop(tree):
+    # perfbench times each request by wrapping ``SiltingWorkspace.mutate_left``,
+    # so ``explore`` makes one call per attempt, in the loop over summand
+    # positions of the loop over the wave's nodes of the loop over waves;
+    # a second call there, or one anywhere else, is off the rule
+    seen = 0
+    for scope, loops, call in _loop_calls(tree):
+        if not _called(call, "mutate_left"):
+            continue
+        at_attempt = scope == ("explore",) and loops == ("While", "For", "For")
+        seen += at_attempt
+        if not at_attempt or seen > 1:
+            yield ".".join(scope), loops, call.lineno
+
+
+def test_explore_mutates_once_per_attempt():
+    probe = ("def explore(ws, nodes, frontier):\n"
+             "    ws.mutate_left(nodes[0], 0)\n"
+             "    while frontier:\n"
+             "        for src in frontier:\n"
+             "            for at in range(3):\n"
+             "                cand = ws.mutate_left(nodes[src], at)\n"
+             "                again = ws.mutate_left(cand, at)\n"
+             "            ws.mutate_left(nodes[src], 0)\n"
+             "def warm(ws, pair):\n"
+             "    for at in range(3):\n"
+             "        ws.mutate_left(pair, at)\n")
+    assert list(_mutations_off_the_wave_loop(ast.parse(probe))) == [
+        ("explore", (), 2), ("explore", ("While", "For", "For"), 7),
+        ("explore", ("While", "For"), 8), ("warm", ("For",), 11)]
+    found, calls = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} in {where}"
+                  for where, _, line in _mutations_off_the_wave_loop(tree)]
+        calls += sum(_called(call, "mutate_left") for _, call in _scoped_calls(tree))
+    assert found == []
+    assert calls == 1       # the rule is not vacuous: explore makes the call
 
 
 def _hom_entries_outside_shift_hom_basis(tree):

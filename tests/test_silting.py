@@ -124,6 +124,18 @@ def _grown_by_hand(case):
         alg = orders.cyclic_nakayama(3, 5)
         return alg, ([alg.simple(v) for v in range(3)]
                      + [uniserial(alg, v, length) for length in (2, 3, 4) for v in range(3)])
+    if case == "nakayama46":
+        # every uniserial, the projectives of length 6 included
+        alg = orders.cyclic_nakayama(4, 6)
+        return alg, [uniserial(alg, v, length) for length in range(1, 7) for v in range(4)]
+    if case == "auslander2":
+        # the modules an exploration registers, the simples, and the sums of
+        # neighbouring registered modules, some of which are not tau-rigid
+        alg = orders.auslander_bass_v_reduction(2)
+        reg = ex.explore(alg).workspace.registry
+        mods = [reg.rep(i) for i in range(len(reg))]
+        return alg, (mods + [alg.simple(v) for v in range(alg.quiver.n_vertices)]
+                     + [rm.rep_direct_sum(alg, pair)[0] for pair in zip(mods, mods[1:])])
     # regular Kronecker modules lie in tubes, where tau M = M
     alg = kronecker_algebra()
     regular = [rm.Rep(alg, (1, 1), [[[a]], [[b]]]) for a, b in ((1, 0), (0, 1), (1, 1), (1, 5))]
@@ -131,7 +143,7 @@ def _grown_by_hand(case):
     return alg, [alg.simple(0), alg.simple(1)] + regular
 
 
-@pytest.mark.parametrize("case", ["a2", "nakayama35", "kronecker"])
+@pytest.mark.parametrize("case", ["a2", "nakayama35", "nakayama46", "auslander2", "kronecker"])
 def test_rigid_table_whole_after_each_insert(case):
     # Registry._insert fills the new module's row, column and diagonal, and
     # decides an entry by support where M_j vanishes at every degree -1
@@ -448,6 +460,32 @@ def test_registered_partner_refuses_ids_outside_the_registry():
     for x, rest in ((-1, (0,)), (0, (-1,)), (0, (5,)), (5, (0,))):
         with pytest.raises(ValueError, match=r"summand ids \[.*\] are not all registry ids 0..1"):
             ws.registered_partner(x, rest, ())
+
+
+def test_registered_partner_refuses_a_malformed_rest():
+    # x inside rest, or an id twice in rest, is no almost-complete pair: it
+    # is refused by name, as make_pair does, and not read as two partners
+    # that blame the registry
+    ws = ex.explore(orders.hereditary_reduction(3)).workspace
+    for x, rest in ((1, (1, 2)), (1, (2, 2)), (0, (2, 0)), (3, (3,))):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            ws.registered_partner(x, rest, ())
+
+
+def test_mutate_left_refuses_an_invalid_pair_at_entry():
+    # an input that is no recorded cone is validated once, at entry: an
+    # invalid one raises ValueError with validate_silting_pair's reason
+    # before any route runs, and is not blamed on the registry
+    ws = ex.explore(orders.hereditary_reduction(3)).workspace
+    counts, size = dict(ws.mutation_counts), len(ws.registry)
+    for pair, reason in ((SiltingPair((0, 1), (2,)), "support"),
+                         (SiltingPair((0, 1), ()), "count"),
+                         (SiltingPair((0, 1, 4), ()), "rigidity")):
+        assert ws.validate_silting_pair(pair).reason == reason
+        for at in range(len(pair.summands)):
+            with pytest.raises(ValueError, match=f"not a support tau-tilting pair: {reason}"):
+                ws.mutate_left(pair, at)
+    assert ws.mutation_counts == counts and len(ws.registry) == size
 
 
 def test_mutate_left_refuses_a_repeated_summand():
