@@ -7,8 +7,8 @@ keyed by (dimension vector, g-vector) with isomorphism confirmation, so
 deduplication never trusts the numeric key alone.  ``mutate_left`` registers
 a module only when a mutation exists and its partner is not registered yet,
 so a registry that ``explore`` filled holds only summands of the pairs it
-produced.  It inserts the partner into the canonical rest of its input, by
-key, with each support mask and id bitset computed once.
+produced.  Past one gate, which sorts an input that is no recorded cone with
+``make_pair``, it inserts the partner into the canonical rest, by key.
 
 A ``SiltingWorkspace`` keeps two caches, plain dicts filled without locks,
 so a workspace belongs to one thread.  Each fills on first use, is never
@@ -76,7 +76,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import lt, mul, or_
+from operator import mul, or_
 
 import numpy as np
 
@@ -142,8 +142,8 @@ class Registry:
         for v in range(nv):
             pres = tt.stalk(algebra, v)
             self._insert(algebra.projective(v), pres, tt.g_vector(pres))
-        self.record_cone(sorted(range(nv), key=self._keys.__getitem__), ())
-        self.record_cone((), range(nv))
+        self._record_cone(sorted(range(nv), key=self._keys.__getitem__), ())
+        self._record_cone((), range(nv))
 
     def __len__(self):
         return len(self._reps)
@@ -239,14 +239,16 @@ class Registry:
                 current, _ = rm.kernel(got[0])
         return pieces if current.is_zero() else None
 
-    def record_cone(self, summands, proj_part) -> None:
+    def _record_cone(self, summands, proj_part) -> None:
         """Record the g-vector cone of a support tau-tilting pair.
 
         ``summands`` are registry ids and ``proj_part`` ascending vertices,
         filed in ``make_pair``'s order: Lambda, Lambda[1] and the results of
-        ``mutate_left``, which trusts a recorded cone as its input.  A result
-        built around a new module has passed ``validate_silting_pair``; the
-        others are support tau-tilting by theorem.  The cone joins
+        ``mutate_left``, which trusts a recorded cone as its input.  So the
+        writer is private and checks nothing: a result built around a new
+        module has passed ``validate_silting_pair``, the others are support
+        tau-tilting by theorem, and checking here would validate every
+        accepted mutation again.  The cone joins
         ``decompose``'s table, which sorts the ids it reads, and its g-matrix
         is checked for unimodularity when the table is next built.
         """
@@ -564,10 +566,10 @@ class SiltingWorkspace:
 
         One gate at entry: a recorded cone of the registry, as every
         ``explore`` node is, is trusted, as ``decompose`` trusts it.  Any
-        other input is refused for a bad index, id, shifted vertex or
-        repeated id, and is validated once: an invalid one raises
-        ``ValueError`` with ``validate_silting_pair``'s reason.  Past the
-        gate the input is support tau-tilting, and the routes are:
+        other input goes through ``make_pair``, with its refusals, and is
+        validated once as given: an invalid one raises ``ValueError`` with
+        ``validate_silting_pair``'s reason.  Past the gate the pair is
+        canonical and support tau-tilting, and the routes are:
         - A vertex outside ``P`` that ``U`` leaves unsupported gives the
           shifted projective there.  ``(U, P + v)`` is support tau-tilting,
           since ``U_v = 0`` (AIR Def. 0.3), and strictly below the input,
@@ -584,32 +586,26 @@ class SiltingWorkspace:
           Outside ``Fac U`` the partner is built as the cokernel of the
           minimal left approximation of ``X`` by ``U``, and registered.  A
           new module is no theorem's output, so this result must pass
-          ``validate_silting_pair`` and lie strictly below the input, or
-          ``RuntimeError`` is raised.
-        ``mutation_counts`` records which way each call went.  Each support
-        mask and id bitset is computed once.  ``Y`` goes into ``U`` at its
-        ``bisect`` position by ``Registry.key``, where a neighbour with its key
-        raises ``make_pair``'s ``RuntimeError``, and a new vertex into ``P``
-        likewise; only an input that is not strictly ascending, unlike every
-        recorded cone, is then sorted by ``make_pair``.  Every result is
-        recorded as a cone.
+          ``validate_silting_pair`` and lie strictly below the input by
+          ``pair_leq``, or ``RuntimeError`` is raised.
+        ``mutation_counts`` records which way each call went.  ``Y`` goes
+        into ``U`` at its ``bisect`` position by ``Registry.key``, where a
+        neighbour with its key raises ``make_pair``'s ``RuntimeError``, and a
+        new vertex into ``P`` likewise.  Every result is recorded as a cone.
         """
         ids, verts = pair.summands, pair.proj_part
         if not 0 <= at < len(ids):
             raise IndexError(f"summand index {at} out of range")
         reg, key = self.registry, self.registry._keys
-        trusted = (ids, verts) in reg._cones
-        if not trusted:
-            self._check_ids(ids)
-            self._shifted(verts)
-            if len(set(ids)) != len(ids):
-                raise ValueError("pair summands must be pairwise distinct")
+        x = ids[at]
+        if (ids, verts) not in reg._cones:
+            canon = self.make_pair(ids, verts)
             if not (valid := self.validate_silting_pair(pair)):
                 raise ValueError(f"{pair} is not a support tau-tilting pair: {valid.reason}")
-        shifted, old_bits = self._shifted(verts), _bits(ids)
-        x = ids[at]
-        rest = ids[:at] + ids[at + 1:]
-        others = old_bits ^ 1 << x
+            ids, verts = canon.summands, canon.proj_part
+        k = ids.index(x)
+        rest = ids[:k] + ids[k + 1:]
+        shifted, others = self._shifted(verts), _bits(rest)
         counts = self.mutation_counts
         counts["attempted"] += 1
         rest_mask = self._support_of(rest)
@@ -647,21 +643,14 @@ class SiltingWorkspace:
                 raise RuntimeError("two summands share dimension and g-vector; "
                                    "registry corruption?")
             summands, proj_part = rest[:k] + (y,) + rest[k:], verts
-        keys = () if trusted else list(map(key.__getitem__, ids))
-        if trusted or all(map(lt, keys, keys[1:])) and all(map(lt, verts, verts[1:])):
-            candidate = SiltingPair(summands, proj_part)
-        else:
-            candidate = self.make_pair(summands, proj_part)
+        candidate = SiltingPair(summands, proj_part)
         if built:
             if not (valid := self.validate_silting_pair(candidate)):
                 raise RuntimeError(f"left mutation of {pair} at {at} failed "
                                    f"validation: {valid.reason}")
-            if (rest_mask | reg._support[y]) & shifted \
-                    or not self._rows_rigid(ids, others | 1 << y) \
-                    or (not (rest_mask | reg._support[x]) & shifted
-                        and self._rows_rigid(candidate.summands, old_bits)):
+            if not self.pair_leq(candidate, pair) or self.pair_leq(pair, candidate):
                 raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
-        reg.record_cone(candidate.summands, candidate.proj_part)
+        reg._record_cone(candidate.summands, candidate.proj_part)
         return candidate
 
     def registered_partner(self, x: int, rest, proj_part) -> int | None:
@@ -672,17 +661,12 @@ class SiltingWorkspace:
         of ``rest``: the pair is then tau-rigid with as many summands as
         vertices, hence support tau-tilting (Adachi-Iyama-Reiten,
         arXiv:1210.1036, Def. 0.3 and Section 2).  ``None`` means ``y`` is
-        not registered yet.  An id outside the registry, a stray shifted
-        vertex, ``x`` in ``rest`` or a repeated id raises ``ValueError``;
-        the scan itself is ``_partner``, which ``mutate_left`` calls on the
-        masks it already holds.
+        not registered yet.  ``x`` and ``rest`` are refused as ``make_pair``
+        refuses a pair; the scan itself is ``_partner``, which
+        ``mutate_left`` calls on the masks it already holds.
         """
-        self._check_ids((x, *rest))
-        shifted = self._shifted(proj_part)
-        others = _bits(rest)
-        if others >> x & 1 or others.bit_count() != len(rest):
-            raise ValueError("pair summands must be pairwise distinct")
-        return self._partner(x, rest, others, shifted)
+        self.make_pair((x, *rest), proj_part)
+        return self._partner(x, rest, _bits(rest), self._shifted(proj_part))
 
     def _partner(self, x: int, rest, others: int, shifted: int) -> int | None:
         """``registered_partner``'s scan on the trusted bitsets of ``rest`` and ``P``.

@@ -20,16 +20,18 @@ def test_no_bare_assert():
     assert found == []
 
 
+DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
 def _coeffs_writes(tree):
     # ``x.coeffs[k] = ...``, ``del x.coeffs[k]`` and ``x.coeffs.update(...)``
     # or another in-place dict method, for any expression ``x``
-    mutators = {"update", "pop", "popitem", "clear", "setdefault"}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
                 and isinstance(node.value, ast.Attribute) and node.value.attr == "coeffs"):
             yield node.lineno
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in mutators
+              and node.func.attr in DICT_MUTATORS
               and isinstance(node.func.value, ast.Attribute)
               and node.func.value.attr == "coeffs"):
             yield node.lineno
@@ -71,15 +73,19 @@ def _called(node, name):
         (isinstance(func, ast.Attribute) and func.attr == name)
 
 
-def _scoped_calls(node, scope=()):
-    # (enclosing class and function names, call) for every call under ``node``
+def _scoped_nodes(node, scope=()):
+    # (enclosing class and function names, node) for every node under ``node``
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = scope + (child.name,)
-        if isinstance(child, ast.Call):
-            yield inner, child
-        yield from _scoped_calls(child, inner)
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def _scoped_calls(node, scope=()):
+    # (enclosing class and function names, call) for every call under ``node``
+    return ((s, n) for s, n in _scoped_nodes(node, scope) if isinstance(n, ast.Call))
 
 
 def _def_of(tree, scope):
@@ -92,14 +98,14 @@ def _def_of(tree, scope):
 
 def _ungated_record_cone_calls(tree):
     # a recorded cone answers later ``decompose`` calls by its g-vectors, and
-    # ``mutate_left`` trusts an input that is one; so ``record_cone`` runs in
+    # ``mutate_left`` trusts an input that is one; so ``_record_cone`` runs in
     # ``Registry.__init__`` (Lambda, Lambda[1]) and in
     # ``SiltingWorkspace.mutate_left`` only after its gate, a membership test
     # against ``_cones`` and ``validate_silting_pair`` of its input, and
     # after ``validate_silting_pair`` of the pair it records, which the
     # cokernel route runs
     for scope, call in _scoped_calls(tree):
-        if not _called(call, "record_cone") or scope == ("Registry", "__init__"):
+        if not _called(call, "_record_cone") or scope == ("Registry", "__init__"):
             continue
         if scope == ("SiltingWorkspace", "mutate_left"):
             fn = _def_of(tree, scope)
@@ -120,7 +126,7 @@ def _ungated_record_cone_calls(tree):
 
 GATED_PROBE = ("class Registry:\n"
                "    def __init__(self):\n"
-               "        self.record_cone((), ())\n"
+               "        self._record_cone((), ())\n"
                "class SiltingWorkspace:\n"
                "    def mutate_left(self, pair, at):\n"
                "        if (pair.summands, pair.proj_part) not in self.registry._cones:\n"
@@ -128,7 +134,7 @@ GATED_PROBE = ("class Registry:\n"
                "        candidate = self.step(pair, at)\n"
                "        if candidate.built:\n"
                "            self.validate_silting_pair(candidate)\n"
-               "        self.registry.record_cone(candidate.summands, candidate.proj_part)\n")
+               "        self.registry._record_cone(candidate.summands, candidate.proj_part)\n")
 
 
 def test_record_cone_callers():
@@ -142,12 +148,12 @@ def test_record_cone_callers():
             ("SiltingWorkspace.mutate_left", 11)], bad
     # a record before the validation it needs, and records elsewhere
     probe = GATED_PROBE.replace("        if candidate.built",
-                                "        self.registry.record_cone(candidate.summands, ())\n"
+                                "        self.registry._record_cone(candidate.summands, ())\n"
                                 "        if candidate.built")
     probe += ("    def mutate_right(self, pair):\n"
-              "        self.registry.record_cone(pair, ())\n"
+              "        self.registry._record_cone(pair, ())\n"
               "def free(reg):\n"
-              "    record_cone(reg)\n")
+              "    _record_cone(reg)\n")
     assert list(_ungated_record_cone_calls(ast.parse(probe))) == [
         ("SiltingWorkspace.mutate_left", 9), ("SiltingWorkspace.mutate_right", 14),
         ("free", 16)]
@@ -156,9 +162,141 @@ def test_record_cone_callers():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} in {where}"
                   for where, line in _ungated_record_cone_calls(tree)]
-        allowed += sum(_called(call, "record_cone") for _, call in _scoped_calls(tree))
+        allowed += sum(_called(call, "_record_cone") for _, call in _scoped_calls(tree))
     assert found == []
     assert allowed == 3     # Lambda and Lambda[1], then each mutation result
+
+
+def _is_cones(node):
+    # ``<expr>._cones``
+    return isinstance(node, ast.Attribute) and node.attr == "_cones"
+
+
+def _cones_writes(tree):
+    # (scope, line) of every write to ``<expr>._cones``: binding or deleting
+    # the attribute or one of its items, or an in-place dict method
+    for scope, node in _scoped_nodes(tree):
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if stored and (_is_cones(node) or isinstance(node, ast.Subscript)
+                       and _is_cones(node.value)) \
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in DICT_MUTATORS and _is_cones(node.func.value):
+            yield scope, node.lineno
+
+
+def _public_cone_writes(tree):
+    # mutate_left trusts a recorded cone as its input and validates nothing,
+    # so the table has no public writer: only Registry's constructor and its
+    # private methods write it, and test_record_cone_callers pins who calls
+    # the private writer
+    for scope, line in _cones_writes(tree):
+        if not (len(scope) == 2 and scope[0] == "Registry" and scope[1].startswith("_")):
+            yield ".".join(scope), line
+
+
+def test_cone_table_has_no_public_writer():
+    probe = ("class Registry:\n"
+             "    def __init__(self):\n"
+             "        self._cones = {}\n"
+             "    def _record_cone(self, ids, verts):\n"
+             "        self._cones.setdefault((ids, verts))\n"
+             "    def record_cone(self, ids, verts):\n"
+             "        self._cones[ids, verts] = None\n"
+             "    def forget(self):\n"
+             "        del self._cones[()]\n"
+             "        self._cones.clear()\n"
+             "class SiltingWorkspace:\n"
+             "    def mutate_left(self, pair, at):\n"
+             "        self.registry._cones.update({pair: None})\n"
+             "        return (pair, at) in self.registry._cones\n")
+    assert list(_public_cone_writes(ast.parse(probe))) == [
+        ("Registry.record_cone", 7), ("Registry.forget", 9), ("Registry.forget", 10),
+        ("SiltingWorkspace.mutate_left", 13)]
+    found, writers = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} in {where}" for where, line in _public_cone_writes(tree)]
+        writers |= {scope for scope, _ in _cones_writes(tree)}
+    assert found == []
+    # the rule is not vacuous: the constructor and the private writer write it
+    assert writers == {("Registry", "__init__"), ("Registry", "_record_cone")}
+
+
+def _gated_calls(node, gated=False):
+    # (inside the body of a ``<expr> not in <expr>._cones`` test, call) for
+    # every call under ``node``; the test itself and an ``else`` are outside
+    for field, value in ast.iter_fields(node):
+        inner = gated or field == "body" and isinstance(node, ast.If) \
+            and isinstance(node.test, ast.Compare) \
+            and [type(op) for op in node.test.ops] == [ast.NotIn] \
+            and _is_cones(node.test.comparators[0])
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                if isinstance(child, ast.Call):
+                    yield inner, child
+                yield from _gated_calls(child, inner)
+
+
+def _make_pair_past_the_gate(tree):
+    # a recorded cone is canonical, and mutate_left sorts any other input
+    # with make_pair inside its gate; every route past the gate keeps the
+    # order, so a make_pair call there would be a second path
+    fn = _def_of(tree, ("SiltingWorkspace", "mutate_left"))
+    for gated, call in _gated_calls(fn):
+        if _called(call, "make_pair") and not gated:
+            yield call.lineno
+
+
+def test_mutate_left_sorts_only_at_its_gate():
+    probe = ("class SiltingWorkspace:\n"
+             "    def mutate_left(self, pair, at):\n"
+             "        if (pair.summands, pair.proj_part) not in self.registry._cones:\n"
+             "            canon = self.make_pair(pair.summands, pair.proj_part)\n"
+             "        else:\n"
+             "            canon = self.make_pair(pair.summands, ())\n"
+             "        if pair not in self.seen:\n"
+             "            self.make_pair((), ())\n"
+             "        return self.make_pair(canon.summands, canon.proj_part)\n")
+    assert list(_make_pair_past_the_gate(ast.parse(probe))) == [6, 8, 9]
+    path = ROOT / "src" / "silt" / "silting.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_make_pair_past_the_gate(tree)) == []
+    # the rule is not vacuous: the gate makes the one call
+    fn = _def_of(tree, ("SiltingWorkspace", "mutate_left"))
+    assert [gated for gated, call in _gated_calls(fn) if _called(call, "make_pair")] == [True]
+
+
+ROWS_RIGID_SCOPES = (("SiltingWorkspace", "validate_silting_pair"),
+                     ("SiltingWorkspace", "pair_leq"))
+
+
+def _rows_rigid_off_the_order(tree):
+    # several rigidity rows are read at once by the rigidity step of
+    # validation and by the silting order alone; mutate_left decides
+    # "strictly below" through pair_leq, with no inline copy of its tests
+    for scope, call in _scoped_calls(tree):
+        if _called(call, "_rows_rigid") and scope not in ROWS_RIGID_SCOPES:
+            yield ".".join(scope), call.lineno
+
+
+def test_rows_rigid_only_in_validation_and_the_order():
+    probe = ("class SiltingWorkspace:\n"
+             "    def validate_silting_pair(self, pair):\n"
+             "        return self._rows_rigid(pair.summands, 0)\n"
+             "    def pair_leq(self, a, b):\n"
+             "        return self._rows_rigid(b.summands, 0)\n"
+             "    def mutate_left(self, pair, at):\n"
+             "        return self._rows_rigid(pair.summands, 1)\n"
+             "def helper(ws):\n"
+             "    return ws._rows_rigid((), 0)\n")
+    assert list(_rows_rigid_off_the_order(ast.parse(probe))) == [
+        ("SiltingWorkspace.mutate_left", 7), ("helper", 9)]
+    path = ROOT / "src" / "silt" / "silting.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_rows_rigid_off_the_order(tree)) == []
+    # the rule is not vacuous: both scopes make the call
+    assert {scope for scope, call in _scoped_calls(tree)
+            if _called(call, "_rows_rigid")} == set(ROWS_RIGID_SCOPES)
 
 
 def _loop_calls(node, scope=(), loops=()):

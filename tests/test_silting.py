@@ -136,6 +136,15 @@ def _grown_by_hand(case):
         mods = [reg.rep(i) for i in range(len(reg))]
         return alg, (mods + [alg.simple(v) for v in range(alg.quiver.n_vertices)]
                      + [rm.rep_direct_sum(alg, pair)[0] for pair in zip(mods, mods[1:])])
+    if case == "auslander3":
+        # outside the Nakayama family, entries that vanish although the
+        # swapped Euler form <g_j, dim M_i> is negative; the table entry of
+        # ids 4 and 3 is nonzero, so M_3 + M_4 is not tau-rigid
+        alg = orders.auslander_bass_v_reduction(3)
+        reg = ex.explore(alg).workspace.registry
+        mods = [reg.rep(i) for i in range(len(reg))]
+        return alg, (mods + [alg.simple(v) for v in range(alg.quiver.n_vertices)]
+                     + [rm.rep_direct_sum(alg, mods[3:5])[0]])
     # regular Kronecker modules lie in tubes, where tau M = M
     alg = kronecker_algebra()
     regular = [rm.Rep(alg, (1, 1), [[[a]], [[b]]]) for a, b in ((1, 0), (0, 1), (1, 1), (1, 5))]
@@ -143,7 +152,8 @@ def _grown_by_hand(case):
     return alg, [alg.simple(0), alg.simple(1)] + regular
 
 
-@pytest.mark.parametrize("case", ["a2", "nakayama35", "nakayama46", "auslander2", "kronecker"])
+@pytest.mark.parametrize("case", ["a2", "nakayama35", "nakayama46", "auslander2",
+                                  "auslander3", "kronecker"])
 def test_rigid_table_whole_after_each_insert(case):
     # Registry._insert fills the new module's row, column and diagonal, and
     # decides an entry by support where M_j vanishes at every degree -1
@@ -421,6 +431,18 @@ def test_mutate_left_raises_on_invalid_candidate(monkeypatch):
                         lambda pair: Validation(False, "rigidity"))
     with pytest.raises(RuntimeError, match="rigidity"):
         ws.mutate_left(ws.lambda_pair(), 0)
+
+
+def test_mutate_left_raises_on_a_result_not_strictly_below(monkeypatch):
+    # over A2, the tops send P2 of Lambda = P2 + P1 to the cokernel route;
+    # a registry that files the cokernel as P2 itself hands back Lambda,
+    # which passes validation but is not strictly below the input
+    ws = SiltingWorkspace(a2_algebra())
+    lam = ws.lambda_pair()
+    monkeypatch.setattr(ws.registry, "get_or_insert", lambda rep: 1)
+    with pytest.raises(RuntimeError, match="is not strictly below it"):
+        ws.mutate_left(lam, lam.summands.index(1))
+    assert ws.mutation_counts["cokernel_built"] == 1
 
 
 def test_mutate_left_fac_rejection_builds_nothing(monkeypatch):
@@ -773,7 +795,7 @@ def test_cone_table_refuses_a_singular_cone():
     # P1 and P1[1] have g-vectors e1 and -e1: no basis, so no coordinates
     alg = a2_algebra()
     reg = Registry(alg)
-    reg.record_cone((0,), (0,))
+    reg._record_cone((0,), (0,))
     with pytest.raises(AssertionError, match="not unimodular"):
         reg.decompose(tt.stalk(alg, 1))
 
