@@ -6,7 +6,9 @@ bases, solutions and kernels are reproducible across runs and platforms;
 everything downstream relies on that for canonical output.
 
 Elimination (``rref``, ``rank``, ``kernel_basis``, ``solve_right``) runs
-on rows of Python ints, so it is exact for any prime.  Every ``int64``
+on rows of Python ints, so it is exact for any prime; a caller that builds
+its rows as lists, as ``repmod.hom_basis`` does, hands them to
+``kernel_basis_of_rows`` with no ``int64`` round trip.  Every ``int64``
 product mod ``p`` goes through ``matmul``: the module layer, the check of
 ``kernel_coordinates``, the square check of ``repmod.hom_basis`` and the
 composition table of ``SiltingWorkspace``.  A product of two reduced
@@ -137,12 +139,19 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     Free variables get unit values in ascending column order, so the result
     is canonical for a given matrix.
     """
-    nc = m.shape[1]
-    rows = (m % p).tolist()
-    pivots = _eliminate(rows, nc, p, True)
+    return kernel_basis_of_rows((m % p).tolist(), m.shape[1], p)
+
+
+def kernel_basis_of_rows(rows: list[list[int]], ncols: int, p: int) -> np.ndarray:
+    """``kernel_basis`` of the matrix whose rows are ``rows``, lists of ints in ``[0, p)``.
+
+    A caller that builds its matrix as lists hands them over as they are,
+    with no ``int64`` round trip; the elimination overwrites ``rows``.
+    """
+    pivots = _eliminate(rows, ncols, p, True)
     pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
-    out = zeros(nc, len(free))
+    free = [c for c in range(ncols) if c not in pivot_set]
+    out = zeros(ncols, len(free))
     for k, f in enumerate(free):
         out[f, k] = 1
     if pivots and free:

@@ -4,12 +4,15 @@ Everything here reduces to exact eliminations over the prime field: Hom
 spaces are kernels of commuting-square systems, cokernels are quotient
 projections, and projective covers lift bases of the top: the unit vectors
 off the pivots of one forward elimination of the arrow columns into each
-vertex, with no quotient module built.  A cover acts with each basis path
-as its last arrow's matrix times its prefix's action, computed once per
-prefix.  The induced arrow matrices of a kernel or a cokernel are
+vertex, with no quotient module built.  Maps out of a projective ``P_v``
+need no elimination: each is fixed by the image of ``e_v``, any vector of
+``m_v`` (Yoneda), and ``yoneda_comps`` builds them by acting with each
+basis path as its last arrow's matrix times its prefix's action, computed
+once per prefix.  A cover is such a map, and so is every basis map of
+``Hom(P_v, M)`` in ``SiltingWorkspace.hom``.  The induced arrow matrices of a kernel or a cokernel are
 coordinates in a ``kernel_basis`` output, read off its free rows and
 checked by one product (``exactmat.kernel_coordinates``).  A map whose
-squares commute by construction (a cover, a kernel's inclusion, a
+squares commute by construction (a Yoneda map, a kernel's inclusion, a
 cokernel's projection) is built without ``RepMap``'s square check; the
 tier-1 oracles rebuild each one with it.  All values are immutable after
 construction and all operations are pure, so any number of registries and
@@ -159,7 +162,7 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
-    alg = m.algebra
+    alg, p = m.algebra, m.algebra.p
     q = alg.quiver
     nv = q.n_vertices
     offs = [0]
@@ -181,23 +184,23 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
                     for c in range(mi):
                         block[a * mi + c][offs[i] + b * mi + c] = x
         # entry (a, c) of phi_j @ M_k is sum_d phi_j[a, d] M_k[d, c]: the
-        # coefficient of unknown (a, d) in row (a, c) is M_k[d, c], subtracted;
-        # kernel_basis reduces the entries mod p
+        # coefficient of unknown (a, d) in row (a, c) is M_k[d, c], subtracted
+        # mod p, which keeps every entry in [0, p) for the elimination
         for d, row in enumerate(m.arrow_maps[k].tolist()):
             for c, x in enumerate(row):
                 if x:
                     for a in range(nj):
-                        block[a * mi + c][offs[j] + a * mj + d] -= x
+                        r, col = block[a * mi + c], offs[j] + a * mj + d
+                        r[col] = (r[col] - x) % p
         rows += block
-    system = np.array(rows, dtype=np.int64).reshape(len(rows), total)
-    basis = em.kernel_basis(system, alg.p)
+    basis = em.kernel_basis_of_rows(rows, total, p)
     nb = basis.shape[1]
     phis = [basis[offs[v]:offs[v + 1]].T.reshape(nb, n.dims[v], m.dims[v])
             for v in range(nv)]
     for k in range(q.n_arrows):
         i, j = q.arrow_source(k), q.arrow_target(k)
-        if not np.array_equal(em.matmul(n.arrow_maps[k], phis[i], alg.p),
-                              em.matmul(phis[j], m.arrow_maps[k], alg.p)):
+        if not np.array_equal(em.matmul(n.arrow_maps[k], phis[i], p),
+                              em.matmul(phis[j], m.arrow_maps[k], p)):
             raise AssertionError(f"a Hom basis map fails the square at arrow {k}")
     return [RepMap(m, n, [phi[b] for phi in phis], check=False) for b in range(nb)]
 
@@ -246,8 +249,7 @@ def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
     """``P -> m`` lifted from a basis of the top; returns (multiplicities, P, epi).
 
     Copy ``k`` of ``P_v`` sends its generator ``e_v`` to the ``k``-th lift at
-    ``v``, so each basis path of ``P_v`` acts on all the lifts at once, as
-    its last arrow's matrix times its prefix's action.  By
+    ``v``; ``yoneda_comps`` builds all the copies of ``P_v`` at once.  By
     Nakayama's lemma ``epi`` is onto; ``min_projective_presentation`` checks
     that against the kernel's dimensions.
     """
@@ -259,20 +261,36 @@ def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
     comps = [em.zeros(m.dims[w], psum.dims[w]) for w in range(nv)]
     for v, sec in sections.items():
         first = offsets[verts.index(v)]
-        acts = {(): sec}
-        for w in range(nv):
-            d = alg.pair_dim(v, w)
-            for col, gid in enumerate(alg.pair_basis(v, w)):
-                # column ``col`` of every copy of P_v: the copies are adjacent
-                img = _path_action(m, alg.basis[gid].path, acts)
-                comps[w][:, first[w] + col:first[w] + mult[v] * d:d] = img
-    # a map out of P_v is fixed by the image of e_v, and every image gives a
-    # homomorphism (Yoneda)
+        for w, block in enumerate(yoneda_comps(m, v, sec)):
+            # the copies of P_v are adjacent, in the order of the lifts
+            width = block.shape[1] * block.shape[2]
+            comps[w][:, first[w]:first[w] + width] = block.reshape(m.dims[w], width)
     return mult, psum, RepMap(psum, m, comps, check=False)
 
 
+def yoneda_comps(m: Rep, v: int, gens: np.ndarray) -> list[np.ndarray]:
+    """Components of the maps ``P_v -> m`` that send ``e_v`` to the columns of ``gens``.
+
+    A map out of ``P_v`` is fixed by the image of ``e_v``, and every vector
+    of ``m_v`` is one (Yoneda), so these maps commute by construction.
+    Entry ``[:, k, c]`` of the array at ``w`` is the image under map ``k``
+    of basis path ``c`` of ``alg.pair_basis(v, w)``: the path's action on
+    ``gens[:, k]``, its last arrow's matrix times its prefix's action,
+    computed once per prefix for all the columns at once.
+    """
+    alg = m.algebra
+    acts = {(): gens}
+    out = []
+    for w, d in enumerate(m.dims):
+        block = np.zeros((d, gens.shape[1], alg.pair_dim(v, w)), dtype=np.int64)
+        for col, gid in enumerate(alg.pair_basis(v, w)):
+            block[:, :, col] = _path_action(m, alg.basis[gid].path, acts)
+        out.append(block)
+    return out
+
+
 def _path_action(m: Rep, path: tuple[int, ...], acts: dict) -> np.ndarray:
-    """The action of ``path`` on the lifts in ``acts[()]``: its last arrow's
+    """The action of ``path`` on the vectors in ``acts[()]``: its last arrow's
     matrix times its prefix's action, each stored in ``acts``."""
     got = acts.get(path)
     if got is None:

@@ -16,12 +16,16 @@ invalidated, and is keyed by registry ids, which are stable because the
 registry only grows:
 
 - ``hom(i, j)``: the Hom-space basis, per ordered id pair, empty with no
-  elimination when the top of ``M_i`` misses the support of ``M_j``.
+  elimination when the top of ``M_i`` misses the support of ``M_j``.  Out
+  of a projective, an id below ``n``, the basis maps are Yoneda maps, one
+  per unit vector of ``(M_j)_i``, with no elimination either.
   ``mutate_left`` reads ``Hom(U, X)`` only for an ``X`` without a
   registered partner whose top lies in the tops of ``U``, the one case in
   which the ``Fac`` test needs it.
 - ``composition(x, k, t)``: the coordinates of every composite
-  ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple.
+  ``Hom(k, t) . Hom(x, k)`` in the basis of ``Hom(x, t)``, per id triple;
+  out of a projective ``x`` they are the components of ``Hom(k, t)`` at
+  ``x``, read with no product, since both bases are Yoneda maps.
   ``_strip_copies`` reads it instead of composing maps: dropping a copy
   ``(t, b)`` from an approximation of ``x`` is one rank test, whether the
   composites of the other copies into ``t`` span ``Hom(x, t)``.
@@ -352,13 +356,25 @@ class SiltingWorkspace:
     def hom(self, i: int, j: int) -> list[rm.RepMap]:
         """Basis of ``Hom(M_i, M_j)``; a miss checks both ids.  It embeds in
         ``Hom(P_i^0, M_j)``, ``M_j`` summed over the top of ``M_i``, so a top
-        that misses the support of ``M_j`` gives ``[]`` with no ``hom_basis``."""
+        that misses the support of ``M_j`` gives ``[]`` with no ``hom_basis``.
+        The ids ``0..n-1`` are the projectives, and a map out of ``P_i`` is
+        fixed by the image of ``e_i``, any vector of ``(M_j)_i`` (Yoneda): so
+        for those ids the basis maps send ``e_i`` to the unit vectors of
+        ``(M_j)_i``, with no elimination; other ids run ``hom_basis``."""
         got = self._hom.get((i, j))
         if got is None:
             self._check_ids((i, j))
             reg = self.registry
-            got = self._hom[i, j] = rm.hom_basis(reg.rep(i), reg.rep(j)) \
-                if reg._tops[i] & reg._support[j] else []
+            m, n = reg.rep(i), reg.rep(j)
+            if not reg._tops[i] & reg._support[j]:
+                got = []
+            elif i < self.algebra.quiver.n_vertices:
+                blocks = rm.yoneda_comps(n, i, em.identity(n.dims[i]))
+                got = [rm.RepMap(m, n, [b[:, e] for b in blocks], check=False)
+                       for e in range(n.dims[i])]
+            else:
+                got = rm.hom_basis(m, n)
+            self._hom[i, j] = got
         return got
 
     def rigid(self, i: int, j: int) -> bool:
@@ -387,7 +403,9 @@ class SiltingWorkspace:
 
         Entry ``[c, b, e]`` is the ``c``-th coordinate of the ``e``-th basis
         map of ``Hom(k, t)`` after the ``b``-th basis map of ``Hom(x, k)``.
-        A miss checks the three ids.
+        For a projective ``x`` both bases are Yoneda maps, which send ``e_x``
+        to unit vectors, so the entry is ``(psi_e)_x[c, b]``, read off with
+        no product.  A miss checks the three ids.
         """
         got = self._comp.get((x, k, t))
         if got is None:
@@ -399,6 +417,9 @@ class SiltingWorkspace:
         hxk, hkt, hxt = self.hom(x, k), self.hom(k, t), self.hom(x, t)
         if not hxk or not hkt:
             return np.zeros((len(hxt), len(hxk), len(hkt)), dtype=np.int64)
+        if x < self.algebra.quiver.n_vertices:
+            # psi_e . h_b sends e_x to column b of (psi_e)_x
+            return np.stack([g.comps[x] for g in hkt], axis=2)
         p = self.algebra.p
         blocks = []
         for v in range(self.algebra.quiver.n_vertices):
@@ -521,7 +542,8 @@ class SiltingWorkspace:
         maps = [self.hom(x, t)[b] for t, b in copies]
         comps = [np.concatenate([em.zeros(0, d)] + [f.comps[v] for f in maps])
                  for v, d in enumerate(source.dims)]
-        # the blocks are hom_basis maps, whose squares hom_basis checks in bulk
+        # the blocks are Yoneda maps, which commute by construction, or
+        # hom_basis maps, whose squares hom_basis checks in bulk
         return copies, rm.RepMap(source, target, comps, check=False)
 
     def _strip_copies(self, x: int, copies):

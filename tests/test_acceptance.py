@@ -550,6 +550,47 @@ def test_hom_reads_zero_off_tops(complete_runs):
     assert decided > 0
 
 
+def _flat(h):
+    return np.concatenate([c.reshape(-1) for c in h.comps])
+
+
+def test_maps_out_of_projectives_are_yoneda_maps(complete_runs):
+    # a map out of P_v is fixed by the image of e_v, and every vector of
+    # (M_j)_v is one (Yoneda): hom builds Hom(P_v, M_j) from the unit vectors
+    # of (M_j)_v, with no square system, and composition reads the
+    # coordinates of psi . h off (psi)_v, with no product.  For every
+    # projective v and registered j, each map passes RepMap's own square
+    # check and the maps span what hom_basis solves for; every composition
+    # entry out of a projective rebuilds rm.compose
+    spaces = composites = 0
+    for eq in complete_runs:
+        reg, p = eq.workspace.registry, eq.algebra.p
+        ws, ids = SiltingWorkspace(eq.algebra, reg), range(len(reg))
+        for v in range(eq.algebra.quiver.n_vertices):
+            for j in ids:
+                got = [_flat(checked_repmap(h)) for h in ws.hom(v, j)]
+                want = [_flat(h) for h in rm.hom_basis(reg.rep(v), reg.rep(j))]
+                assert len(got) == len(want) == reg.dims(j)[v], (v, j)
+                if got:
+                    both = np.stack(got + want, axis=1)
+                    assert em.rank(both[:, :len(got)], p) == em.rank(both, p) \
+                        == em.rank(both[:, len(got):], p) == len(got), (v, j)
+                    spaces += 1
+            for k in ids:
+                for t in ids:
+                    coords, hvt = ws.composition(v, k, t), ws.hom(v, t)
+                    hvk, hkt = ws.hom(v, k), ws.hom(k, t)
+                    assert coords.shape == (len(hvt), len(hvk), len(hkt))
+                    for b, h in enumerate(hvk):
+                        for e, psi in enumerate(hkt):
+                            want = _flat(rm.compose(psi, h))
+                            got = sum((x * _flat(f) for x, f in
+                                       zip(coords[:, b, e].tolist(), hvt)), 0 * want) % p
+                            assert np.array_equal(got, want), (v, k, t, b, e)
+                            composites += 1
+    assert spaces > 100 and composites > 1000
+
+
 def test_fac_by_tops_only_outside_fac(complete_runs, monkeypatch):
     # a surjection U^m -> X induces one on tops, so mutate_left skips
     # Hom(U, X) and its images when X has a top vertex in no top of U.  With
@@ -937,7 +978,8 @@ def test_maps_built_unchecked_commute(complete_runs):
     # construction: a cover's epimorphism by Yoneda (a map out of P_v is
     # fixed by the image of e_v), a kernel's inclusion and a cokernel's
     # projection because their arrow matrices solve exactly those squares,
-    # and the approximation map because its blocks are hom_basis maps.  Each
+    # and the approximation map because its blocks are Yoneda maps out of a
+    # projective or hom_basis maps, whose squares hom_basis checks.  Each
     # is rebuilt here with RepMap's own check: the covers and the kernel of
     # every registered module, and the approximation of each summand of every
     # node by the other summands, with its cokernel

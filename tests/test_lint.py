@@ -409,12 +409,14 @@ def test_shift_hom_only_in_the_registry_table():
 
 
 HOM_SPACE_ROUTES = {"hom_basis": ("SiltingWorkspace", "hom"),
+                    "yoneda_comps": ("SiltingWorkspace", "hom"),
                     "images_span": ("SiltingWorkspace", "mutate_left")}
 
 
 def _hom_space_outside_its_route(tree):
     # silting.py reads every Hom space through SiltingWorkspace.hom, which
-    # reads a zero space off the tops first, and runs the Fac test in
+    # reads a zero space off the tops first and only then builds the Yoneda
+    # maps out of a projective or runs hom_basis, and runs the Fac test in
     # mutate_left alone, after the tops test; no Hom space skips the tops
     for scope, call in _scoped_calls(tree):
         for name, route in HOM_SPACE_ROUTES.items():
@@ -431,16 +433,19 @@ def test_hom_spaces_read_through_the_tops():
              "    def left_minimal_approximation(self, x, targets):\n"
              "        return rm.hom_basis(a, b)\n"
              "def fac(u, x):\n"
-             "    return images_span(hom_basis(u, x), x)\n")
+             "    return images_span(hom_basis(u, x), x)\n"
+             "def out_of_projective(v, m):\n"
+             "    return rm.yoneda_comps(m, v, em.identity(m.dims[v]))\n")
     assert sorted(_hom_space_outside_its_route(ast.parse(probe))) == [
         ("hom_basis in SiltingWorkspace.left_minimal_approximation", 7),
-        ("hom_basis in fac", 9), ("images_span in fac", 9)]
+        ("hom_basis in fac", 9), ("images_span in fac", 9),
+        ("yoneda_comps in out_of_projective", 11)]
     path = ROOT / "src" / "silt" / "silting.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert list(_hom_space_outside_its_route(tree)) == []
     # the rule is not vacuous: each route makes its call once
     assert [sum(_called(call, name) for _, call in _scoped_calls(tree))
-            for name in HOM_SPACE_ROUTES] == [1, 1]
+            for name in HOM_SPACE_ROUTES] == [1, 1, 1]
 
 
 VERTEX_MASK_SCOPES = (("SiltingWorkspace", "_shifted"),

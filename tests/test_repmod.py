@@ -70,19 +70,20 @@ def test_kron_blocks_equal_numpy_kron():
 
 def test_hom_basis_checks_every_square(a2, monkeypatch):
     # hom_basis builds its maps unchecked; the batched square check must
-    # catch a kernel column that solves no commuting square
+    # catch a kernel column that solves no commuting square.  The system
+    # reaches the elimination as lists, through kernel_basis_of_rows
     p1 = projective_module(a2, "1")
-    kernel_basis = em.kernel_basis
+    kernel_basis_of_rows = em.kernel_basis_of_rows
 
-    def with_bad_column(m, p):
-        bad = [c for c in range(m.shape[1]) if np.any(m[:, c] % p)]
+    def with_bad_column(rows, ncols, p):
+        bad = [c for c in range(ncols) if any(row[c] for row in rows)]
         assert bad
-        extra = np.zeros((m.shape[1], 1), dtype=np.int64)
+        extra = np.zeros((ncols, 1), dtype=np.int64)
         extra[bad[0]] = 1
-        return np.concatenate([kernel_basis(m, p), extra], axis=1)
+        return np.concatenate([kernel_basis_of_rows(rows, ncols, p), extra], axis=1)
 
     assert len(rm.hom_basis(p1, p1)) == 1
-    monkeypatch.setattr(em, "kernel_basis", with_bad_column)
+    monkeypatch.setattr(em, "kernel_basis_of_rows", with_bad_column)
     with pytest.raises(AssertionError, match="square at arrow 0"):
         rm.hom_basis(p1, p1)
 

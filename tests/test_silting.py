@@ -336,13 +336,17 @@ def test_id_readers_refuse_ids_outside_the_registry():
 
 
 def test_composition_raises_outside_the_hom_space(monkeypatch):
-    # the composites' coordinates are read off the free rows of the Hom
-    # basis; a column outside its span raises under ``python -O`` too
-    ws = SiltingWorkspace(a2_algebra())
-    assert ws.composition(0, 0, 0).shape == (1, 1, 1)
+    # out of a module that is not projective, the composites' coordinates
+    # are read off the free rows of the Hom basis; a column outside its span
+    # raises under ``python -O`` too.  S1 is no projective, so its Hom
+    # spaces are hom_basis kernels, not Yoneda maps
+    ws, fresh = SiltingWorkspace(a2_algebra()), SiltingWorkspace(a2_algebra())
+    s1 = s1_id(ws)
+    assert s1 == s1_id(fresh) >= ws.algebra.quiver.n_vertices
+    assert ws.composition(s1, s1, s1).shape == (1, 1, 1)
     monkeypatch.setattr(em, "kernel_coordinates", lambda basis, b, p: None)
     with pytest.raises(AssertionError, match="escaped the Hom space"):
-        SiltingWorkspace(a2_algebra()).composition(0, 0, 0)
+        fresh.composition(s1, s1, s1)
 
 
 def test_rejection_reason_is_stable():
