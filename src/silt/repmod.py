@@ -249,26 +249,30 @@ def projective_cover(m: Rep) -> tuple[tuple[int, ...], Rep, RepMap]:
     """``P -> m`` lifted from a basis of the top; returns (multiplicities, P, epi).
 
     Copy ``k`` of ``P_v`` sends its generator ``e_v`` to the ``k``-th lift at
-    ``v``; ``yoneda_comps`` builds all the copies of ``P_v`` at once.  By
+    ``v``; ``yoneda_comps`` builds all the copies of ``P_v`` at once,
+    writing them straight into the columns of ``epi``'s components.  By
     Nakayama's lemma ``epi`` is onto; ``min_projective_presentation`` checks
     that against the kernel's dimensions.
     """
     alg = m.algebra
-    nv = alg.quiver.n_vertices
     mult, sections = _top_sections(m)
-    verts = [v for v in range(nv) for _ in range(mult[v])]
-    psum, offsets = rep_direct_sum(alg, [alg.projective(v) for v in verts])
-    comps = [em.zeros(m.dims[w], psum.dims[w]) for w in range(nv)]
+    psum, _ = rep_direct_sum(alg, [alg.projective(v) for v, k in enumerate(mult)
+                                   for _ in range(k)])
+    comps = [em.zeros(d, psum.dims[w]) for w, d in enumerate(m.dims)]
+    first = [0] * len(m.dims)
     for v, sec in sections.items():
-        first = offsets[verts.index(v)]
-        for w, block in enumerate(yoneda_comps(m, v, sec)):
-            # the copies of P_v are adjacent, in the order of the lifts
-            width = block.shape[1] * block.shape[2]
-            comps[w][:, first[w]:first[w] + width] = block.reshape(m.dims[w], width)
+        # the copies of P_v are adjacent, in the order of the lifts: each
+        # block is a view of their columns, split per copy
+        out = []
+        for w, d in enumerate(m.dims):
+            shape = (d, sec.shape[1], alg.pair_dim(v, w))
+            out.append(comps[w][:, first[w]:first[w] + shape[1] * shape[2]].reshape(shape))
+            first[w] += shape[1] * shape[2]
+        yoneda_comps(m, v, sec, out)
     return mult, psum, RepMap(psum, m, comps, check=False)
 
 
-def yoneda_comps(m: Rep, v: int, gens: np.ndarray) -> list[np.ndarray]:
+def yoneda_comps(m: Rep, v: int, gens: np.ndarray, out=None) -> list[np.ndarray]:
     """Components of the maps ``P_v -> m`` that send ``e_v`` to the columns of ``gens``.
 
     A map out of ``P_v`` is fixed by the image of ``e_v``, and every vector
@@ -276,16 +280,17 @@ def yoneda_comps(m: Rep, v: int, gens: np.ndarray) -> list[np.ndarray]:
     Entry ``[:, k, c]`` of the array at ``w`` is the image under map ``k``
     of basis path ``c`` of ``alg.pair_basis(v, w)``: the path's action on
     ``gens[:, k]``, its last arrow's matrix times its prefix's action,
-    computed once per prefix for all the columns at once.
+    computed once per prefix for all the columns at once.  The arrays are
+    ``out`` when given, of those shapes, which are then written in place.
     """
     alg = m.algebra
     acts = {(): gens}
-    out = []
-    for w, d in enumerate(m.dims):
-        block = np.zeros((d, gens.shape[1], alg.pair_dim(v, w)), dtype=np.int64)
+    if out is None:
+        out = [np.zeros((d, gens.shape[1], alg.pair_dim(v, w)), dtype=np.int64)
+               for w, d in enumerate(m.dims)]
+    for w, block in enumerate(out):
         for col, gid in enumerate(alg.pair_basis(v, w)):
             block[:, :, col] = _path_action(m, alg.basis[gid].path, acts)
-        out.append(block)
     return out
 
 

@@ -56,15 +56,19 @@ It keeps one more memo, one entry per two-term complex ``t``, keyed by
 in the homotopy category.  ``minimality_reduce`` hands an already reduced
 complex back as it is, and a complex computes its hash once, on first use.
 Every key is reduced, so ``t`` is looked up as it is first and reduced only
-on a miss: a completion, reduced when it is built, is not reduced again by
-the ``is_silting`` gate or ``pair_of``.  A complex over another algebra
-raises ``ValueError``.  The entry holds:
+on a miss: a completion is filed under its reduced cone when it is built,
+so neither the ``is_silting`` gate nor ``pair_of`` reduces or tests it
+again.  A complex over another algebra raises ``ValueError``.  The entry
+holds:
 
 - ``is_presilting(t)``: the verdict of ``twoterm.is_presilting``.  A miss
   tests every ordered pair ``(A, B)`` of ``twoterm.components`` through
   ``_onto``, memoised per pair: ``twoterm.hom_shift_vanishes(A, B)``.  Hom
   is additive, so the pairs give the verdict of the whole complex (AIR,
-  arXiv:1210.1036, Section 3), and components recur across completions.
+  arXiv:1210.1036, Section 3).  The completions ask it of their input
+  only: their reduced cone is presilting by the Bongartz theorem and its
+  dual, and ``_trust_presilting`` files it so, unchecked.  That writer
+  keeps a verdict already in the memo and raises on a computed ``False``.
 - ``decompose(t)``: the shifted-projective vertices and the H^0 summand
   ids, the one route from a complex to its pair.  A presilting complex is
   determined by its g-vector (AIR Thm 5.5), so it is read off a table of
@@ -313,8 +317,20 @@ class Registry:
         return inv
 
     def is_presilting(self, t: tt.TwoTermComplex) -> bool:
-        """``twoterm.is_presilting(t)``, memoised per reduced complex."""
+        """``twoterm.is_presilting(t)``, memoised per reduced complex; a
+        completion's entry holds the verdict filed by theorem."""
         return self._entry(t)[1][0]
+
+    def _trust_presilting(self, t: tt.TwoTermComplex) -> None:
+        """File the reduced complex ``t`` as presilting, unchecked.
+
+        ``twoterm._silting_or_raise`` is the one caller: a completion of a
+        presilting complex is presilting by theorem, so its components are
+        not tested.  A verdict already in the memo is kept, and a computed
+        ``False`` raises ``RuntimeError``.
+        """
+        if not self._complexes.setdefault(t, [True, None])[0]:
+            raise RuntimeError("the memo holds a computed verdict: not presilting")
 
     def _entry(self, t: tt.TwoTermComplex) -> tuple[tt.TwoTermComplex, list]:
         """``t`` reduced (a key already is) and its entry ``[verdict, decomposition or None]``."""

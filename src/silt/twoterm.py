@@ -8,7 +8,10 @@ the differential at the algebra level is what makes block cancellation and
 the mapping-cone constructions exact and cheap.  Every rigidity question,
 the presilting verdict, the silting order and the registry's rigidity table,
 is read off one shifted-Hom matrix (``shift_hom_basis``), and no
-representation of a complex is built here.
+representation of a complex is built here.  The Bongartz and co-Bongartz
+completions ask the registry's verdict of their input once; their glued
+cone is then presilting by theorem and filed so, with no pair of its
+components tested.
 """
 
 from __future__ import annotations
@@ -297,8 +300,11 @@ def bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
     Each basis entry ``(0, j, gid)`` of ``shift_hom_basis(t, P_v)`` is one
     map ``t -> P_v[1]``; the approximation sums them.  Its shifted cone is
     ``t + t^m + Lambda`` with the entry glued from the ``k``-th copy of ``t``
-    to ``P_v``, reduced and validated.
+    to ``P_v``, reduced and checked by ``_silting_or_raise``.  An input that
+    is not presilting raises ``ValueError`` before any copy is computed.
     """
+    if not registry.is_presilting(t):
+        raise ValueError(f"Bongartz completion needs a presilting complex, got {t!r}")
     alg = t.algebra
     copies = [(v, j, gid) for v in range(alg.quiver.n_vertices)
               for _, j, gid in shift_hom_basis(t, stalk(alg, v))]
@@ -316,8 +322,11 @@ def co_bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
     map ``P_v -> t``; the approximation sums them.  Its cone is
     ``t + Lambda[1] + t^m`` with the entry glued from ``P_v`` to the ``k``-th
     copy of ``t``.  All of ``Lambda`` sits in degree -1, so vertices that get
-    no copy survive as shifted stalks.
+    no copy survive as shifted stalks.  An input that is not presilting
+    raises ``ValueError`` before any copy is computed.
     """
+    if not registry.is_presilting(t):
+        raise ValueError(f"co-Bongartz completion needs a presilting complex, got {t!r}")
     alg = t.algebra
     copies = [(v, i, gid) for v in range(alg.quiver.n_vertices)
               for i, _, gid in shift_hom_basis(shifted_stalk(alg, v), t)]
@@ -329,8 +338,21 @@ def co_bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
 
 
 def _silting_or_raise(glued: TwoTermComplex, registry, name: str) -> TwoTermComplex:
-    """The reduced glued cone; it must be silting, or the completion raises."""
+    """The reduced glued cone, filed as presilting by theorem; it must be
+    silting, or the completion raises.
+
+    Both completions check their input with ``Registry.is_presilting`` and
+    glue approximation copies that span ``Hom(t, Lambda[1])``, or
+    ``Hom(Lambda, t)``, read off ``shift_hom_basis``.  That is the premise of
+    the Bongartz completion (Aihara, arXiv:1012.3265, Prop. 2.16; AIR,
+    arXiv:1210.1036, Thm 2.10 with Thm 3.2) and of its dual, so the cone is
+    presilting and ``Registry._trust_presilting`` files it so, with no
+    component pair tested.  ``is_silting`` then reads that verdict and
+    ``decompose``: a result in no recorded cone raises ``ValueError``, one
+    without ``n`` distinct summands ``RuntimeError``.
+    """
     result = minimality_reduce(glued)
+    registry._trust_presilting(result)
     if not is_silting(result, registry):
         raise RuntimeError(f"{name} completion failed silting validation")
     return result
@@ -345,7 +367,8 @@ def is_silting(t: TwoTermComplex, registry) -> bool:
     A 2-term presilting complex is silting exactly when it has ``n``
     pairwise non-isomorphic indecomposable summands (Adachi-Iyama-Reiten,
     arXiv:1210.1036, Section 3).  The presilting verdict comes from the
-    registry's memo (``is_presilting``), the summands from
+    registry's memo (``is_presilting``), which holds a completion's verdict
+    as ``_silting_or_raise`` filed it, by theorem; the summands come from
     ``registry.decompose``, which raises ``ValueError`` when the complex lies
     in no recorded cone.
     """

@@ -243,12 +243,17 @@ def test_criterion_8_nakayama46_completions_optional(nakayama46):
 
 
 def _check_completions_read_back(eq):
-    ws = eq.workspace
+    # a completion of a presilting complex is filed presilting by theorem,
+    # with no component pair tested (Aihara Prop. 2.16, AIR Thm 2.10 with
+    # Thm 3.2); a fresh registry, whose memo holds no such entry, tests
+    # every ordered pair of its components instead
+    ws, fresh = eq.workspace, Registry(eq.algebra)
     for sub, containing in _almost_complete_pairs(eq):
         cx = ws.complex_of(sub)
-        got = {ws.pair_of(tt.bongartz_completion(cx, ws.registry)),
-               ws.pair_of(tt.co_bongartz_completion(cx, ws.registry))}
-        assert got == containing
+        top = tt.bongartz_completion(cx, ws.registry)
+        bot = tt.co_bongartz_completion(cx, ws.registry)
+        assert fresh.is_presilting(top) and fresh.is_presilting(bot), sub
+        assert {ws.pair_of(top), ws.pair_of(bot)} == containing
 
 
 def _almost_complete_pairs(eq):

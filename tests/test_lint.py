@@ -172,16 +172,31 @@ def _is_cones(node):
     return isinstance(node, ast.Attribute) and node.attr == "_cones"
 
 
-def _cones_writes(tree):
-    # (scope, line) of every write to ``<expr>._cones``: binding or deleting
+def _attr_writes(tree, attr):
+    # (scope, line) of every write to ``<expr>.<attr>``: binding or deleting
     # the attribute or one of its items, or an in-place dict method
+    def is_attr(node):
+        return isinstance(node, ast.Attribute) and node.attr == attr
+
     for scope, node in _scoped_nodes(tree):
         stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
-        if stored and (_is_cones(node) or isinstance(node, ast.Subscript)
-                       and _is_cones(node.value)) \
+        if stored and (is_attr(node) or isinstance(node, ast.Subscript)
+                       and is_attr(node.value)) \
                 or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in DICT_MUTATORS and _is_cones(node.func.value):
+                and node.func.attr in DICT_MUTATORS and is_attr(node.func.value):
             yield scope, node.lineno
+
+
+def _cones_writes(tree):
+    return _attr_writes(tree, "_cones")
+
+
+def _public_writes(tree, attr):
+    # writes to ``<expr>.<attr>`` outside Registry's constructor and its
+    # private methods
+    for scope, line in _attr_writes(tree, attr):
+        if not (len(scope) == 2 and scope[0] == "Registry" and scope[1].startswith("_")):
+            yield ".".join(scope), line
 
 
 def _public_cone_writes(tree):
@@ -189,9 +204,7 @@ def _public_cone_writes(tree):
     # so the table has no public writer: only Registry's constructor and its
     # private methods write it, and test_record_cone_callers pins who calls
     # the private writer
-    for scope, line in _cones_writes(tree):
-        if not (len(scope) == 2 and scope[0] == "Registry" and scope[1].startswith("_")):
-            yield ".".join(scope), line
+    return _public_writes(tree, "_cones")
 
 
 def test_cone_table_has_no_public_writer():
@@ -220,6 +233,110 @@ def test_cone_table_has_no_public_writer():
     assert found == []
     # the rule is not vacuous: the constructor and the private writer write it
     assert writers == {("Registry", "__init__"), ("Registry", "_record_cone")}
+
+
+def test_presilting_memo_has_no_public_writer():
+    # the completions file their results presilting by theorem, unchecked,
+    # through Registry._trust_presilting; so the memo of verdicts has no
+    # public writer, and test_trusted_verdict_callers pins who calls it
+    probe = ("class Registry:\n"
+             "    def __init__(self):\n"
+             "        self._complexes = {}\n"
+             "    def _trust_presilting(self, t):\n"
+             "        self._complexes.setdefault(t, [True, None])\n"
+             "    def trust(self, t):\n"
+             "        self._complexes[t] = [True, None]\n"
+             "def _silting_or_raise(t, registry):\n"
+             "    registry._complexes.update({t: [True, None]})\n"
+             "    return t in registry._complexes\n")
+    assert list(_public_writes(ast.parse(probe), "_complexes")) == [
+        ("Registry.trust", 7), ("_silting_or_raise", 9)]
+    found, writers = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} in {where}"
+                  for where, line in _public_writes(tree, "_complexes")]
+        writers |= {scope for scope, _ in _attr_writes(tree, "_complexes")}
+    assert found == []
+    # the rule is not vacuous: a computed verdict and a trusted one are written
+    assert writers == {("Registry", "__init__"), ("Registry", "_entry"),
+                       ("Registry", "_trust_presilting")}
+
+
+def _trust_calls(tree):
+    # (scope, line) of every call of ``_trust_presilting``
+    return [(".".join(scope), call.lineno) for scope, call in _scoped_calls(tree)
+            if _called(call, "_trust_presilting")]
+
+
+def test_trusted_verdict_callers():
+    # a trusted verdict is sound only for the reduced cone of a completion
+    # whose input passed is_presilting; _silting_or_raise alone files one
+    probe = ("def _silting_or_raise(glued, registry, name):\n"
+             "    registry._trust_presilting(glued)\n"
+             "def helper(registry, t):\n"
+             "    def inner():\n"
+             "        registry._trust_presilting(t)\n"
+             "class Registry:\n"
+             "    def is_presilting(self, t):\n"
+             "        self._trust_presilting(t)\n")
+    assert _trust_calls(ast.parse(probe)) == [
+        ("_silting_or_raise", 2), ("helper.inner", 5), ("Registry.is_presilting", 8)]
+    found = [(path.name, where) for path in SOURCES
+             for where, _ in _trust_calls(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == [("twoterm.py", "_silting_or_raise")]
+
+
+COMPLETIONS = ("bongartz_completion", "co_bongartz_completion")
+
+
+def _completions_not_checked_first(tree):
+    # each completion's first statement after its docstring is
+    # ``if not <expr>.is_presilting(<input>): raise ...``, so no copy is
+    # computed and nothing is glued for an input that is not presilting;
+    # yields the completions that do otherwise
+    for node in ast.iter_child_nodes(tree):
+        if not (isinstance(node, ast.FunctionDef) and node.name in COMPLETIONS):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        first = body[0] if body else None
+        test = getattr(first, "test", None)
+        checked = isinstance(first, ast.If) and isinstance(test, ast.UnaryOp) \
+            and isinstance(test.op, ast.Not) and isinstance(test.operand, ast.Call) \
+            and _called(test.operand, "is_presilting") \
+            and [ast.dump(a) for a in test.operand.args] == [
+                ast.dump(ast.Name(node.args.args[0].arg, ast.Load()))] \
+            and [type(n) for n in first.body] == [ast.Raise]
+        if not checked:
+            yield node.name, node.lineno
+
+
+def test_completions_check_their_input_first():
+    probe = ("def bongartz_completion(t, registry):\n"
+             "    \"\"\"doc\"\"\"\n"
+             "    if not registry.is_presilting(t):\n"
+             "        raise ValueError(t)\n"
+             "    return _glue((t,), {})\n"
+             "def co_bongartz_completion(t, registry):\n"
+             "    if not registry.is_presilting(t):\n"
+             "        raise ValueError(t)\n"
+             "    return _glue((t,), {})\n")
+    assert list(_completions_not_checked_first(ast.parse(probe))) == []
+    # gluing first, another complex checked, the verdict not acted on
+    for good, bad in (("    if not registry.is_presilting(t):\n        raise ValueError(t)\n"
+                       "    return _glue((t,), {})\n",
+                       "    s = _glue((t,), {})\n    if not registry.is_presilting(t):\n"
+                       "        raise ValueError(t)\n    return s\n"),
+                      ("is_presilting(t)", "is_presilting(registry)"),
+                      ("        raise ValueError(t)\n", "        print(t)\n")):
+        got = _completions_not_checked_first(ast.parse(probe.replace(good, bad)))
+        assert [name for name, _ in got] == list(COMPLETIONS), bad
+    path = ROOT / "src" / "silt" / "twoterm.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_completions_not_checked_first(tree)) == []
+    # the rule is not vacuous: both completions are module-level functions
+    assert {n.name for n in ast.iter_child_nodes(tree)
+            if isinstance(n, ast.FunctionDef)} >= set(COMPLETIONS)
 
 
 def _gated_calls(node, gated=False):

@@ -258,11 +258,14 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
     monkeypatch.setattr(tt, "components", counted)
     monkeypatch.setattr(tt, "hom_shift_vanishes", counted_vanishes)
     monkeypatch.setattr(rm, "cokernel", no_h0)
-    completions = [f(t, reg) for t in _almost_complete(eq)
+    inputs = list(_almost_complete(eq))
+    completions = [f(t, reg) for t in inputs
                    for f in (tt.bongartz_completion, tt.co_bongartz_completion)]
     assert len(completions) == 144
-    # one check per distinct reduced complex, not one per completion
-    assert len(checked) == len({tt.minimality_reduce(t) for t in completions}) < 144
+    # one check per distinct reduced input, none per completion: a completion
+    # of a presilting complex is filed presilting by theorem, not split
+    assert len(checked) == len({tt.minimality_reduce(t) for t in inputs}) < len(
+        {tt.minimality_reduce(t) for t in completions}) < 144
     # each distinct ordered pair of components is computed once, over all checks
     assert len(pairs) == len(set(pairs)) == len(
         {(a, b) for t in checked for a in real(t) for b in real(t)})
@@ -287,11 +290,11 @@ def test_presilting_memo_matches_fresh_verdict(monkeypatch):
 def test_completion_requests_reduce_once_per_read(monkeypatch):
     # the 72 requests of Auslander 2 as the benchmark makes them: both
     # completions, each read back by pair_of.  Each of the 144 completions
-    # is reduced when it is glued.  The presilting gate, the gate's
-    # decomposition and pair_of look it up in the registry memo first, whose
-    # keys are reduced complexes, so only a memo miss reduces it again, once.
-    # The decomposition reads the verdict off its own memo entry, so only
-    # the gate asks is_presilting
+    # is reduced when it is glued.  Each asks is_presilting of its input,
+    # which the memo reduces on its first miss only: 36 distinct inputs.
+    # The glued cone is filed presilting by theorem under its reduced key, so
+    # the is_silting gate, its decomposition and pair_of look it up and
+    # reduce it no more; is_presilting is asked of each input and by the gate
     eq = ex.explore(orders.auslander_bass_v_reduction(2))
     ws = eq.workspace
     calls = {"minimality_reduce": 0, "is_presilting": 0}
@@ -309,16 +312,40 @@ def test_completion_requests_reduce_once_per_read(monkeypatch):
     monkeypatch.setattr(Registry, "is_presilting", presilting)
     requests = list(_almost_complete(eq))
     assert len(requests) == 72
-    memo, misses = ws.registry._complexes, 0
+    memo, new_inputs, new_results = ws.registry._complexes, 0, 0
     for cx in requests:
         for complete in (tt.bongartz_completion, tt.co_bongartz_completion):
+            new_input = cx not in memo
             before = calls["minimality_reduce"], len(memo)
             ws.pair_of(complete(cx, ws.registry))
-            miss = len(memo) - before[1]
-            assert miss in (0, 1) and calls["minimality_reduce"] == before[0] + 1 + miss
-            misses += miss
-    assert misses == 72
-    assert calls == {"minimality_reduce": 144 + 72, "is_presilting": 144}
+            new_result = len(memo) - before[1] - new_input
+            assert new_result in (0, 1)
+            assert calls["minimality_reduce"] == before[0] + 1 + new_input
+            new_inputs, new_results = new_inputs + new_input, new_results + new_result
+    assert (new_inputs, new_results) == (36, 72)
+    assert calls == {"minimality_reduce": 144 + 36, "is_presilting": 144 + 144}
+
+
+def test_completions_refuse_a_non_presilting_input(monkeypatch):
+    # over A2, P1 + P1[1] is not presilting (End(P1) obstructs it).  Both
+    # completions refuse it at entry, glue nothing and compute no copy, and
+    # no result enters the registry's memo
+    alg = a2_algebra()
+    reg = ex.explore(alg).workspace.registry
+    t = tt.direct_sum(tt.stalk(alg, 0), tt.shifted_stalk(alg, 0))
+    assert not reg.is_presilting(t)
+    memo = dict(reg._complexes)
+
+    def no_copies(*args):
+        raise AssertionError("a refused input computes no approximation copy")
+
+    monkeypatch.setattr(tt, "shift_hom_basis", no_copies)
+    monkeypatch.setattr(tt, "_glue", no_copies)
+    for complete, name in ((tt.bongartz_completion, "Bongartz"),
+                           (tt.co_bongartz_completion, "co-Bongartz")):
+        with pytest.raises(ValueError, match=f"^{name} completion needs a presilting"):
+            complete(t, reg)
+    assert reg._complexes == memo and t in memo
 
 
 # ---- the presilting verdict against the shifted-Hom reference ------------------
