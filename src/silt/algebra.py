@@ -198,7 +198,14 @@ class AlgebraElement:
         return self.coeffs.get(self.algebra.unit_gid(self.src), 0)
 
     def local_inverse(self) -> "AlgebraElement":
-        """Inverse in the local algebra ``e_v A e_v``; needs a nonzero unit part."""
+        """Inverse in the local algebra ``e_v A e_v``; needs a nonzero unit part.
+
+        A scalar unit ``c . e_v`` has the inverse ``c^-1 . e_v``, since
+        ``e_v`` is idempotent, and is returned with no series.  Any other
+        unit ``c . (e_v - x)`` with ``x`` radical, hence nilpotent, is
+        inverted by the geometric series ``c^-1 . (e_v + x + x^2 + ...)``,
+        which the nilpotency bound ends; that result is checked.
+        """
         alg = self.algebra
         if self.src != self.tgt:
             raise ValueError("only loop-shaped elements can be inverted")
@@ -207,6 +214,8 @@ class AlgebraElement:
             raise ValueError("element lies in the radical, not invertible")
         p = alg.p
         inv0 = pow(c0, p - 2, p)
+        if len(self.coeffs) == 1:
+            return AlgebraElement(alg, self.src, self.src, {alg.unit_gid(self.src): inv0})
         one = alg.unit_elem(self.src)
         nil = one - self.scale(inv0)  # radical part, nilpotent
         total = one
@@ -285,6 +294,7 @@ class FiniteDimAlgebra:
         self._pair_pos = {g: pos for gids in self._pair_basis.values()
                           for pos, g in enumerate(gids)}
         self._zeros: dict[tuple[int, int], AlgebraElement] = {}
+        self._basis_elems: dict[int, AlgebraElement] = {}
         self._projectives: dict[int, object] = {}
         self._simples: dict[int, object] = {}
         self._stalks: dict[tuple, object] = {}   # silt.twoterm._stalk_complex
@@ -348,8 +358,15 @@ class FiniteDimAlgebra:
         return AlgebraElement(self, v, v, {self.unit_gid(v): 1})
 
     def basis_elem(self, gid: int) -> AlgebraElement:
-        b = self.basis[gid]
-        return AlgebraElement(self, b.src, b.tgt, {gid: 1})
+        """The basis path ``gid`` as an element, one shared object per gid.
+
+        Sharing is safe for the reason ``zero_elem`` gives.
+        """
+        x = self._basis_elems.get(gid)
+        if x is None:
+            b = self.basis[gid]
+            x = self._basis_elems[gid] = AlgebraElement(self, b.src, b.tgt, {gid: 1})
+        return x
 
     # ---- canonical modules ---------------------------------------------------
 

@@ -9,9 +9,12 @@ the mapping-cone constructions exact and cheap.  Every rigidity question,
 the presilting verdict, the silting order and the registry's rigidity table,
 is read off one shifted-Hom matrix (``shift_hom_basis``), and no
 representation of a complex is built here.  The Bongartz and co-Bongartz
-completions ask the registry's verdict of their input once; their glued
-cone is then presilting by theorem and filed so, with no pair of its
-components tested.
+completions ask the registry's verdict of their input once and read all
+their approximation copies off one shifted-Hom matrix; their glued cone is
+then presilting by theorem and filed so, with no pair of its components
+tested.  The constructor checks every block; ``_glue``,
+``minimality_reduce`` and ``components`` assemble their complexes from
+checked parts with no check (``_assemble``).
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class TwoTermComplex:
             if len(row) != len(self.cols):
                 raise ValueError("differential has wrong number of block columns")
             for c, entry in enumerate(row):
+                if entry.algebra is not self.algebra:
+                    raise ValueError(f"block ({r},{c}) lies over another algebra")
                 if (entry.src, entry.tgt) != (self.rows[r], self.cols[c]):
                     raise ValueError(f"block ({r},{c}) has endpoints "
                                      f"{(entry.src, entry.tgt)}, expected "
@@ -59,6 +64,23 @@ class TwoTermComplex:
 
     def __repr__(self):
         return f"TwoTermComplex(rows={self.rows}, cols={self.cols})"
+
+
+def _assemble(alg: FiniteDimAlgebra, rows: tuple, cols: tuple, d: tuple) -> TwoTermComplex:
+    """A complex from parts valid by construction, with no check.
+
+    ``rows`` and ``cols`` are tuples of vertices and ``d`` a tuple of tuples
+    of elements over ``alg`` with the endpoints of their place.  Only
+    ``_glue``, ``minimality_reduce`` and ``components`` call it
+    (``tests/test_lint.py`` pins them).  Their blocks are blocks of
+    complexes that passed the constructor, zeros and basis paths built for
+    their place, or Schur updates of those, whose endpoints
+    ``AlgebraElement._combine`` checks.  The public constructor keeps every
+    check.
+    """
+    t = object.__new__(TwoTermComplex)
+    t.__dict__.update(algebra=alg, rows=rows, cols=cols, d=d)
+    return t
 
 
 def g_vector(t: TwoTermComplex) -> tuple[int, ...]:
@@ -112,11 +134,18 @@ def _glue(parts: tuple[TwoTermComplex, ...],
 
     ``links`` places extra blocks at global block coordinates, off the
     diagonal summands; the completions put their approximation maps there,
-    which makes the sum their mapping cone.
+    which makes the sum their mapping cone.  The sum is assembled with no
+    check: the parts passed the constructor, and must lie over one algebra
+    (``ValueError`` otherwise); the zeros are ``zero_elem`` of their place;
+    and each completion's link at ``(r, c)`` is the basis path of a
+    ``_hom_entries`` triple from the vertex of row ``r`` to that of column
+    ``c``.
     """
     if not parts:
         raise AssertionError("need at least one summand")
     alg = parts[0].algebra
+    if any(t.algebra is not alg for t in parts):
+        raise ValueError("summands live over different algebras")
     rows = tuple(v for t in parts for v in t.rows)
     cols = tuple(v for t in parts for v in t.cols)
     zero_rows = {rv: [alg.zero_elem(rv, cv) for cv in cols] for rv in set(rows)}
@@ -128,7 +157,7 @@ def _glue(parts: tuple[TwoTermComplex, ...],
         r0, c0 = r0 + len(t.rows), c0 + len(t.cols)
     for (r, c), elem in links.items():
         blocks[r][c] = elem
-    return TwoTermComplex(alg, rows, cols, blocks)
+    return _assemble(alg, rows, cols, tuple(map(tuple, blocks)))
 
 
 # ---- rigidity ------------------------------------------------------------------
@@ -154,8 +183,13 @@ def shift_hom_basis(p: TwoTermComplex, q: TwoTermComplex) -> list[tuple[int, int
     that image span a complement of it, so their unit vectors are the basis
     returned.  This is the one place the shifted-Hom matrix is built: the
     silting order and the registry's presilting verdict per component pair
-    read its emptiness, and both completions read their approximation
-    copies off it (Adachi-Iyama-Reiten, arXiv:1210.1036, Sections 2-3).
+    read its emptiness, and each completion reads all its approximation
+    copies off one call, against ``Lambda`` or ``Lambda[1]``
+    (Adachi-Iyama-Reiten, arXiv:1210.1036, Sections 2-3).  When ``q`` has
+    zero differential the image splits by the summands of ``Q_0``, and when
+    ``p`` has, by those of ``P_-1``; the pivots of a block-diagonal image
+    are those of its blocks, so the basis is the union of the per-summand
+    bases.
     """
     if p.algebra is not q.algebra:
         raise ValueError("complexes live over different algebras")
@@ -244,8 +278,8 @@ def components(t: TwoTermComplex) -> list[TwoTermComplex]:
     for rs, cs in members.values():
         rows, cols = tuple(t.rows[r] for r in rs), tuple(t.cols[c] for c in cs)
         part = (_stalk_complex(t.algebra, rows, cols) if not (rs and cs) else
-                TwoTermComplex(t.algebra, rows, cols,
-                               tuple(tuple(t.d[r][c] for c in cs) for r in rs)))
+                _assemble(t.algebra, rows, cols,
+                          tuple(tuple(t.d[r][c] for c in cs) for r in rs)))
         parts[part] = None
     return list(parts)
 
@@ -262,13 +296,17 @@ def minimality_reduce(t: TwoTermComplex) -> TwoTermComplex:
     updates only the rows with a nonzero entry in the pivot column, and in
     them only the entries under a nonzero pivot-row entry; every other block
     is kept as it is, since subtracting zero changes nothing.  A complex
-    whose differential is already radical is returned itself.
+    whose differential is already radical is returned itself.  The pivot
+    is the first unit block in row-major order, looked for only among the
+    columns at each row's vertex.
     """
     rows, cols, d = t.rows, t.cols, t.d
     while True:
-        pivot = next(((r, c) for r, rv in enumerate(rows)
-                      for c, cv in enumerate(cols)
-                      if rv == cv and d[r][c].unit_coefficient()), None)
+        at = {}
+        for c, cv in enumerate(cols):
+            at.setdefault(cv, []).append(c)
+        pivot = next(((r, c) for r, rv in enumerate(rows) for c in at.get(rv, ())
+                      if d[r][c].unit_coefficient()), None)
         if pivot is None:
             break
         r, c = pivot
@@ -288,7 +326,7 @@ def minimality_reduce(t: TwoTermComplex) -> TwoTermComplex:
         rows, cols, d = rows[:r] + rows[r + 1:], cols[:c] + cols[c + 1:], tuple(new_d)
     if len(rows) == len(t.rows):   # no step taken
         return t
-    return TwoTermComplex(t.algebra, rows, cols, d)
+    return _assemble(t.algebra, rows, cols, d)
 
 
 # ---- completions ---------------------------------------------------------------
@@ -297,8 +335,11 @@ def minimality_reduce(t: TwoTermComplex) -> TwoTermComplex:
 def bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
     """Maximal completion: add the co-cone of a right approximation of ``L[1]``.
 
-    Each basis entry ``(0, j, gid)`` of ``shift_hom_basis(t, P_v)`` is one
-    map ``t -> P_v[1]``; the approximation sums them.  Its shifted cone is
+    Each basis entry ``(v, j, gid)`` of ``shift_hom_basis(t, Lambda)`` is
+    one map ``t -> P_v[1]``; the approximation sums them.  One shifted-Hom
+    matrix serves all ``v``: ``Lambda`` has zero differential, so the image
+    is block-diagonal by vertex, and the basis is the union of the bases of
+    ``Hom(t, P_v[1])``, in vertex order.  Its shifted cone is
     ``t + t^m + Lambda`` with the entry glued from the ``k``-th copy of ``t``
     to ``P_v``, reduced and checked by ``_silting_or_raise``.  An input that
     is not presilting raises ``ValueError`` before any copy is computed.
@@ -306,8 +347,7 @@ def bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
     if not registry.is_presilting(t):
         raise ValueError(f"Bongartz completion needs a presilting complex, got {t!r}")
     alg = t.algebra
-    copies = [(v, j, gid) for v in range(alg.quiver.n_vertices)
-              for _, j, gid in shift_hom_basis(t, stalk(alg, v))]
+    copies = shift_hom_basis(t, lambda_stalk(alg))
     m, nr, nc = len(copies), len(t.rows), len(t.cols)
     links = {((m + 1) * nr + v, (k + 1) * nc + j): alg.basis_elem(gid)
              for k, (v, j, gid) in enumerate(copies)}
@@ -318,8 +358,11 @@ def bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
 def co_bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
     """Minimal completion: add the cone of a left approximation of ``L``.
 
-    Each basis entry ``(i, 0, gid)`` of ``shift_hom_basis(P_v[1], t)`` is one
-    map ``P_v -> t``; the approximation sums them.  Its cone is
+    Each basis entry ``(i, v, gid)`` of ``shift_hom_basis(Lambda[1], t)`` is
+    one map ``P_v -> t``; the approximation sums them.  As for the Bongartz
+    completion, one matrix is block-diagonal by vertex; the entries come in
+    row order and are sorted by vertex, stably, so the copies are those of
+    ``Hom(P_v[1], t[1])`` one vertex after another.  Its cone is
     ``t + Lambda[1] + t^m`` with the entry glued from ``P_v`` to the ``k``-th
     copy of ``t``.  All of ``Lambda`` sits in degree -1, so vertices that get
     no copy survive as shifted stalks.  An input that is not presilting
@@ -328,11 +371,10 @@ def co_bongartz_completion(t: TwoTermComplex, registry) -> TwoTermComplex:
     if not registry.is_presilting(t):
         raise ValueError(f"co-Bongartz completion needs a presilting complex, got {t!r}")
     alg = t.algebra
-    copies = [(v, i, gid) for v in range(alg.quiver.n_vertices)
-              for i, _, gid in shift_hom_basis(shifted_stalk(alg, v), t)]
+    copies = sorted(shift_hom_basis(lambda_shift(alg), t), key=lambda e: e[1])
     m, nr, nc = len(copies), len(t.rows), len(t.cols)
     links = {((k + 1) * nr + i, nc + v): alg.basis_elem(gid)
-             for k, (v, i, gid) in enumerate(copies)}
+             for k, (i, v, gid) in enumerate(copies)}
     return _silting_or_raise(_glue((t, lambda_shift(alg)) + (t,) * m, links),
                              registry, "co-Bongartz")
 

@@ -57,6 +57,35 @@ def rational_inverse(cols) -> list[list[Fraction]] | None:
     return [row[n:] for row in a]
 
 
+def fraction_free_inverse(cols) -> tuple[int, list[list[int]]] | None:
+    """``(d, B)`` with ``B / d`` the inverse of the square integer matrix with
+    columns ``cols``; ``None`` when the matrix is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss) on ``[A | I]``: each step
+    cross-multiplies by the pivot and divides exactly by the previous one,
+    so every entry stays an integer.  The left block ends as ``d . I`` with
+    ``d = +-det A``, and the right block is then ``d . A^-1``.  A matrix is
+    unimodular exactly when ``abs(d) == 1``.  ``rational_inverse`` is the
+    reference it is tested against.
+    """
+    n = len(cols)
+    a = [[int(col[i]) for col in cols] + [int(i == k) for k in range(n)]
+         for i in range(n)]
+    prev = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if a[r][c]), None)
+        if r is None:
+            return None
+        a[c], a[r] = a[r], a[c]
+        prow, piv = a[c], a[c][c]
+        for i in range(n):
+            if i != c:
+                row, f = a[i], a[i][c]
+                a[i] = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+    return prev, [row[n:] for row in a]
+
+
 def zero_rep(algebra: FiniteDimAlgebra) -> rm.Rep:
     q = algebra.quiver
     maps = tuple(em.zeros(0, 0) for _ in range(q.n_arrows))

@@ -20,9 +20,10 @@ from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingPair, SiltingWorkspace
 
-from oracles import (checked_repmap, fac_contains, h0, hom_basis_by_kron, hom_onto,
-                     int_det, min_projective_presentation_by_covers, pair_leq_by_entries,
-                     presilting_by_h0, projective_cover_by_paths, rational_inverse,
+from oracles import (checked_repmap, fac_contains, fraction_free_inverse, h0,
+                     hom_basis_by_kron, hom_onto, int_det,
+                     min_projective_presentation_by_covers, pair_leq_by_entries,
+                     presilting_by_h0, projective_cover_by_paths,
                      rigid_entry, shift_hom_basis_by_products, summand_dims,
                      top_sections_by_quotient, validation_by_entries)
 from test_algebra import a2_algebra
@@ -246,13 +247,16 @@ def _check_completions_read_back(eq):
     # a completion of a presilting complex is filed presilting by theorem,
     # with no component pair tested (Aihara Prop. 2.16, AIR Thm 2.10 with
     # Thm 3.2); a fresh registry, whose memo holds no such entry, tests
-    # every ordered pair of its components instead
+    # every ordered pair of its components instead.  Both are assembled with
+    # no check, so the checked constructor must take them as they are
     ws, fresh = eq.workspace, Registry(eq.algebra)
     for sub, containing in _almost_complete_pairs(eq):
         cx = ws.complex_of(sub)
         top = tt.bongartz_completion(cx, ws.registry)
         bot = tt.co_bongartz_completion(cx, ws.registry)
         assert fresh.is_presilting(top) and fresh.is_presilting(bot), sub
+        assert all(tt.TwoTermComplex(t.algebra, t.rows, t.cols, t.d) == t
+                   for t in (top, bot)), sub
         assert {ws.pair_of(top), ws.pair_of(bot)} == containing
 
 
@@ -766,19 +770,19 @@ def _check_gvector_fan(eq):
     Demonet-Iyama-Jasso, arXiv:1503.00285: for a tau-tilting finite algebra
     the cones of the support tau-tilting pairs form a complete fan, and two
     cones share a facet iff the pairs are related by mutation.  Every
-    inverse is built here with exact fractions, so the check shares no code
-    with mutation, validation, the order or the registry's cone table.
+    inverse is built here in exact integers (``fraction_free_inverse``), so
+    the check shares no code with mutation, validation, the order or the
+    registry's cone table.
     """
     nv = eq.algebra.quiver.n_vertices
     reg = eq.workspace.registry
     cones = [[reg.gvector(s) for s in node.summands]
              + [tuple(-int(w == v) for w in range(nv)) for v in node.proj_part]
              for node in eq.nodes]
-    invs = [rational_inverse(cone) for cone in cones]
-    # (i) unimodular: an integer matrix with an integer inverse has det +-1
-    assert all(inv is not None and all(e.denominator == 1 for row in inv for e in row)
-               for inv in invs)
-    invs = [[[int(e) for e in row] for row in inv] for inv in invs]
+    invs = [fraction_free_inverse(cone) for cone in cones]
+    # (i) unimodular: det is +-1, so the inverse is d times the integer block
+    assert all(inv is not None and abs(inv[0]) == 1 for inv in invs)
+    invs = [[[d * e for e in row] for row in scaled] for d, scaled in invs]
 
     def coords(a, g):
         return [sum(e * x for e, x in zip(row, g)) for row in invs[a]]

@@ -114,6 +114,19 @@ def test_unit_sum_acts_as_identity():
         assert left == x and right == x
 
 
+def _series_inverse(x):
+    """``c^-1 . (e_v + r + r^2 + ...)`` for ``x = c . (e_v - r)``, summed
+    until the power dies; the reference for ``local_inverse``."""
+    alg = x.algebra
+    one = alg.unit_elem(x.src)
+    inv0 = pow(x.unit_coefficient(), alg.p - 2, alg.p)
+    nil = one - x.scale(inv0)
+    total = power = one
+    while not (power := power * nil).is_zero():
+        total = total + power
+    return total.scale(inv0)
+
+
 def test_local_inverse():
     alg = cyclic_2_algebra()
     u = alg.unit_elem(0) + path_elem(alg, 0, ("a1", "a2"))  # = e1, since a1a2 = 0
@@ -125,6 +138,17 @@ def test_local_inverse():
     loop = build_algebra(presentation(q, [[(1, ("x", "x", "x"))]], 3))
     v = loop.unit_elem(0) + path_elem(loop, 0, ("x",))
     assert (v * v.local_inverse()) == loop.unit_elem(0)
+    w = loop.unit_elem(0).scale(3) - path_elem(loop, 0, ("x", "x")) + path_elem(loop, 0, ("x",))
+    assert v.local_inverse() == _series_inverse(v) and w.local_inverse() == _series_inverse(w)
+    # a scalar unit c . e_v is inverted with no series, as c^-1 . e_v
+    for a in (alg, loop):
+        for vertex in range(a.quiver.n_vertices):
+            e = a.unit_elem(vertex)
+            for c in (1, 2, a.p - 1):
+                x = e.scale(c)
+                inv = x.local_inverse()
+                assert x * inv == e == inv * x
+                assert inv == _series_inverse(x)
 
 
 def test_zero_elem_is_shared_and_left_unchanged():

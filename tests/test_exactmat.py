@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from silt import exactmat as em
 
-from oracles import int_det
+from oracles import fraction_free_inverse, int_det, rational_inverse
 
 
 def asmat(data, p: int) -> np.ndarray:
@@ -161,6 +163,23 @@ def test_unimodular_inverse_matches_determinant(m):
     assert (inv is not None) == (abs(int_det(m)) == 1)
     if inv is not None:
         assert np.array_equal(np.array(m) @ inv, em.identity(len(m)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])
+@example([[2, 0], [0, 3]])
+@example([[1, 2], [2, 4]])
+def test_fraction_free_inverse_matches_rational_inverse(cols):
+    # the g-vector fan check inverts in integers; the Fraction route is the reference
+    got, want = fraction_free_inverse(cols), rational_inverse(cols)
+    assert (got is None) == (want is None)
+    if got is not None:
+        d, scaled = got
+        assert abs(d) == abs(int_det(cols)) > 0
+        assert [[Fraction(e, d) for e in row] for row in scaled] == want
 
 
 # 67108859 is the largest prime check_field_prime admits

@@ -287,6 +287,35 @@ def test_trusted_verdict_callers():
     assert found == [("twoterm.py", "_silting_or_raise")]
 
 
+def _assemble_uses(tree):
+    # (scope, line) of every name or attribute ``_assemble``, called or not
+    return [(".".join(scope), node.lineno) for scope, node in _scoped_nodes(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) == "_assemble"
+            and isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_unchecked_assembly_callers():
+    # twoterm._assemble builds a complex with no check; it is sound only on
+    # blocks valid by construction, so _glue, minimality_reduce and
+    # components alone use it, and
+    # test_unchecked_assembly_matches_checked_constructor is its oracle
+    probe = ("def _glue(parts, links):\n"
+             "    return _assemble(alg, rows, cols, d)\n"
+             "build = tt._assemble\n"
+             "def helper(t):\n"
+             "    def inner():\n"
+             "        return _assemble(t.algebra, (), (), ())\n"
+             "class Registry:\n"
+             "    def split(self, t):\n"
+             "        return tt._assemble(*t)\n")
+    assert _assemble_uses(ast.parse(probe)) == [
+        ("_glue", 2), ("", 3), ("helper.inner", 6), ("Registry.split", 9)]
+    found = {(path.name, where) for path in SOURCES
+             for where, _ in _assemble_uses(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == {("twoterm.py", "_glue"), ("twoterm.py", "minimality_reduce"),
+                     ("twoterm.py", "components")}
+
+
 COMPLETIONS = ("bongartz_completion", "co_bongartz_completion")
 
 

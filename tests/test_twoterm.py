@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -351,12 +352,16 @@ def test_completions_refuse_a_non_presilting_input(monkeypatch):
 # ---- the presilting verdict against the shifted-Hom reference ------------------
 
 
-@pytest.fixture(scope="module")
-def explorations():
+def _explore_families():
     builds = {"hereditary3": orders.hereditary_reduction(3),
               "auslander2": orders.auslander_bass_v_reduction(2),
               "nakayama3-5": orders.cyclic_nakayama(3, 5)}
     return {name: ex.explore(alg) for name, alg in builds.items()}
+
+
+@pytest.fixture(scope="module")
+def explorations():
+    return _explore_families()
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +386,34 @@ def test_completions_match_parent_digest(explorations):
     assert count == 384
     assert h.hexdigest() == \
         "1edf8e4eca05ea4e3339f09ddfa07572dd7c0723d5d42dc33834b4de77bdf669"
+
+
+def test_unchecked_assembly_matches_checked_constructor(monkeypatch):
+    # _glue, minimality_reduce and components assemble complexes with no
+    # check; with the checked constructor in their place, fresh explorations
+    # and all 384 completions raise nothing and give the same digest
+    callers = set()
+
+    def checked(alg, rows, cols, d):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return tt.TwoTermComplex(alg, rows, cols, d)
+
+    monkeypatch.setattr(tt, "_assemble", checked)
+    test_completions_match_parent_digest(_explore_families())
+    assert callers == {"_glue", "minimality_reduce", "components"}
+
+
+def test_complexes_refuse_parts_over_another_algebra(explorations):
+    # a presentation over Nakayama(3, 5) summed with a stalk over
+    # hereditary-3 would read as a hereditary-3 complex with a block of the
+    # other algebra; both the sum and the checked constructor refuse it
+    her3 = explorations["hereditary3"].algebra
+    nak = explorations["nakayama3-5"].workspace.registry
+    y = next(t for t in map(nak.presentation, range(len(nak))) if t.cols)
+    with pytest.raises(ValueError, match="summands live over different algebras"):
+        tt.direct_sum(tt.stalk(her3, 0), y)
+    with pytest.raises(ValueError, match=r"block \(0,0\) lies over another algebra"):
+        tt.TwoTermComplex(her3, y.rows, y.cols, y.d)
 
 
 def test_shift_hom_basis_against_h0_and_hom_onto(explorations):
