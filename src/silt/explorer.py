@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import FiniteDimAlgebra
-from .silting import SiltingPair, SiltingWorkspace
+from .silting import SiltingPair, SiltingWorkspace, bit_matrix
 
 DEFAULT_MAX_NODES = 1_000_000
 DEFAULT_MAX_DEPTH = 1_000_000
@@ -114,14 +114,11 @@ def explore(algebra: FiniteDimAlgebra, limits: ExploreLimits | None = None,
 def poset_relations(eq: ExchangeQuiver) -> np.ndarray:
     """Full boolean matrix ``leq[i, j] == (node_i <= node_j)``.
 
-    ``pair_leq`` of every ordered node pair, read at once from two matrix
-    products (``SiltingWorkspace.order_matrix``):
-    ``leq = (S D P^T == 0) & (S (1 - R)^T S^T == 0)``, with ``S`` the node x
-    module incidence, ``D`` the module supports, ``P`` the node x
-    shifted-vertex incidence and ``R`` the ``rigid`` table (Adachi-Iyama-Reiten,
-    arXiv:1210.1036, Section 2); ``cover_relations`` checks it is an order.
+    The rows of ``SiltingWorkspace.order_rows``, unpacked: ``pair_leq`` of
+    every ordered node pair (Adachi-Iyama-Reiten, arXiv:1210.1036,
+    Section 2).  ``cover_relations`` checks it is an order.
     """
-    return eq.workspace.order_matrix(eq.nodes)
+    return bit_matrix(list(eq.workspace.order_rows(eq.nodes)), len(eq.nodes))
 
 
 def cover_relations(leq: np.ndarray) -> set[tuple[int, int]]:
@@ -151,12 +148,74 @@ def cover_relations(leq: np.ndarray) -> set[tuple[int, int]]:
     return {(u, v) for v, u in np.argwhere(covers).tolist()}
 
 
+def adjacency(n: int, edges) -> tuple[list[set[int]], list[set[int]]]:
+    """Successor and predecessor sets of nodes ``0..n-1``; repeated edges count once."""
+    succ, pred = [set() for _ in range(n)], [set() for _ in range(n)]
+    for u, v in edges:
+        succ[u].add(v)
+        pred[v].add(u)
+    return succ, pred
+
+
+def kahn_order(succ: list[set[int]], pred: list[set[int]]) -> list[int]:
+    """Kahn's source peel: each node after all its predecessors.
+
+    It appends to the list it reads; the graph is acyclic iff every node
+    gets peeled, so a shorter list means a directed cycle.
+    """
+    order = [v for v, p in enumerate(pred) if not p]
+    indeg = [len(p) for p in pred]
+    for u in order:
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    return order
+
+
 def hasse_check(eq: ExchangeQuiver) -> bool:
-    """Whether the mutation edges are the covers of the order (checked by ``cover_relations``)."""
+    """Whether the mutation edges are the covers of the silting order, as
+    Adachi-Iyama-Reiten (arXiv:1210.1036, Thm 2.33) prove they are.
+
+    A finite order is the reflexive-transitive closure of its covers, so
+    the edges, read as a set, are its covers iff (a) they form a DAG,
+    (b) the up-set of every node, its own bit OR the up-sets of the sources
+    of its edges, equals its row of ``SiltingWorkspace.order_rows``, and
+    (c) the sources of the edges into each node are pairwise incomparable.
+    One Kahn pass reads all three, with every bitset over the nodes in its
+    peel order; an up-set is dropped once the last edge out of its node is
+    read.  Cyclic edges, and rows that are no partial order, give ``False``:
+    (b) makes the rows the closure of a DAG.  No ``N x N`` matrix is built.
+    """
     if not eq.complete:
         raise ValueError("Hasse comparison needs a complete exploration")
-    got = {(u, v) for (u, v, _) in eq.edges}
-    return got == cover_relations(poset_relations(eq))
+    succ, pred = adjacency(len(eq.nodes), ((u, v) for (u, v, _) in eq.edges))
+    order = kahn_order(succ, pred)
+    if len(order) != len(eq.nodes):    # (a)
+        return False
+    place = [0] * len(order)
+    for k, v in enumerate(order):
+        place[v] = k
+    up: dict[int, int] = {}
+    left = [len(s) for s in succ]
+    rows = eq.workspace.order_rows([eq.nodes[v] for v in order])
+    for k, (v, row) in enumerate(zip(order, rows)):
+        sources = 0
+        for u in pred[v]:
+            sources |= 1 << place[u]
+        mine = 1 << k
+        for u in pred[v]:
+            if up[u] & sources != 1 << place[u]:    # (c)
+                return False
+            mine |= up[u]
+            left[u] -= 1
+            if not left[u]:
+                del up[u]
+        if mine != row:    # (b)
+            return False
+        if left[v]:
+            up[v] = mine
+    return True
 
 
 # ---- serialization --------------------------------------------------------------

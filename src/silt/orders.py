@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra, Quiver, build_algebra, presentation
 from .exactmat import DEFAULT_PRIME
-from .explorer import ExchangeQuiver, node_label
+from .explorer import ExchangeQuiver, adjacency, kahn_order, node_label
 
 
 # ---- built-in reductions -----------------------------------------------------
@@ -146,16 +146,8 @@ def assemble_tors_hasse(eq: ExchangeQuiver, sincere: list[bool]) -> TorsHasse:
     for i in range(base):
         if sincere[i]:
             edges.append((gamma_index[i], i))
-    _check_unique_ends(*_adjacency(len(nodes), edges))
+    _check_unique_ends(*adjacency(len(nodes), edges))
     return TorsHasse(nodes, edges)
-
-
-def _adjacency(n: int, edges) -> tuple[list[set[int]], list[set[int]]]:
-    succ, pred = [set() for _ in range(n)], [set() for _ in range(n)]
-    for u, v in edges:
-        succ[u].add(v)
-        pred[v].add(u)
-    return succ, pred
 
 
 def _check_unique_ends(succ: list[set[int]], pred: list[set[int]]):
@@ -163,15 +155,7 @@ def _check_unique_ends(succ: list[set[int]], pred: list[set[int]]):
     sinks = [i for i, s in enumerate(succ) if not s]
     if len(sources) != 1 or len(sinks) != 1:
         raise AssertionError(f"expected unique ends, got sources={sources}, sinks={sinks}")
-    # Kahn's source peel, appending to the list it reads: the graph is
-    # acyclic iff every node gets peeled
-    indeg = [len(p) for p in pred]
-    for u in sources:
-        for v in succ[u]:
-            indeg[v] -= 1
-            if not indeg[v]:
-                sources.append(v)
-    if len(sources) != len(pred):
+    if len(kahn_order(succ, pred)) != len(pred):
         raise AssertionError("directed cycle found; not a Hasse diagram")
 
 
@@ -282,8 +266,8 @@ def poset_isomorphic(a, b) -> bool:
     """
     na, ea = as_cover_graph(a)
     nb, eb = as_cover_graph(b)
-    succ_a, pred_a = _adjacency(na, ea)
-    succ_b, pred_b = _adjacency(nb, eb)
+    succ_a, pred_a = adjacency(na, ea)
+    succ_b, pred_b = adjacency(nb, eb)
     _check_unique_ends(succ_a, pred_a)
     _check_unique_ends(succ_b, pred_b)
     if na != nb or len(ea) != len(eb):

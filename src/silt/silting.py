@@ -46,8 +46,8 @@ last four as bitsets:
   proves it nonzero, one dot product; only the other entries run
   ``twoterm.hom_shift_vanishes``.  The partial order on discovered pairs,
   the rigidity step of validation and the partner scan reduce to one mask
-  test per row plus a support condition, and ``order_matrix`` reads the
-  rows as they are.  ``registered_partner`` reads the mutation partner off
+  test per row plus a support condition, and ``order_rows`` ANDs the rows
+  as they are.  ``registered_partner`` reads the mutation partner off
   them alone: the AND of the rows of the rest of a pair leaves a few
   candidates, each tested on its own row and support mask.
 
@@ -82,6 +82,7 @@ holds:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul, or_
@@ -114,7 +115,6 @@ class Validation:
 VALID = Validation(True)
 MUTATION_OUTCOMES = ("attempted", "fac_rejected", "shifted_projective",
                      "registry_lookup", "cokernel_built")
-ORDER_ROWS = 256
 
 
 class Registry:
@@ -739,49 +739,50 @@ class SiltingWorkspace:
         Two violation counts must vanish (Adachi-Iyama-Reiten, arXiv:1210.1036,
         Section 2): summands of ``a`` supported at a shifted vertex of ``b``,
         and pairs (``i`` in ``b``, ``j`` in ``a``) where ``rigid(i, j)`` fails.
-        Over many pairs, with ``S`` the pair x module incidence, ``D`` the
-        module supports, ``P`` the pair x shifted-vertex incidence and ``R``
-        the ``rigid`` table, they are the matrices ``S D P^T`` and
-        ``S (1 - R)^T S^T``; ``order_matrix`` computes them.  Here the first
-        is one test of support masks, the second one row test per summand
-        of ``b``.  A shifted vertex or an id out of range raises ``ValueError``.
+        Over many pairs ``order_rows`` reads them as one packed column per
+        summand of ``a``.  Here the first is one test of support masks, the
+        second one row test per summand of ``b``.  A shifted vertex or an id
+        out of range raises ``ValueError``.
         """
         self._check_ids(a.summands + b.summands)
         self._shifted(a.proj_part)
         return not self._support_of(a.summands) & self._shifted(b.proj_part) \
             and self._rows_rigid(b.summands, _bits(a.summands))
 
-    def order_matrix(self, pairs) -> np.ndarray:
-        """``leq[a, b] == pair_leq(pairs[a], pairs[b])`` for every ordered pair.
+    def order_rows(self, pairs) -> Iterator[int]:
+        """Row ``a``, yielded in turn: the bitset of the ``b`` with
+        ``pair_leq(pairs[a], pairs[b])``.
 
-        Both counts of ``pair_leq`` are non-negative, so ``leq`` is where
-        ``S (D P^T + (1 - R)^T S^T)`` vanishes, with ``D`` and ``R`` the
-        registry's support bitsets and rows of the modules that occur.  Every
-        entry is an integer below (modules + vertices)^2, so the float64
-        products, which numpy hands to BLAS, are exact.  The last one runs
-        ``ORDER_ROWS`` rows at a time, which keeps its float64 block small
-        next to ``leq``.  Stray shifted vertices and ids raise, as in ``pair_leq``.
+        ``pair_leq(a, b)`` asks, of each summand ``j`` of ``a``, that the
+        rigidity rows of ``b``'s summands all hold ``j`` and that ``j``'s
+        support misses ``b``'s shifted vertices.  So row ``a`` is the AND,
+        over the summands ``j`` of ``a``, of one packed column ``C_j``: the
+        ``b`` that pass both tests for ``j``.  Per pair ``b`` the ids that
+        pass are one AND of its summands' rows, masked by the ids supported
+        at a shifted vertex; one bit transpose turns those into the columns.
+        Stray shifted vertices and ids raise, as in ``pair_leq``, before the
+        first row.
         """
-        nv = self.algebra.quiver.n_vertices
+        reg = self.registry
+        support, rows = reg._support, reg._rigid
         ids = sorted({i for pair in pairs for i in pair.summands})
-        col = {i: k for k, i in enumerate(ids)}
-        s = np.zeros((len(pairs), len(ids)))
-        p = np.zeros((len(pairs), nv))
-        for a, pair in enumerate(pairs):
-            self._check_ids(pair.summands)
-            self._shifted(pair.proj_part)
-            s[a, [col[i] for i in pair.summands]] = 1
-            p[a, list(pair.proj_part)] = 1
-        d = np.array([[self.registry.support(i) >> v & 1 for v in range(nv)] for i in ids],
-                     dtype=float).reshape(len(ids), nv)
-        rows = [self.registry.rigid_row(i) for i in ids]
-        unrigid = np.array([[not ok >> j & 1 for j in ids] for ok in rows],
-                           dtype=float).reshape(len(ids), len(ids))
-        right = d @ p.T + unrigid.T @ s.T
-        leq = np.empty((len(pairs), len(pairs)), dtype=bool)
-        for k in range(0, len(pairs), ORDER_ROWS):
-            leq[k:k + ORDER_ROWS] = s[k:k + ORDER_ROWS] @ right == 0
-        return leq
+        self._check_ids(ids)
+        every_id = (1 << len(reg)) - 1
+        unblocked: dict[int, int] = {}    # shifted vertices -> ids supported off them
+        passing = []
+        for pair in pairs:
+            shifted = self._shifted(pair.proj_part)
+            ok = unblocked.get(shifted)
+            if ok is None:
+                ok = unblocked[shifted] = every_id & ~_bits(
+                    j for j in range(len(reg)) if support[j] & shifted)
+            for i in pair.summands:
+                ok &= rows[i]
+            passing.append(ok)
+        cols = np.packbits(bit_matrix(passing, len(reg))[:, ids].T, axis=1,
+                           bitorder="little")
+        column = {j: int.from_bytes(c.tobytes(), "little") for j, c in zip(ids, cols)}
+        return _and_columns(pairs, column, (1 << len(pairs)) - 1)
 
     # ---- pair <-> complex bridges ---------------------------------------------------
 
@@ -806,6 +807,23 @@ def _bits(items) -> int:
     for k in items:
         mask |= 1 << k
     return mask
+
+
+def _and_columns(pairs, column: dict[int, int], every: int) -> Iterator[int]:
+    """Per pair, the AND of ``every`` and the ``column`` of each of its summands."""
+    for pair in pairs:
+        row = every
+        for j in pair.summands:
+            row &= column[j]
+        yield row
+
+
+def bit_matrix(bitsets, width: int) -> np.ndarray:
+    """Row ``a``, column ``b`` is bit ``b`` of ``bitsets[a]``, for ``b`` below ``width``."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in bitsets),
+                           dtype=np.uint8).reshape(len(bitsets), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
 def _vec_map(h: rm.RepMap) -> np.ndarray:

@@ -16,7 +16,6 @@ from silt import exactmat as em
 from silt import explorer as ex
 from silt import orders
 from silt import repmod as rm
-from silt import silting
 from silt import twoterm as tt
 from silt.silting import Registry, SiltingPair, SiltingWorkspace
 
@@ -122,6 +121,16 @@ def test_criterion_3_hereditary_n7_optional():
         eq = ex.explore(orders.hereditary_reduction(7))
         assert eq.complete and len(eq.nodes) == math.comb(14, 7) == 3432
         assert len(eq.edges) == 7 * 3432 // 2
+        assert ex.hasse_check(eq)
+
+
+@pytest.mark.slow
+def test_criterion_3_hereditary_n8_optional():
+    with criterion(3, "hereditary family at n=8 (optional): 12870 nodes, "
+                      "51480 edges, exchange edges are the Hasse covers"):
+        eq = ex.explore(orders.hereditary_reduction(8))
+        assert eq.complete and len(eq.nodes) == math.comb(16, 8) == 12870
+        assert len(eq.edges) == 8 * 12870 // 2
         assert ex.hasse_check(eq)
 
 
@@ -815,16 +824,16 @@ def test_gvector_cones_form_a_complete_fan(complete_runs):
         _check_gvector_fan(eq)
 
 
-@pytest.mark.parametrize("rows", [silting.ORDER_ROWS, 7])
-def test_order_matrix_equals_pair_leq_loop(complete_runs, monkeypatch, rows):
-    # the matrix products count the violations of pair_leq's two conditions,
-    # support and rigidity (AIR Section 2); the double loop is the reference.
-    # With 7 rows per block, every exploration but the smallest takes several.
-    monkeypatch.setattr(silting, "ORDER_ROWS", rows)
+def test_order_rows_and_hasse_check_equal_the_pair_leq_loop(complete_runs):
+    # the packed rows AND one column per summand of pair_leq's two
+    # conditions, support and rigidity (AIR Section 2); the double loop is
+    # the reference, and its covers, by cover_relations, that of hasse_check
     for eq in complete_runs:
         ws = eq.workspace
         loop = np.array([[ws.pair_leq(a, b) for b in eq.nodes] for a in eq.nodes])
         assert (ex.poset_relations(eq) == loop).all()
+        edges = {(u, v) for (u, v, _) in eq.edges}
+        assert ex.hasse_check(eq) == (edges == ex.cover_relations(loop)) is True
 
 
 def _split_reading(reg, t):

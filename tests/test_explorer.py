@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,12 +81,42 @@ def test_hasse_check(a2_eq, bass_eq):
     assert ex.hasse_check(bass_eq)
 
 
-def test_hasse_check_rejects_transitive_edge(a2_eq):
-    eq = a2_eq
-    zero = next(i for i, nd in enumerate(eq.nodes) if not nd.summands)
-    doctored = ex.ExchangeQuiver(eq.workspace, eq.nodes,
-                                 eq.edges + [(0, zero, 0)], eq.complete)
-    assert not ex.hasse_check(doctored)
+@pytest.fixture(scope="module")
+def broken_edge_runs():
+    return {"hereditary4": ex.explore(orders.hereditary_reduction(4)),
+            "auslander3": ex.explore(orders.auslander_bass_v_reduction(3)),
+            "nakayama3-5": ex.explore(orders.cyclic_nakayama(3, 5))}
+
+
+def _doctored_edges(eq):
+    """Edge lists with one fault each, named, and whether they are the covers."""
+    edges = eq.edges
+    top = 0
+    bottom = next(i for i, nd in enumerate(eq.nodes) if not nd.summands)
+    u, w, at = edges[0]
+    x = next(v for (s, v, _) in edges if s == w)     # u -> w -> x
+    return [("dropped", edges[1:], False),
+            ("transitive", edges + [(top, bottom, 0)], False),
+            ("shortcut", edges + [(u, x, at)], False),
+            ("upward", edges + [(bottom, top, 0)], False),
+            ("self-loop", edges + [(w, w, 0)], False),
+            ("2-cycle", edges + [(w, u, 0)], False),
+            ("duplicated", edges + [edges[-1]], True)]
+
+
+def test_hasse_check_rejects_transitive_edge(broken_edge_runs):
+    # and every other broken edge set: the transitive and the shortcut edges
+    # make two sources of one node comparable, the dropped edge shrinks an
+    # up-set, the others close a directed cycle; the edges are read as a
+    # set, so a repeat is no fault.  The reference route, cover_relations of
+    # the unpacked order, agrees on each.
+    for key, eq in broken_edge_runs.items():
+        covers = ex.cover_relations(ex.poset_relations(eq))
+        assert ex.hasse_check(eq), key
+        for name, edges, want in _doctored_edges(eq):
+            doctored = ex.ExchangeQuiver(eq.workspace, eq.nodes, edges, eq.complete)
+            assert ex.hasse_check(doctored) is want, (key, name)
+            assert ({(u, v) for (u, v, _) in edges} == covers) is want, (key, name)
 
 
 def test_poset_relations_a2(a2_eq):
@@ -112,7 +143,8 @@ def test_poset_relations_rejects_broken_orders(rel, message):
 
 
 def test_hasse_check_makes_no_pair_leq_calls(monkeypatch):
-    # the order comes from matrix products, not from one pair_leq per node pair
+    # the order comes from packed rows, one AND per summand, not from one
+    # pair_leq per node pair
     eq = ex.explore(orders.hereditary_reduction(4))
     calls = []
     pair_leq = SiltingWorkspace.pair_leq
@@ -127,6 +159,20 @@ def test_hasse_check_makes_no_pair_leq_calls(monkeypatch):
     # the wrapper is live: a direct call is counted
     assert eq.workspace.pair_leq(eq.nodes[-1], eq.nodes[0])
     assert len(calls) == 1
+
+
+def test_hasse_check_allocates_no_square_array():
+    # the order is read as packed rows and up-sets of at most N bits each,
+    # never as an N x N array: a bool one alone would take N^2 bytes
+    eq = ex.explore(orders.hereditary_reduction(7))
+    n = len(eq.nodes)
+    tracemalloc.start()
+    try:
+        assert ex.hasse_check(eq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 2
 
 
 def test_cover_relations_chain_and_diamond():
@@ -174,6 +220,45 @@ def test_cover_relations_matches_loops(leq):
     else:
         with pytest.raises(AssertionError, match="^order is not"):
             ex.cover_relations(leq)
+
+
+class _RelationWorkspace:
+    """``order_rows`` of a given boolean relation on nodes ``0..n-1``."""
+
+    def __init__(self, leq):
+        self.leq = leq
+
+    def order_rows(self, pairs):
+        return (sum(1 << k for k, b in enumerate(pairs) if self.leq[a, b]) for a in pairs)
+
+
+@st.composite
+def _relations_with_edges(draw):
+    """A relation, and its covers less some, plus some downward and some
+    random edges."""
+    leq = draw(st.one_of(_partial_orders(),
+                         st.integers(0, 12).flatmap(lambda n: arrays(bool, (n, n)))))
+    n = leq.shape[0]
+    covers = sorted(_covers_by_loops(leq))
+    below = [(u, v) for u in range(n) for v in range(n) if u != v and leq[v, u]]
+    dropped = draw(st.sets(st.sampled_from(covers))) if covers and draw(st.booleans()) else set()
+    extra = draw(st.lists(st.sampled_from(below), max_size=2)) \
+        if below and draw(st.booleans()) else []
+    extra += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2)) if n and draw(st.booleans()) else []
+    return leq, [e for e in covers if e not in dropped] + extra
+
+
+@settings(deadline=None, max_examples=200)
+@given(_relations_with_edges())
+def test_hasse_check_matches_loops(case):
+    # True iff the relation is an order and the edges, as a set, its covers;
+    # a relation that is no order gives False, where cover_relations raises
+    leq, edges = case
+    eq = ex.ExchangeQuiver(_RelationWorkspace(leq), list(range(leq.shape[0])),
+                           [(u, v, 0) for (u, v) in edges], True)
+    want = _is_order_by_loops(leq) and set(edges) == _covers_by_loops(leq)
+    assert ex.hasse_check(eq) == want
 
 
 def test_stats_count_cache_entries(a2_eq):

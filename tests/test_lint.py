@@ -445,6 +445,59 @@ def test_rows_rigid_only_in_validation_and_the_order():
             if _called(call, "_rows_rigid")} == set(ROWS_RIGID_SCOPES)
 
 
+HASSE_REFERENCES = ("poset_relations", "cover_relations", "pair_leq")
+
+
+def _hasse_reach(trees):
+    # hasse_check reads the order off the mutation edges and the packed
+    # order rows: it reaches neither the unpacked N x N order, nor the
+    # covers of one, nor one pair_leq per node pair.  A call is followed
+    # into every function of ``trees`` that has its name, a method too;
+    # the other names a reached function reads are checked, not followed.
+    # Returns the names reached and (function, name read, line) per breach
+    defs = {}
+    for tree in trees:
+        for _, node in _scoped_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(node)
+    reached, todo, found = set(), ["hasse_check"], []
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for fn in defs[name]:
+            for node in ast.walk(fn):
+                read = getattr(node, "id", None) or getattr(node, "attr", None)
+                if read in HASSE_REFERENCES:
+                    found.append((name, read, node.lineno))
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    todo.append(getattr(func, "id", None) or getattr(func, "attr", None))
+    return reached, sorted(found)
+
+
+def test_hasse_check_reaches_no_reference_route():
+    probe = ("def hasse_check(eq):\n"
+             "    return _covers(eq) == eq.workspace.rows(eq.nodes)\n"
+             "def _covers(eq):\n"
+             "    return cover_relations(poset_relations(eq))\n"
+             "class SiltingWorkspace:\n"
+             "    def rows(self, pairs):\n"
+             "        return [[self.pair_leq(a, b) for b in pairs] for a in pairs]\n"
+             "    def order(self, pairs):\n"
+             "        return map(self.pair_leq, pairs, pairs)\n")
+    assert _hasse_reach([ast.parse(probe)]) == ({"hasse_check", "_covers", "rows"}, [
+        ("_covers", "cover_relations", 4), ("_covers", "poset_relations", 4),
+        ("rows", "pair_leq", 7)])
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in (ROOT / "src" / "silt" / name for name in ("explorer.py", "silting.py"))]
+    reached, found = _hasse_reach(trees)
+    assert found == []
+    # the rule is not vacuous: it follows the route into the workspace
+    assert {"adjacency", "kahn_order", "order_rows", "_shifted", "bit_matrix"} <= reached
+
+
 def _loop_calls(node, scope=(), loops=()):
     # (enclosing class and function names, kinds of the enclosing loops of
     # that function, outermost first, call) for every call under ``node``;

@@ -251,7 +251,7 @@ def test_order_mutation_and_complex_refuse_shifted_vertices_outside_the_quiver()
                                match=rf"shifted vertices \[{v}\] are not vertices 0..1"):
                 ws.pair_leq(a, b)
         with pytest.raises(ValueError, match=rf"shifted vertices \[{v}\]"):
-            ws.order_matrix([lam, pair])
+            ws.order_rows([lam, pair])
         with pytest.raises(ValueError, match=rf"shifted vertices \[{v}\]"):
             ws.mutate_left(pair, 0)
         with pytest.raises(ValueError, match=rf"shifted vertices \[{v}\]"):
@@ -309,7 +309,7 @@ def test_pair_readers_refuse_ids_outside_the_registry():
         with pytest.raises(ValueError, match=refusal):
             ws.validate_silting_pair(bad)
         with pytest.raises(ValueError, match=refusal):
-            ws.order_matrix([lam, bad])
+            ws.order_rows([lam, bad])
         for at in range(3):
             with pytest.raises(ValueError, match=refusal):
                 ws.mutate_left(bad, at)
