@@ -17,7 +17,7 @@ from silt import explorer as ex
 from silt import orders
 from silt import repmod as rm
 from silt import twoterm as tt
-from silt.silting import Registry, SiltingPair, SiltingWorkspace
+from silt.silting import Registry, SiltingPair, SiltingWorkspace, bit_matrix
 
 from oracles import (checked_repmap, fac_contains, fraction_free_inverse, h0,
                      hom_basis_by_kron, hom_onto, int_det,
@@ -834,6 +834,20 @@ def test_order_rows_and_hasse_check_equal_the_pair_leq_loop(complete_runs):
         assert (ex.poset_relations(eq) == loop).all()
         edges = {(u, v) for (u, v, _) in eq.edges}
         assert ex.hasse_check(eq) == (edges == ex.cover_relations(loop)) is True
+
+
+@pytest.mark.parametrize("seed", [256, 7])
+def test_order_matrix_equals_pair_leq_loop(complete_runs, seed):
+    # hasse_check hands order_rows the nodes in its peel order, not in
+    # exploration order: the order matrix of any reordering of the nodes is
+    # the double loop over that reordering
+    rng = random.Random(seed)
+    for eq in complete_runs:
+        ws = eq.workspace
+        pairs = rng.sample(eq.nodes, len(eq.nodes))
+        loop = np.array([[ws.pair_leq(a, b) for b in pairs] for a in pairs])
+        rows = bit_matrix(list(ws.order_rows(pairs)), len(pairs))
+        assert (rows == loop).all()
 
 
 def _split_reading(reg, t):
