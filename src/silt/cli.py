@@ -158,26 +158,28 @@ def _cache_dir(args) -> str | None:
     return os.environ.get("SILT_CACHE") or args.cache
 
 
-def _run_exploration(alg, args) -> tuple[str, ex.ExchangeQuiver | None]:
-    """Exploration JSON, from cache when possible; the quiver on cold runs."""
+def _run_exploration(alg, args) -> tuple[str, dict | None, ex.ExchangeQuiver | None]:
+    """Exploration JSON, from cache when possible, then the parsed document
+    on a cache hit or the quiver on a cold run; the other one is ``None``."""
     limits = ex.ExploreLimits(args.max_nodes, args.max_depth)
     cache = _cache_dir(args)
     path = None
     if cache:
         os.makedirs(cache, exist_ok=True)
         path = os.path.join(cache, _cache_key(alg, limits) + ".json")
-        text = _read_cached(path, alg)
-        if text is not None:
-            return text, None
+        cached = _read_cached(path, alg)
+        if cached is not None:
+            return *cached, None
     eq = ex.explore(alg, limits)
     text = ex.to_json(eq)
     if path:
         _write_atomic(path, text)
-    return text, eq
+    return text, None, eq
 
 
-def _read_cached(path: str, alg: FiniteDimAlgebra) -> str | None:
-    """The cached exploration JSON of ``alg``, or ``None`` on a miss.
+def _read_cached(path: str, alg: FiniteDimAlgebra) -> tuple[str, dict] | None:
+    """The cached exploration JSON of ``alg`` and its parsed document, or
+    ``None`` on a miss.
 
     A missing file, one that does not parse (a truncated write, say), one
     that lacks a top-level field and one that describes another algebra
@@ -191,7 +193,7 @@ def _read_cached(path: str, alg: FiniteDimAlgebra) -> str | None:
         return None
     if (isinstance(doc, dict) and {"complete", "nodes", "edges"} <= doc.keys()
             and doc.get("algebra") == alg.to_json_dict()):
-        return text
+        return text, doc
     return None
 
 
@@ -222,24 +224,26 @@ def _emit(args, text_payload: str):
 
 def cmd_silt_explore(args) -> int:
     alg = _resolve_algebra(args)
-    json_text, eq = _run_exploration(alg, args)
-    doc = json.loads(json_text)
-    nv = alg.quiver.n_vertices
-    n_sincere = sum(1 for nd in doc["nodes"] if len(nd["summands"]) == nv)
+    json_text, doc, eq = _run_exploration(alg, args)
+    sizes, n_edges, complete = (
+        ([len(pair.summands) for pair in eq.nodes], len(eq.edges), eq.complete)
+        if eq is not None else
+        ([len(nd["summands"]) for nd in doc["nodes"]], len(doc["edges"]), doc["complete"]))
+    n_sincere = sizes.count(alg.quiver.n_vertices)
     print(f"algebra: {_source_name(args)}  p={alg.p}  dimension={alg.dimension}")
-    print(f"{len(doc['nodes'])} silting modules")
-    print(f"{len(doc['edges'])} mutation edges")
-    if doc["complete"]:
+    print(f"{len(sizes)} silting modules")
+    print(f"{n_edges} mutation edges")
+    if complete:
         print("exploration COMPLETE")
     else:
         print("INCOMPLETE (node or depth limit reached)")
-    print(f"sincere: {n_sincere}, non-sincere: {len(doc['nodes']) - n_sincere}")
-    if eq is not None and doc["complete"]:
+    print(f"sincere: {n_sincere}, non-sincere: {len(sizes) - n_sincere}")
+    if eq is not None and complete:
         print(f"hasse check: {'OK' if ex.hasse_check(eq) else 'FAILED'}")
     if args.format == "json":
         _emit(args, json_text)
     elif args.format == "dot":
-        _emit(args, ex.doc_to_dot(doc))
+        _emit(args, ex.doc_to_dot(doc if doc is not None else json.loads(json_text)))
     return EXIT_OK
 
 

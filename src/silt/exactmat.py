@@ -159,22 +159,31 @@ def kernel_basis_of_rows(rows: list[list[int]], ncols: int, p: int) -> np.ndarra
     return out
 
 
-def kernel_coordinates(basis: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """The ``X`` with ``basis @ X == b`` for a ``kernel_basis`` output, or ``None``.
+def free_row_read(basis: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``X`` with ``basis @ X == b`` for a ``kernel_basis`` output, when
+    every column of ``b`` lies in its span.
 
     Each column's last nonzero entry is a 1 at its free variable, a row where
-    every other column vanishes, so the entries of ``b`` in those rows are
-    the only candidate coordinates, and one product checks them.  ``None``
-    means some column of ``b`` lies outside the span.  The columns are
-    independent, so this is ``solve_right(basis, b, p)`` without elimination.
+    every other column vanishes, so the rows of ``b`` there are the
+    coordinates.  Nothing is checked: outside the span the result is wrong.
     """
-    if basis.shape[0] != b.shape[0]:
-        raise ValueError(f"row mismatch: {basis.shape} vs {b.shape}")
     if basis.shape[1]:
         free = basis.shape[0] - 1 - np.argmax(basis[::-1] != 0, axis=0)
     else:
         free = np.zeros(0, dtype=np.intp)
-    x = b[free] % p
+    return b[free]
+
+
+def kernel_coordinates(basis: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """``free_row_read`` checked by one product, or ``None`` when some column
+    of ``b`` lies outside the span of the ``kernel_basis`` output ``basis``.
+
+    The columns are independent, so this is ``solve_right(basis, b, p)``
+    without elimination.
+    """
+    if basis.shape[0] != b.shape[0]:
+        raise ValueError(f"row mismatch: {basis.shape} vs {b.shape}")
+    x = free_row_read(basis, b % p)
     if not np.array_equal(matmul(basis, x, p), b % p):
         return None
     return x

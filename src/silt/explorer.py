@@ -221,31 +221,27 @@ def hasse_check(eq: ExchangeQuiver) -> bool:
 # ---- serialization --------------------------------------------------------------
 
 
-def node_payload(eq: ExchangeQuiver, i: int) -> dict:
-    ws = eq.workspace
-    pair = eq.nodes[i]
-    return {
-        "id": i,
-        "summands": [
-            {"dims": list(ws.registry.dims(s)), "gvec": list(ws.registry.gvector(s))}
-            for s in pair.summands
-        ],
-        "proj_part": [eq.algebra.quiver.vertices[v] for v in pair.proj_part],
-    }
-
-
-def json_doc(eq: ExchangeQuiver) -> dict:
-    """The exploration as a JSON-ready document; ``to_json`` serialises it."""
-    return {
-        "algebra": eq.algebra.to_json_dict(),
-        "complete": eq.complete,
-        "nodes": [node_payload(eq, i) for i in range(len(eq.nodes))],
-        "edges": [{"from": u, "to": v, "at": at} for (u, v, at) in eq.edges],
-    }
-
-
 def to_json(eq: ExchangeQuiver) -> str:
-    return json.dumps(json_doc(eq), sort_keys=True, separators=(",", ":")) + "\n"
+    """The exploration as one line of compact JSON with sorted keys: the
+    ``algebra``, ``complete``, the ``edges`` (``at``, ``from``, ``to``) and
+    the ``nodes`` (``id``, ``proj_part`` as vertex names, ``summands`` as
+    ``dims`` and ``gvec``).  It is joined from strings in that key order, each
+    summand id and vertex name encoded once, with no dict per node."""
+    reg = eq.workspace.registry
+    enc = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    names = [enc(v) for v in eq.algebra.quiver.vertices]
+    summand: dict[int, str] = {}
+    nodes = []
+    for i, pair in enumerate(eq.nodes):
+        for s in pair.summands:
+            if s not in summand:
+                summand[s] = (f'{{"dims":{enc(list(reg.dims(s)))},'
+                              f'"gvec":{enc(list(reg.gvector(s)))}}}')
+        nodes.append(f'{{"id":{i},"proj_part":[{",".join(names[v] for v in pair.proj_part)}],'
+                     f'"summands":[{",".join(summand[s] for s in pair.summands)}]}}')
+    edges = ",".join(f'{{"at":{at},"from":{u},"to":{v}}}' for u, v, at in eq.edges)
+    return (f'{{"algebra":{enc(eq.algebra.to_json_dict())},"complete":{enc(eq.complete)},'
+            f'"edges":[{edges}],"nodes":[{",".join(nodes)}]}}\n')
 
 
 def payload_label(payload: dict) -> str:
@@ -259,11 +255,14 @@ def payload_label(payload: dict) -> str:
 
 
 def node_label(eq: ExchangeQuiver, i: int) -> str:
-    return payload_label(node_payload(eq, i))
+    pair = eq.nodes[i]
+    return payload_label({
+        "summands": [{"dims": list(eq.workspace.registry.dims(s))} for s in pair.summands],
+        "proj_part": [eq.algebra.quiver.vertices[v] for v in pair.proj_part]})
 
 
 def doc_to_dot(doc: dict) -> str:
-    """DOT of an exploration document, as built by ``json_doc`` or read back."""
+    """DOT of an exploration document, the parsed ``to_json`` text."""
     lines = ["digraph exchange {"]
     for nd in doc["nodes"]:
         label = payload_label(nd).replace('"', "'")
@@ -275,4 +274,4 @@ def doc_to_dot(doc: dict) -> str:
 
 
 def to_dot(eq: ExchangeQuiver) -> str:
-    return doc_to_dot(json_doc(eq))
+    return doc_to_dot(json.loads(to_json(eq)))

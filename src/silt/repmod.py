@@ -9,14 +9,15 @@ need no elimination: each is fixed by the image of ``e_v``, any vector of
 ``m_v`` (Yoneda), and ``yoneda_comps`` builds them by acting with each
 basis path as its last arrow's matrix times its prefix's action, computed
 once per prefix.  A cover is such a map, and so is every basis map of
-``Hom(P_v, M)`` in ``SiltingWorkspace.hom``.  The induced arrow matrices of a kernel or a cokernel are
-coordinates in a ``kernel_basis`` output, read off its free rows and
-checked by one product (``exactmat.kernel_coordinates``).  A map whose
-squares commute by construction (a Yoneda map, a kernel's inclusion, a
-cokernel's projection) is built without ``RepMap``'s square check; the
-tier-1 oracles rebuild each one with it.  All values are immutable after
-construction and all operations are pure, so any number of registries and
-workspaces may share them.
+``Hom(P_v, M)`` in ``SiltingWorkspace.hom``.  The induced arrow matrices of
+a kernel or a cokernel are coordinates in a ``kernel_basis`` output, read
+off its free rows (``exactmat.free_row_read``) with no check: the kernel
+and the image of a homomorphism are arrow-stable, and every ``RepMap`` is
+one.  A map whose squares commute by construction (a Yoneda map, a
+kernel's inclusion, a cokernel's projection) is built without ``RepMap``'s
+square check; the tier-1 oracles rebuild each one with it.  All values are
+immutable after construction and all operations are pure, so any number of
+registries and workspaces may share them.
 
 The zero module (all dimensions zero) is a first-class citizen; every
 operation accepts it.
@@ -36,28 +37,33 @@ class Rep:
 
     ``dims[v]`` is the dimension at vertex ``v`` and ``arrow_maps[k]`` the
     matrix of arrow ``k: i -> j`` with shape ``dims[j] x dims[i]``.  On
-    construction every relation of the algebra is checked to act as zero.
+    construction the matrices are reduced into ``int64`` and checked for
+    shape, and every relation of the algebra is checked to act as zero.
+    With ``check=False`` the dimensions and matrices are kept as handed
+    over, trusted to be ``int``s and reduced ``int64`` arrays of those
+    shapes on which the relations vanish.
     """
 
     __slots__ = ("algebra", "dims", "arrow_maps", "total_dim")
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, arrow_maps, check: bool = True):
-        q = algebra.quiver
         self.algebra = algebra
-        self.dims = tuple(int(d) for d in dims)
-        if len(self.dims) != q.n_vertices or any(d < 0 for d in self.dims):
-            raise ValueError("bad dimension vector")
-        maps = []
-        for k in range(q.n_arrows):
-            m = np.asarray(arrow_maps[k], dtype=np.int64) % algebra.p
-            want = (self.dims[q.arrow_target(k)], self.dims[q.arrow_source(k)])
-            if m.shape != want:
-                raise ValueError(f"arrow {k} matrix has shape {m.shape}, expected {want}")
-            maps.append(m)
-        self.arrow_maps = tuple(maps)
-        self.total_dim = sum(self.dims)
+        self.dims, self.arrow_maps = tuple(dims), tuple(arrow_maps)
         if check:
+            q = algebra.quiver
+            self.dims = tuple(int(d) for d in dims)
+            if len(self.dims) != q.n_vertices or any(d < 0 for d in self.dims):
+                raise ValueError("bad dimension vector")
+            maps = []
+            for k in range(q.n_arrows):
+                m = np.asarray(arrow_maps[k], dtype=np.int64) % algebra.p
+                want = (self.dims[q.arrow_target(k)], self.dims[q.arrow_source(k)])
+                if m.shape != want:
+                    raise ValueError(f"arrow {k} matrix has shape {m.shape}, expected {want}")
+                maps.append(m)
+            self.arrow_maps = tuple(maps)
             self._check_relations()
+        self.total_dim = sum(self.dims)
 
     def _check_relations(self):
         for idx, rel in enumerate(self.algebra.presentation.relations):
@@ -87,17 +93,25 @@ def path_matrix(rep: Rep, src: int, path: tuple[int, ...]) -> np.ndarray:
 
 
 class RepMap:
-    """A homomorphism of representations; vertex components commute with arrows."""
+    """A homomorphism of representations; vertex components commute with arrows.
+
+    On construction the components are reduced into ``int64`` and checked
+    for shape, and every square is checked to commute.  With
+    ``check=False`` the components are kept as handed over, trusted to be
+    reduced ``int64`` arrays of those shapes whose squares commute; two
+    algebras are refused either way.
+    """
 
     __slots__ = ("source", "target", "comps")
 
     def __init__(self, source: Rep, target: Rep, comps, check: bool = True):
         if source.algebra is not target.algebra:
             raise ValueError("source and target live over different algebras")
+        self.source, self.target, self.comps = source, target, tuple(comps)
+        if not check:
+            return
         alg = source.algebra
         q = alg.quiver
-        self.source = source
-        self.target = target
         cs = []
         for v in range(q.n_vertices):
             m = np.asarray(comps[v], dtype=np.int64) % alg.p
@@ -106,13 +120,12 @@ class RepMap:
                 raise ValueError(f"component {v} has shape {m.shape}, expected {want}")
             cs.append(m)
         self.comps = tuple(cs)
-        if check:
-            for k in range(q.n_arrows):
-                i, j = q.arrow_source(k), q.arrow_target(k)
-                lhs = em.matmul(target.arrow_maps[k], self.comps[i], alg.p)
-                rhs = em.matmul(self.comps[j], source.arrow_maps[k], alg.p)
-                if not np.array_equal(lhs, rhs):
-                    raise ValueError(f"square at arrow {k} does not commute")
+        for k in range(q.n_arrows):
+            i, j = q.arrow_source(k), q.arrow_target(k)
+            lhs = em.matmul(target.arrow_maps[k], self.comps[i], alg.p)
+            rhs = em.matmul(self.comps[j], source.arrow_maps[k], alg.p)
+            if not np.array_equal(lhs, rhs):
+                raise ValueError(f"square at arrow {k} does not commute")
 
     def is_zero(self) -> bool:
         return not any(np.any(c) for c in self.comps)
@@ -305,40 +318,37 @@ def _path_action(m: Rep, path: tuple[int, ...], acts: dict) -> np.ndarray:
 
 
 def kernel(h: RepMap) -> tuple[Rep, RepMap]:
-    """Vertex-wise kernel with the induced arrow maps and its inclusion."""
+    """Vertex-wise kernel with the induced arrow maps and its inclusion.
+
+    The kernel of a homomorphism is arrow-stable, so each arrow's image of
+    the kernel basis is read off the free rows of the basis at its target.
+    """
     alg = h.source.algebra
     q = alg.quiver
-    nv = q.n_vertices
-    bases = [em.kernel_basis(h.comps[v], alg.p) for v in range(nv)]
+    bases = [em.kernel_basis(c, alg.p) for c in h.comps]
     dims = tuple(b.shape[1] for b in bases)
-    maps = []
-    for k in range(q.n_arrows):
-        i, j = q.arrow_source(k), q.arrow_target(k)
-        img = em.matmul(h.source.arrow_maps[k], bases[i], alg.p)
-        sol = em.kernel_coordinates(bases[j], img, alg.p)
-        if sol is None:
-            raise AssertionError("kernel is not arrow-stable")
-        maps.append(sol)
+    maps = [em.free_row_read(bases[q.arrow_target(k)],
+                             em.matmul(a, bases[q.arrow_source(k)], alg.p))
+            for k, a in enumerate(h.source.arrow_maps)]
     ker = Rep(alg, dims, maps, check=False)
     # the arrow matrices solve exactly the squares of the inclusion
     return ker, RepMap(ker, h.source, bases, check=False)
 
 
 def cokernel(h: RepMap) -> tuple[Rep, RepMap]:
-    """Vertex-wise cokernel with the induced arrow maps and its projection."""
+    """Vertex-wise cokernel with the induced arrow maps and its projection.
+
+    The image of a homomorphism is arrow-stable, so each arrow, projected
+    at its target, factors through the projection at its source: its rows
+    are read off the free columns of that projection.
+    """
     alg = h.source.algebra
     q = alg.quiver
-    nv = q.n_vertices
-    projs = [em.quotient_projection(h.comps[v], alg.p) for v in range(nv)]
+    projs = [em.quotient_projection(c, alg.p) for c in h.comps]
     dims = tuple(pr.shape[0] for pr in projs)
-    maps = []
-    for k in range(q.n_arrows):
-        i, j = q.arrow_source(k), q.arrow_target(k)
-        rhs = em.matmul(projs[j], h.target.arrow_maps[k], alg.p)
-        solT = em.kernel_coordinates(projs[i].T, rhs.T, alg.p)
-        if solT is None:
-            raise AssertionError("image is not arrow-stable")
-        maps.append(solT.T)
+    maps = [em.free_row_read(projs[q.arrow_source(k)].T,
+                             em.matmul(projs[q.arrow_target(k)], a, alg.p).T).T
+            for k, a in enumerate(h.target.arrow_maps)]
     cok = Rep(alg, dims, maps, check=False)
     # the arrow matrices solve exactly the squares of the projection
     return cok, RepMap(h.target, cok, projs, check=False)

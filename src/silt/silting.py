@@ -625,7 +625,8 @@ class SiltingWorkspace:
           minimal left approximation of ``X`` by ``U``, and registered.  A
           new module is no theorem's output, so this result must pass
           ``validate_silting_pair`` and lie strictly below the input by
-          ``pair_leq``, or ``RuntimeError`` is raised.
+          ``_leq``, ``pair_leq`` past its checks, or ``RuntimeError`` is
+          raised.
         ``mutation_counts`` records which way each call went.  ``Y`` goes
         into ``U`` at its ``bisect`` position by ``Registry.key``, where a
         neighbour with its key raises ``make_pair``'s ``RuntimeError``, and a
@@ -686,7 +687,7 @@ class SiltingWorkspace:
             if not (valid := self.validate_silting_pair(candidate)):
                 raise RuntimeError(f"left mutation of {pair} at {at} failed "
                                    f"validation: {valid.reason}")
-            if not self.pair_leq(candidate, pair) or self.pair_leq(pair, candidate):
+            if not self._leq(summands, ids, shifted) or self._leq(ids, summands, shifted):
                 raise RuntimeError(f"left mutation of {pair} at {at} is not strictly below it")
         reg._record_cone(candidate.summands, candidate.proj_part)
         return candidate
@@ -740,14 +741,19 @@ class SiltingWorkspace:
         Section 2): summands of ``a`` supported at a shifted vertex of ``b``,
         and pairs (``i`` in ``b``, ``j`` in ``a``) where ``rigid(i, j)`` fails.
         Over many pairs ``order_rows`` reads them as one packed column per
-        summand of ``a``.  Here the first is one test of support masks, the
-        second one row test per summand of ``b``.  A shifted vertex or an id
+        summand of ``a``.  Here they are ``_leq``.  A shifted vertex or an id
         out of range raises ``ValueError``.
         """
         self._check_ids(a.summands + b.summands)
         self._shifted(a.proj_part)
-        return not self._support_of(a.summands) & self._shifted(b.proj_part) \
-            and self._rows_rigid(b.summands, _bits(a.summands))
+        return self._leq(a.summands, b.summands, self._shifted(b.proj_part))
+
+    def _leq(self, a_ids, b_ids, b_shifted: int) -> bool:
+        """``pair_leq`` on checked ids and the bitset of ``b``'s shifted
+        vertices: one test of support masks, then one row test per summand
+        of ``b``."""
+        return not self._support_of(a_ids) & b_shifted \
+            and self._rows_rigid(b_ids, _bits(a_ids))
 
     def order_rows(self, pairs) -> Iterator[int]:
         """Row ``a``, yielded in turn: the bitset of the ``b`` with

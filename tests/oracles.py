@@ -397,3 +397,23 @@ def pair_leq_by_entries(ws, a, b) -> bool:
     if any(reg.dims(i)[v] for v in b.proj_part for i in a.summands):
         return False
     return all(rigid_entry(reg, i, j) for i in b.summands for j in a.summands)
+
+
+# ---- the document reference of the exploration JSON -------------------------------
+
+
+def json_doc(eq) -> dict:
+    """The exploration as dicts; ``explorer.to_json`` joins the same text
+    from strings, which must equal ``json.dumps`` of this document with
+    sorted keys and compact separators, plus a newline."""
+    reg, names = eq.workspace.registry, eq.algebra.quiver.vertices
+    return {
+        "algebra": eq.algebra.to_json_dict(),
+        "complete": eq.complete,
+        "nodes": [{"id": i,
+                   "summands": [{"dims": list(reg.dims(s)), "gvec": list(reg.gvector(s))}
+                                for s in pair.summands],
+                   "proj_part": [names[v] for v in pair.proj_part]}
+                  for i, pair in enumerate(eq.nodes)],
+        "edges": [{"from": u, "to": v, "at": at} for (u, v, at) in eq.edges],
+    }

@@ -4,6 +4,7 @@ Each criterion prints one PASS/FAIL line (visible with ``pytest -s`` or on
 failure).  Shared explorations are computed once per session.
 """
 
+import json
 import math
 import random
 import sys
@@ -20,7 +21,7 @@ from silt import twoterm as tt
 from silt.silting import Registry, SiltingPair, SiltingWorkspace, bit_matrix
 
 from oracles import (checked_repmap, fac_contains, fraction_free_inverse, h0,
-                     hom_basis_by_kron, hom_onto, int_det,
+                     hom_basis_by_kron, hom_onto, int_det, json_doc,
                      min_projective_presentation_by_covers, pair_leq_by_entries,
                      presilting_by_h0, projective_cover_by_paths,
                      rigid_entry, shift_hom_basis_by_products, summand_dims,
@@ -976,21 +977,32 @@ def test_module_layer_equals_references(complete_runs):
 
 def test_coordinate_reads_equal_solve_right(complete_runs, monkeypatch):
     # kernel, cokernel and the composition table read the coordinates of
-    # vectors in a kernel_basis output off its free rows; every read that an
-    # exploration, a presentation of each registered module and the
+    # vectors in a kernel_basis output off its free rows: kernel and
+    # cokernel unchecked, through free_row_read, the table through
+    # kernel_coordinates, which checks that read by one product.  Every read
+    # that an exploration, a presentation of each registered module and the
     # cokernel of each approximation makes equals solve_right's solution
-    read = em.kernel_coordinates
-    calls = []
+    checked_read, free_read = em.kernel_coordinates, em.free_row_read
+    calls, free_calls, field = [], [], []
 
     def checked(basis, b, p):
-        got, want = read(basis, b, p), em.solve_right(basis, b, p)
+        got, want = checked_read(basis, b, p), em.solve_right(basis, b, p)
         assert want is not None
         assert got is not None and got.shape == want.shape and np.array_equal(got, want)
         calls.append(got.size)
         return got
 
+    def free(basis, b):
+        got, want = free_read(basis, b), em.solve_right(basis, b, field[0])
+        assert want is not None
+        assert got.shape == want.shape and np.array_equal(got, want)
+        free_calls.append(got.size)
+        return got
+
     monkeypatch.setattr(em, "kernel_coordinates", checked)
+    monkeypatch.setattr(em, "free_row_read", free)
     for eq in complete_runs:
+        field[:] = [eq.algebra.p]
         again = ex.explore(eq.algebra)
         assert again.nodes == eq.nodes
         ws = eq.workspace
@@ -1002,7 +1014,11 @@ def test_coordinate_reads_equal_solve_right(complete_runs, monkeypatch):
                 _, h = ws.left_minimal_approximation(x, pair.summands[:at]
                                                      + pair.summands[at + 1:])
                 rm.cokernel(h)
-    assert len(calls) > 1000 and sum(calls) > 0
+    # the composition table makes 22 checked reads in the fresh explorations
+    # (more when the workspaces' memos are cold), kernel and cokernel about
+    # 2,950 free-row reads
+    assert len(calls) >= 20 and sum(calls) > 0
+    assert len(free_calls) > 1000 and sum(free_calls) > 0
 
 
 def test_maps_built_unchecked_commute(complete_runs):
@@ -1061,3 +1077,57 @@ def test_explore_builds_no_checked_repmap(complete_runs, monkeypatch):
             rm.min_projective_presentation(reg.rep(i))
             assert made == ["rep_direct_sum", "kernel"], i
     assert checked == []
+
+
+def test_to_json_equals_the_reference_document(complete_runs):
+    # to_json joins its text from strings, each summand id and vertex name
+    # encoded once; the reference builds the document as dicts and dumps it
+    incomplete = ex.explore(orders.hereditary_reduction(4), ex.ExploreLimits(max_nodes=9))
+    assert not incomplete.complete and len(incomplete.nodes) == 9
+    for eq in complete_runs + [incomplete]:
+        want = json.dumps(json_doc(eq), sort_keys=True, separators=(",", ":")) + "\n"
+        assert ex.to_json(eq) == want
+
+
+def _reduced_int64(m, shape, p) -> bool:
+    return (isinstance(m, np.ndarray) and m.dtype == np.int64 and m.shape == shape
+            and not (m < 0).any() and not (m >= p).any())
+
+
+def test_explore_builds_reduced_int64_values(complete_runs, monkeypatch):
+    # Rep and RepMap keep what check=False hands them, with no reduction and
+    # no shape test; so every module and map an exploration builds, checked
+    # or not, must hold int dimensions and reduced int64 arrays of the
+    # declared shapes
+    made = []
+    repmap_init, rep_init = rm.RepMap.__init__, rm.Rep.__init__
+
+    def keeping_repmap(self, source, target, comps, check=True):
+        repmap_init(self, source, target, comps, check)
+        made.append(self)
+
+    def keeping_rep(self, algebra, dims, arrow_maps, check=True):
+        rep_init(self, algebra, dims, arrow_maps, check)
+        made.append(self)
+
+    monkeypatch.setattr(rm.RepMap, "__init__", keeping_repmap)
+    monkeypatch.setattr(rm.Rep, "__init__", keeping_rep)
+    kinds = set()
+    for eq in complete_runs:
+        made.clear()
+        ex.explore(eq.algebra)
+        q, p = eq.algebra.quiver, eq.algebra.p
+        for x in made:
+            kinds.add(type(x))
+            if isinstance(x, rm.Rep):
+                assert len(x.dims) == q.n_vertices
+                assert all(type(d) is int and d >= 0 for d in x.dims)
+                assert len(x.arrow_maps) == q.n_arrows
+                assert all(_reduced_int64(m, (x.dims[q.arrow_target(k)],
+                                              x.dims[q.arrow_source(k)]), p)
+                           for k, m in enumerate(x.arrow_maps)), x
+            else:
+                assert len(x.comps) == q.n_vertices
+                assert all(_reduced_int64(c, (x.target.dims[v], x.source.dims[v]), p)
+                           for v, c in enumerate(x.comps)), x
+    assert kinds == {rm.Rep, rm.RepMap}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from silt import explorer as ex
 from silt import orders
-from silt.silting import SiltingWorkspace
+from silt.silting import MUTATION_OUTCOMES, SiltingWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +332,31 @@ def test_to_json_roundtrip(a2_eq):
     assert doc["algebra"]["nilpotency_bound"] == 2
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" \
         == ex.to_json(a2_eq)
+
+
+# SHA-256 of the to_json text at p = 32003, and the mutate_left outcomes of
+# the exploration, in the order of MUTATION_OUTCOMES
+JSON_DIGESTS = [
+    ("hereditary", 5, "e606639ecd0e93eafdf5b025572f984a366980386dc0178ac2a4c8a5039826e8",
+     (1050, 420, 210, 400, 20)),
+    ("hereditary", 6, "11e4e42b6c3a66976b4d9b7d9088cfcf28b2556466c6b57345342a6609192a0b",
+     (4752, 1980, 792, 1950, 30)),
+    ("auslander_bass_v", 4, "daf2fd37748a5b395994e461792a630734591d1a19602156d43f01f1350fd092",
+     (3228, 1428, 372, 1376, 52)),
+    pytest.param("hereditary", 7,
+                 "d54ac9d4440db1aa7b191756b8fc01d9c66c32ab2029718df0b6de88a2b37472",
+                 (21021, 9009, 3003, 8967, 42), marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("family, n, digest, mutations", JSON_DIGESTS)
+def test_json_digest_is_pinned(family, n, digest, mutations):
+    # the exact bytes of the exploration JSON and the route each mutation
+    # took, as first recorded; the module layer and the serialiser may
+    # change how they get there, not what they give
+    eq = ex.explore(orders.builtin_algebra(family, n, 32003))
+    assert hashlib.sha256(ex.to_json(eq).encode()).hexdigest() == digest
+    assert eq.stats["mutations"] == dict(zip(MUTATION_OUTCOMES, mutations))
 
 
 def test_to_dot(a2_eq):

@@ -413,13 +413,13 @@ def test_mutate_left_sorts_only_at_its_gate():
 
 
 ROWS_RIGID_SCOPES = (("SiltingWorkspace", "validate_silting_pair"),
-                     ("SiltingWorkspace", "pair_leq"))
+                     ("SiltingWorkspace", "_leq"))
 
 
 def _rows_rigid_off_the_order(tree):
     # several rigidity rows are read at once by the rigidity step of
-    # validation and by the silting order alone; mutate_left decides
-    # "strictly below" through pair_leq, with no inline copy of its tests
+    # validation and by the silting order alone, whose tests are _leq:
+    # pair_leq and mutate_left's "strictly below" call it, with no inline copy
     for scope, call in _scoped_calls(tree):
         if _called(call, "_rows_rigid") and scope not in ROWS_RIGID_SCOPES:
             yield ".".join(scope), call.lineno
@@ -429,8 +429,8 @@ def test_rows_rigid_only_in_validation_and_the_order():
     probe = ("class SiltingWorkspace:\n"
              "    def validate_silting_pair(self, pair):\n"
              "        return self._rows_rigid(pair.summands, 0)\n"
-             "    def pair_leq(self, a, b):\n"
-             "        return self._rows_rigid(b.summands, 0)\n"
+             "    def _leq(self, a_ids, b_ids, b_shifted):\n"
+             "        return self._rows_rigid(b_ids, 0)\n"
              "    def mutate_left(self, pair, at):\n"
              "        return self._rows_rigid(pair.summands, 1)\n"
              "def helper(ws):\n"

@@ -1,11 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
 from silt import exactmat as em
+from silt import explorer as ex
+from silt import orders
 from silt import repmod as rm
 from silt.algebra import projective_module, simple_module
 
-from oracles import _kron, complex_repmap, fac_contains, zero_rep
+import test_acceptance as acceptance
+from oracles import _kron, checked_repmap, complex_repmap, fac_contains, zero_rep
 from test_algebra import a2_algebra, cyclic_2_algebra, double_a2_algebra
 
 
@@ -88,17 +93,44 @@ def test_hom_basis_checks_every_square(a2, monkeypatch):
         rm.hom_basis(p1, p1)
 
 
+def _read_in(name: str) -> bool:
+    # whether the caller of the patched read is ``name``, or a comprehension in it
+    frame = sys._getframe(2)
+    return name in (frame.f_code.co_name, frame.f_back.f_code.co_name)
+
+
 def test_kernel_and_cokernel_raise_outside_the_span(a2, monkeypatch):
-    # both read the coordinates of the induced arrow matrices off the free
-    # rows of a kernel basis; a column outside the span raises under
-    # ``python -O`` too
-    h = rm.hom_basis(projective_module(a2, "1"), simple_module(a2, "1"))[0]
+    # kernel and cokernel read their induced arrow matrices off free rows
+    # with no check: the kernel and the image of a homomorphism are
+    # arrow-stable.  Each map below kills one vertex of P1, so its kernel
+    # or its image is not.  RepMap's square check refuses it, and built
+    # unchecked, its kernel's inclusion or its cokernel's projection fails
+    # that same check, which test_maps_built_unchecked_commute applies to
+    # every kernel and cokernel an exploration builds
+    p1 = projective_module(a2, "1")
+    h = rm.hom_basis(p1, simple_module(a2, "1"))[0]
     assert rm.kernel(h)[0].dims == (0, 1) and rm.cokernel(h)[0].dims == (0, 0)
-    monkeypatch.setattr(em, "kernel_coordinates", lambda basis, b, p: None)
-    with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
-        rm.kernel(h)
-    with pytest.raises(AssertionError, match="image is not arrow-stable"):
-        rm.cokernel(h)
+    one, zero = em.identity(1), em.zeros(1, 1)
+    for comps, route in (([zero, one], rm.kernel), ([one, zero], rm.cokernel)):
+        with pytest.raises(ValueError, match="commute"):
+            rm.RepMap(p1, p1, comps)
+        _, induced = route(rm.RepMap(p1, p1, comps, check=False))
+        with pytest.raises(ValueError, match="commute"):
+            checked_repmap(induced)
+    # a wrong induced arrow matrix in kernel alone, or in cokernel alone,
+    # fails the oracle on an exploration
+    eq = ex.explore(orders.hereditary_reduction(3))
+    acceptance.test_maps_built_unchecked_commute([eq])
+    read, p = em.free_row_read, eq.algebra.p
+    for name in ("kernel", "cokernel"):
+        def wrong(basis, b, name=name):
+            x = read(basis, b)
+            return (x + 1) % p if _read_in(name) else x
+
+        with monkeypatch.context() as patched:
+            patched.setattr(em, "free_row_read", wrong)
+            with pytest.raises(ValueError, match="commute"):
+                acceptance.test_maps_built_unchecked_commute([eq])
 
 
 def test_is_isomorphic(a2):
